@@ -6,6 +6,7 @@
 //! process variation parameters used in the previous simulations" (§5.1).
 //! [`ChipSample`] therefore carries both circuit evaluations of one die.
 
+use crate::executor::panic_message;
 use crate::quarantine::QuarantineLedger;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use yac_circuit::{CacheCircuitModel, CacheCircuitResult, CacheVariant, Calibration};
@@ -241,14 +242,7 @@ pub(crate) fn evaluate_isolated(
             config.horizontal_model.evaluate(die),
         )
     }))
-    .map_err(|payload| {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "opaque panic payload".to_string());
-        format!("circuit evaluation panicked: {msg}")
-    })?;
+    .map_err(|payload| format!("circuit evaluation panicked: {}", panic_message(&*payload)))?;
     for (variant, result) in [("regular", &results.0), ("horizontal", &results.1)] {
         if !(result.delay.is_finite() && result.leakage.is_finite()) {
             return Err(format!(

@@ -1,20 +1,25 @@
-//! The supervised parallel study executor.
+//! The supervised shard engine behind every population study.
 //!
 //! Splits a population study into contiguous chip shards and runs them on
-//! a scoped worker pool under a supervisor: each shard attempt runs
-//! behind `catch_unwind` with a bounded retry budget and exponential
-//! backoff, attempts that exceed the per-shard time budget are cancelled
-//! (the worker checks its own elapsed time between chips, so even a
-//! deadline shorter than one chip is enforced deterministically; a
-//! watchdog thread additionally raises a generation-tagged cancel
-//! request, also polled between chips), and a shard that exhausts its
-//! retries is recorded as
-//! **degraded** rather than aborting the study. The run still completes,
-//! returning a [`StudyOutcome`] that carries the merged
-//! [`Population`], the degraded-shard map, and a yield confidence
-//! interval widened to account for the missing chips (see
+//! a work-stealing [`StealPool`] under a supervisor: each shard attempt
+//! runs behind `catch_unwind` with a bounded retry budget and exponential
+//! backoff, an attempt that exceeds the per-shard time budget is
+//! cancelled (the worker checks its own elapsed time between chips, so
+//! even a deadline shorter than one chip is enforced deterministically),
+//! and a shard that exhausts its retries is recorded as **degraded**
+//! rather than aborting the study. The run still completes, returning a
+//! [`StudyOutcome`] that carries the merged [`Population`], the
+//! degraded-shard map, and a yield confidence interval widened to
+//! account for the missing chips (see
 //! [`crate::confidence::yield_interval`]) instead of silently shrinking
 //! the denominator.
+//!
+//! Batch studies ([`run_supervised`], [`run_checkpointed_workers`]) and
+//! the sweep service's queries ([`crate::service`]) share one engine:
+//! the same submission (a heartbeat lease per shard task), the same
+//! shard loop, one per-job cancel flag and the same first-report-wins
+//! collector. A batch call builds a pool for its own duration; the
+//! service keeps one alive and adds stall reassignment and pool healing.
 //!
 //! # Determinism
 //!
@@ -43,13 +48,14 @@ use crate::chip::{evaluate_isolated, ChipSample, Population, PopulationConfig};
 use crate::classify::classify;
 use crate::confidence::{yield_interval, YieldInterval};
 use crate::constraints::{ConstraintSpec, YieldConstraints};
-use crate::health::HeartbeatLease;
+use crate::health::{HeartbeatLease, HeartbeatRegistry};
 use crate::quarantine::QuarantineLedger;
+use crate::stealing::StealPool;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use yac_obs::{Metric, Phase, TraceCtx, TraceEventKind};
 use yac_variation::{FaultPlan, InvalidRateError, MonteCarlo};
@@ -135,8 +141,8 @@ pub struct ExecutorConfig {
     pub max_retries: u32,
     /// Base backoff slept before retry `n` is `backoff * 2^n`.
     pub backoff: Duration,
-    /// Per-shard-attempt time budget enforced by the watchdog; `None`
-    /// disables the watchdog.
+    /// Per-shard-attempt time budget, checked by the worker between
+    /// chips; `None` means no deadline.
     pub shard_deadline: Option<Duration>,
     /// Optional deterministic shard-level fault injection.
     pub shard_faults: Option<ShardFaultPlan>,
@@ -226,83 +232,41 @@ pub(crate) enum ShardMsg {
     },
 }
 
-/// Per-worker state the deadline watchdog inspects.
-///
-/// `started` holds the current attempt's *tag* — the worker's attempt
-/// generation packed with the attempt's start time (see [`attempt_tag`])
-/// — or 0 when the worker is idle. To cancel, the watchdog stores the
-/// exact tag it observed into `cancel`, and the shard loop only honours
-/// a cancel whose tag matches its own attempt. A sweep that read attempt
-/// N's tag can therefore never cancel attempt N+1: the generations
-/// differ, so the stale store falls on deaf ears instead of spuriously
-/// burning a retry.
-#[derive(Default)]
-struct WorkerWatch {
-    started: AtomicU64,
-    cancel: AtomicU64,
+impl ShardMsg {
+    fn spec(&self) -> ShardSpec {
+        match self {
+            ShardMsg::Done { spec, .. } | ShardMsg::Degraded { spec, .. } => *spec,
+        }
+    }
 }
 
-/// One worker thread's fixed identity in the pool: its index (trace
-/// context and track label), its watchdog mailbox, and the pool epoch
-/// its attempt tags are measured from.
-#[derive(Clone, Copy)]
-struct WorkerLane<'a> {
-    worker: u32,
-    watch: &'a WorkerWatch,
-    epoch: Instant,
+/// Everything one study's shard tasks share. `cancel` stops every shard
+/// of the job between chips without burning retries; the sweep service
+/// raises it when a client disconnects, the batch paths when their sink
+/// fails.
+#[derive(Debug)]
+pub(crate) struct ShardJob {
+    pub(crate) mc: MonteCarlo,
+    pub(crate) pop: PopulationConfig,
+    pub(crate) exec: ExecutorConfig,
+    pub(crate) cancel: Arc<AtomicBool>,
 }
 
-/// Low bits of an attempt tag carrying the start time (nanos since the
-/// pool epoch, plus 1 so the packed value is never 0). 2^48 ns ≈ 78
-/// hours; a run longer than that can at worst trigger one spurious
-/// watchdog cancel, which costs a retry, never correctness.
-const TAG_NANOS_BITS: u32 = 48;
-const TAG_NANOS_MASK: u64 = (1 << TAG_NANOS_BITS) - 1;
-
-/// Packs a worker-local attempt generation (high 16 bits) with the
-/// attempt's start nanos (low 48 bits, offset by 1) into a nonzero tag.
-fn attempt_tag(generation: u64, nanos_since_epoch: u64) -> u64 {
-    (generation << TAG_NANOS_BITS) | ((nanos_since_epoch + 1) & TAG_NANOS_MASK).max(1)
-}
-
-/// The start time a tag was packed from (nanos since the pool epoch).
-fn tag_started_nanos(tag: u64) -> u64 {
-    (tag & TAG_NANOS_MASK) - 1
-}
-
-/// Why a shard attempt stopped early.
-enum ShardAbort {
-    Cancelled,
-}
-
-/// One attempt's cancellation state: the worker's watch, the attempt's
-/// tag (so only a cancel aimed at *this* attempt stops it), its start
-/// time (so the deadline is enforced against the attempt's own clock),
-/// an optional external abort flag (the sweep service's per-query
-/// cancel, raised when a client disconnects) and an optional heartbeat
-/// lease (the stall sentinel's cooperative cancel, raised when the lane
-/// publishes no progress for a full budget).
+/// One attempt's cancellation state: its start time (the deadline is
+/// enforced against the attempt's own clock), the job's cancel flag and
+/// the worker's heartbeat lease (the stall sentinel's cooperative
+/// cancel, raised when the lane publishes no progress for a full budget).
 struct AttemptGuard<'a> {
-    watch: &'a WorkerWatch,
-    tag: u64,
     t0: Instant,
-    abort: Option<&'a AtomicBool>,
-    lease: Option<&'a HeartbeatLease<'a>>,
+    cancel: &'a AtomicBool,
+    lease: &'a HeartbeatLease<'a>,
 }
 
 impl AttemptGuard<'_> {
     fn cancelled(&self, deadline: Option<Duration>) -> bool {
-        self.watch.cancel.load(Ordering::Relaxed) == self.tag
-            || deadline.is_some_and(|d| self.t0.elapsed() > d)
-            || self.abort.is_some_and(|a| a.load(Ordering::Relaxed))
-            || self.lease.is_some_and(HeartbeatLease::is_cancelled)
-    }
-
-    /// Publishes one unit of liveness progress (a no-op without a lease).
-    fn beat(&self) {
-        if let Some(lease) = self.lease {
-            lease.beat();
-        }
+        deadline.is_some_and(|d| self.t0.elapsed() > d)
+            || self.cancel.load(Ordering::Relaxed)
+            || self.lease.is_cancelled()
     }
 }
 
@@ -311,7 +275,8 @@ struct ShardPartial {
     quarantine: QuarantineLedger,
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic payload.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -322,25 +287,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// One attempt at one shard: evaluates every chip of the shard from its
 /// per-chip stream, exactly as the serial paths do.
 ///
-/// The deadline is enforced *here*, between chips, against the attempt's
-/// own clock — not only by the watchdog's periodic sweep — so even a
-/// deadline smaller than the watchdog tick (or than one chip) cancels
-/// deterministically. The watchdog's tag-matched cancel request is
-/// honoured as well, as a second trigger for the same cooperative stop.
+/// The deadline is enforced here, between chips, against the attempt's
+/// own clock, so even a deadline shorter than one chip cancels
+/// deterministically.
 ///
 /// Quarantined chips are recorded *unobserved* (no `ChipsQuarantined`
 /// increment): this attempt may yet be cancelled or superseded by a
 /// retry, so the supervisor counts the metric only when it accepts the
 /// shard's result.
 fn run_shard_once(
-    mc: &MonteCarlo,
-    config: &PopulationConfig,
-    exec: &ExecutorConfig,
+    job: &ShardJob,
     spec: ShardSpec,
     attempt: u32,
     guard: &AttemptGuard<'_>,
-) -> Result<ShardPartial, ShardAbort> {
-    if let Some(faults) = &exec.shard_faults {
+) -> Option<ShardPartial> {
+    let (mc, config, deadline) = (&job.mc, &job.pop, job.exec.shard_deadline);
+    if let Some(faults) = &job.exec.shard_faults {
         if faults.fails(config.seed, spec.index, attempt) {
             panic!(
                 "injected shard fault (shard {}, attempt {attempt})",
@@ -350,21 +312,21 @@ fn run_shard_once(
     }
     if crate::chaos::stall_ticket(spec.index as u64) {
         // Injected hang: hold the shard without a single heartbeat until
-        // some cancel source (sentinel lease cancel, query abort, shard
-        // deadline or watchdog tag) releases it — this is how the seeded
-        // tests drive every stall-recovery path.
-        while !guard.cancelled(exec.shard_deadline) {
+        // some cancel source (sentinel lease cancel, job cancel or shard
+        // deadline) releases it — this is how the seeded tests drive
+        // every stall-recovery path.
+        while !guard.cancelled(deadline) {
             std::thread::sleep(Duration::from_micros(200));
         }
-        return Err(ShardAbort::Cancelled);
+        return None;
     }
     let mut chips = Vec::with_capacity(spec.len);
     let mut quarantine = QuarantineLedger::new();
     for index in spec.start..spec.start + spec.len as u64 {
-        if guard.cancelled(exec.shard_deadline) {
-            return Err(ShardAbort::Cancelled);
+        if guard.cancelled(deadline) {
+            return None;
         }
-        guard.beat();
+        guard.lease.beat();
         match mc.sample_one_checked(config.seed, index, config.faults.as_ref()) {
             Ok(die) => match evaluate_isolated(config, &die) {
                 Ok((regular, horizontal)) => chips.push(ChipSample {
@@ -377,143 +339,44 @@ fn run_shard_once(
             Err(error) => quarantine.record_unobserved(index, config.seed, error.to_string()),
         }
     }
-    Ok(ShardPartial { chips, quarantine })
+    Some(ShardPartial { chips, quarantine })
 }
 
 /// Runs one shard under supervision: retry on panic or timeout with
 /// exponential backoff, degrade after the budget is spent.
 ///
+/// Two cancel sources stop the shard *without* burning retries,
+/// returning `None`: the job's cancel flag (the whole job is being
+/// discarded) and the lease's cancel (the stall sentinel reassigned the
+/// shard to a fresh worker; this attempt must neither retry nor
+/// degrade).
+///
 /// Every lifecycle transition is traced (dispatch, per-attempt exec
 /// span, retry, timeout-cancel, completion, degrade) with the worker
-/// index, shard index and attempt generation as context, so a trace
-/// export shows exactly how each shard travelled through the
-/// supervisor.
-fn run_shard_supervised(
-    mc: &MonteCarlo,
-    config: &PopulationConfig,
-    exec: &ExecutorConfig,
-    spec: ShardSpec,
-    lane: &WorkerLane<'_>,
-    generation: &mut u64,
-) -> ShardMsg {
-    let WorkerLane {
-        worker,
-        watch,
-        epoch,
-    } = *lane;
+/// index, shard index and attempt as context, so a trace export shows
+/// exactly how each shard travelled through the supervisor.
+fn run_shard(job: &ShardJob, spec: ShardSpec, lease: &HeartbeatLease<'_>) -> Option<ShardMsg> {
+    let exec = &job.exec;
     let mut attempt: u32 = 0;
-    let ctx = |attempt: u32| TraceCtx::shard(worker, spec.index as u32, attempt);
+    let ctx = |attempt: u32| TraceCtx::shard(lease.lane() as u32, spec.index as u32, attempt);
     yac_obs::trace_instant(TraceEventKind::ShardDispatched, ctx(0));
     loop {
-        // A fresh generation per attempt means a stale watchdog cancel
-        // (tagged with an earlier attempt) can never match this one, so
-        // `cancel` needs no clearing — and no clear/store race exists.
-        *generation += 1;
-        let tag = attempt_tag(*generation, epoch.elapsed().as_nanos() as u64);
-        watch.started.store(tag, Ordering::Release);
-        let guard = AttemptGuard {
-            watch,
-            tag,
-            t0: Instant::now(),
-            abort: None,
-            lease: None,
-        };
-        let exec_span = yac_obs::phase_ctx(Phase::ShardExec, ctx(attempt));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_shard_once(mc, config, exec, spec, attempt, &guard)
-        }));
-        watch.started.store(0, Ordering::Release);
-        drop(exec_span);
-
-        let error = match result {
-            Ok(Ok(partial)) => {
-                yac_obs::inc(Metric::ShardsCompleted);
-                yac_obs::trace_instant(TraceEventKind::ShardCompleted, ctx(attempt));
-                return ShardMsg::Done {
-                    spec,
-                    chips: partial.chips,
-                    quarantine: partial.quarantine,
-                };
-            }
-            Ok(Err(ShardAbort::Cancelled)) => {
-                yac_obs::inc(Metric::ShardTimeouts);
-                yac_obs::trace_instant(TraceEventKind::ShardTimedOut, ctx(attempt));
-                format!(
-                    "shard {} (chips {}..{}) exceeded its deadline on attempt {attempt}",
-                    spec.index,
-                    spec.start,
-                    spec.start + spec.len as u64
-                )
-            }
-            Err(payload) => format!(
-                "shard {} panicked: {}",
-                spec.index,
-                panic_message(&*payload)
-            ),
-        };
-        if attempt >= exec.max_retries {
-            yac_obs::inc(Metric::DegradedShards);
-            yac_obs::trace_instant(TraceEventKind::ShardDegraded, ctx(attempt));
-            return ShardMsg::Degraded {
-                spec,
-                attempts: attempt + 1,
-                error,
-            };
-        }
-        yac_obs::inc(Metric::ShardRetries);
-        yac_obs::trace_instant(TraceEventKind::ShardRetried, ctx(attempt));
-        let backoff = exec.backoff.saturating_mul(1u32 << attempt.min(16));
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
-        attempt += 1;
-    }
-}
-
-/// Runs one shard under full supervision (retry, backoff, deadline,
-/// degrade) on a work-stealing service worker — the sweep service's
-/// counterpart of [`run_shard_supervised`].
-///
-/// Differences from the batch path: the deadline is enforced purely by
-/// the worker's own between-chip clock (the service runs no watchdog
-/// thread), and two cancel sources stop the shard *without* burning
-/// retries, returning `None`: `abort` — the query's cancel flag, raised
-/// when the client disconnects (the supervisor discards the query) —
-/// and `lease` — the stall sentinel's cooperative cancel, raised when
-/// this lane stops heartbeating (the shard has been reassigned to a
-/// fresh worker; this attempt must neither retry nor degrade).
-pub(crate) fn run_shard_stealing(
-    mc: &MonteCarlo,
-    config: &PopulationConfig,
-    exec: &ExecutorConfig,
-    spec: ShardSpec,
-    worker: u32,
-    abort: &AtomicBool,
-    lease: Option<&HeartbeatLease<'_>>,
-) -> Option<ShardMsg> {
-    let watch = WorkerWatch::default();
-    let mut attempt: u32 = 0;
-    let ctx = |attempt: u32| TraceCtx::shard(worker, spec.index as u32, attempt);
-    yac_obs::trace_instant(TraceEventKind::ShardDispatched, ctx(0));
-    loop {
-        if abort.load(Ordering::Relaxed) {
+        if job.cancel.load(Ordering::Relaxed) {
             return None;
         }
         let guard = AttemptGuard {
-            watch: &watch,
-            tag: u64::MAX, // No watchdog: the tag can never be matched.
             t0: Instant::now(),
-            abort: Some(abort),
+            cancel: &job.cancel,
             lease,
         };
         let exec_span = yac_obs::phase_ctx(Phase::ShardExec, ctx(attempt));
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_shard_once(mc, config, exec, spec, attempt, &guard)
+            run_shard_once(job, spec, attempt, &guard)
         }));
         drop(exec_span);
 
         let error = match result {
-            Ok(Ok(partial)) => {
+            Ok(Some(partial)) => {
                 yac_obs::inc(Metric::ShardsCompleted);
                 yac_obs::trace_instant(TraceEventKind::ShardCompleted, ctx(attempt));
                 return Some(ShardMsg::Done {
@@ -522,16 +385,8 @@ pub(crate) fn run_shard_stealing(
                     quarantine: partial.quarantine,
                 });
             }
-            Ok(Err(ShardAbort::Cancelled)) => {
-                if abort.load(Ordering::Relaxed) {
-                    // Query cancelled, not a deadline: no retry, no
-                    // degrade — the whole query is being discarded.
-                    return None;
-                }
-                if lease.is_some_and(HeartbeatLease::is_cancelled) {
-                    // Sentinel cancel: the shard was reassigned to a
-                    // fresh worker while this lane stalled. Yield the
-                    // lane; the reassigned attempt reports the shard.
+            Ok(None) => {
+                if job.cancel.load(Ordering::Relaxed) || lease.is_cancelled() {
                     return None;
                 }
                 yac_obs::inc(Metric::ShardTimeouts);
@@ -568,107 +423,193 @@ pub(crate) fn run_shard_stealing(
     }
 }
 
-/// The worker pool: runs `tasks` on `exec.workers` scoped threads and
-/// feeds every shard's outcome to `sink` on the supervisor thread, in
-/// completion order. A `sink` error stops the pool (workers finish their
-/// current shard and exit) and is returned.
-fn execute_shards(
-    mc: &MonteCarlo,
+/// Submits one shard of `job` to `pool`. The task takes a heartbeat
+/// lease on its worker's lane, tagged `tag`, runs the supervised shard
+/// loop and reports on `tx`: the shard's result, or `None` once the job
+/// is cancelled. A shard whose lease the stall sentinel cancelled
+/// reports nothing — it has been resubmitted, and the reassigned attempt
+/// owns it now.
+pub(crate) fn submit_shard(
+    pool: &StealPool,
+    registry: &Arc<HeartbeatRegistry>,
+    job: Arc<ShardJob>,
+    tag: u64,
+    spec: ShardSpec,
+    tx: mpsc::Sender<Option<ShardMsg>>,
+) {
+    let registry = Arc::clone(registry);
+    pool.submit(Box::new(move |worker| {
+        let msg = if job.cancel.load(Ordering::Relaxed) {
+            None
+        } else {
+            run_shard(&job, spec, &registry.begin(worker, tag))
+        };
+        if msg.is_some() || job.cancel.load(Ordering::Relaxed) {
+            let _ = tx.send(msg);
+        }
+    }));
+}
+
+/// How a shard collection ended.
+pub(crate) enum Collected {
+    /// Every shard reported.
+    Complete,
+    /// The job's cancel flag went up first.
+    Cancelled,
+    /// Shards went unreported: `lost` said so, or every sender vanished.
+    Lost,
+}
+
+/// The shard-result collector. Feeds each shard's *first* report to
+/// `sink` (a reassigned shard and its cancelled original may both
+/// complete; the dedup keeps the result exactly-once) until every shard
+/// in `shards` has reported. On each idle 50 ms tick it checks the
+/// job's `cancel` flag, then asks `lost` whether in-flight shards are
+/// gone for good. A `sink` error raises `cancel`, so queued shards are
+/// skipped and running ones stop between chips, and is returned.
+pub(crate) fn collect_shards<E>(
+    rx: &mpsc::Receiver<Option<ShardMsg>>,
+    shards: &[ShardSpec],
+    cancel: &AtomicBool,
+    mut lost: impl FnMut() -> bool,
+    mut sink: impl FnMut(ShardMsg) -> Result<(), E>,
+) -> Result<Collected, E> {
+    let mut remaining: HashSet<usize> = shards.iter().map(|s| s.index).collect();
+    while !remaining.is_empty() {
+        match rx.recv_timeout(Duration::from_millis(50)) {
+            Ok(Some(msg)) => {
+                if remaining.remove(&msg.spec().index) {
+                    if let Err(e) = sink(msg) {
+                        cancel.store(true, Ordering::Relaxed);
+                        return Err(e);
+                    }
+                }
+            }
+            Ok(None) => return Ok(Collected::Cancelled),
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                if cancel.load(Ordering::Relaxed) {
+                    return Ok(Collected::Cancelled);
+                }
+                if lost() {
+                    return Ok(Collected::Lost);
+                }
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(Collected::Lost),
+        }
+    }
+    Ok(Collected::Complete)
+}
+
+/// Runs `tasks` of `config`'s study on a [`StealPool`] created for the
+/// call, with `exec.workers` clamped to the shard count, and feeds every
+/// shard's outcome to `sink` in completion order. A `sink` error cancels
+/// the job and is returned.
+fn run_on_pool(
+    mc: MonteCarlo,
     config: &PopulationConfig,
     exec: &ExecutorConfig,
     tasks: &[ShardSpec],
-    mut sink: impl FnMut(ShardMsg) -> Result<(), StudyError>,
+    sink: impl FnMut(ShardMsg) -> Result<(), StudyError>,
 ) -> Result<(), StudyError> {
     if tasks.is_empty() {
         return Ok(());
     }
-    let workers = exec.workers.clamp(1, tasks.len());
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let collecting = AtomicBool::new(true);
-    let epoch = Instant::now();
-    let watches: Vec<WorkerWatch> = (0..workers).map(|_| WorkerWatch::default()).collect();
-    let (tx, rx) = mpsc::channel::<ShardMsg>();
-    let mut sink_result = Ok(());
-
-    std::thread::scope(|scope| {
-        for (worker, watch) in watches.iter().enumerate() {
-            let tx = tx.clone();
-            let (next, abort) = (&next, &abort);
-            scope.spawn(move || {
-                yac_obs::trace_label_thread(&format!("worker-{worker}"));
-                let lane = WorkerLane {
-                    worker: worker as u32,
-                    watch,
-                    epoch,
-                };
-                let mut generation = 0u64;
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = tasks.get(i) else { break };
-                    let msg = run_shard_supervised(mc, config, exec, *spec, &lane, &mut generation);
-                    if tx.send(msg).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        if let Some(deadline) = exec.shard_deadline {
-            let (watches, collecting) = (&watches, &collecting);
-            scope.spawn(move || {
-                let tick =
-                    (deadline / 4).clamp(Duration::from_micros(200), Duration::from_millis(5));
-                let budget = deadline.as_nanos() as u64;
-                while collecting.load(Ordering::Relaxed) {
-                    let now = epoch.elapsed().as_nanos() as u64;
-                    for watch in watches {
-                        let tag = watch.started.load(Ordering::Acquire);
-                        if tag != 0 && now.saturating_sub(tag_started_nanos(tag)) > budget {
-                            // Cancel exactly the attempt observed: the
-                            // store carries its tag, so if the worker
-                            // has since moved on, this is a no-op.
-                            watch.cancel.store(tag, Ordering::Relaxed);
-                        }
-                    }
-                    std::thread::sleep(tick);
-                }
-            });
-        }
-        // The workers hold the remaining senders; dropping ours lets the
-        // receive loop end when the last worker exits.
-        drop(tx);
-        for msg in rx {
-            if sink_result.is_ok() {
-                if let Err(e) = sink(msg) {
-                    sink_result = Err(e);
-                    abort.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-        collecting.store(false, Ordering::Relaxed);
+    let job = Arc::new(ShardJob {
+        mc,
+        pop: config.clone(),
+        exec: exec.clone(),
+        cancel: Arc::default(),
     });
-    sink_result
+    let pool = StealPool::new(exec.workers.clamp(1, tasks.len()));
+    let registry = Arc::new(HeartbeatRegistry::new(pool.workers()));
+    let (tx, rx) = mpsc::channel();
+    for spec in tasks {
+        let tag = spec.index as u64;
+        submit_shard(&pool, &registry, Arc::clone(&job), tag, *spec, tx.clone());
+    }
+    drop(tx);
+    let collected = collect_shards(&rx, tasks, &job.cancel, || false, sink);
+    pool.shutdown();
+    match collected? {
+        Collected::Complete => Ok(()),
+        // Only a sink error cancels a batch job, and every attempt runs
+        // under `catch_unwind`: a shard goes unreported only when its
+        // pool task itself panicked, which propagates like any worker
+        // thread's panic.
+        Collected::Cancelled | Collected::Lost => panic!("a shard task died before reporting"),
+    }
 }
 
-/// Inserts one shard's chips (a contiguous, already-sorted run) into the
-/// merged chip vector at its sorted position.
-pub(crate) fn insert_chips_sorted(completed: &mut Vec<ChipSample>, mut chips: Vec<ChipSample>) {
+/// Accepted shard results, merged in chip order.
+pub(crate) struct MergedShards {
+    chips: Vec<ChipSample>,
+    quarantine: QuarantineLedger,
+    degraded: Vec<DegradedShard>,
+}
+
+impl MergedShards {
+    pub(crate) fn with_capacity(chips: usize) -> Self {
+        MergedShards {
+            chips: Vec::with_capacity(chips),
+            quarantine: QuarantineLedger::new(),
+            degraded: Vec::new(),
+        }
+    }
+
+    /// Accepts one shard's report.
+    pub(crate) fn accept(&mut self, msg: ShardMsg) {
+        match msg {
+            ShardMsg::Done {
+                chips, quarantine, ..
+            } => absorb_shard(&mut self.chips, &mut self.quarantine, chips, quarantine),
+            ShardMsg::Degraded {
+                spec,
+                attempts,
+                error,
+            } => self.degraded.push(DegradedShard {
+                start: spec.start,
+                len: spec.len,
+                attempts,
+                error,
+            }),
+        }
+    }
+
+    /// The outcome of `config`'s study from the accepted shards.
+    pub(crate) fn finish(mut self, config: &PopulationConfig) -> StudyOutcome {
+        self.degraded.sort_by_key(|d| d.start);
+        let population = Population::from_parts(
+            self.chips,
+            self.quarantine,
+            *config.regular_model.calibration(),
+            config.seed,
+        );
+        finish_outcome(population, self.degraded, config.chips)
+    }
+}
+
+/// Accepts one finished shard: splices its chips (a contiguous,
+/// already-sorted run) into the merged chip vector at their sorted
+/// position and absorbs its quarantine ledger. The workers record
+/// quarantines unobserved (attempts can be cancelled or retried); the
+/// metric counts each chip once, here, when its shard's result is
+/// accepted.
+fn absorb_shard(
+    completed: &mut Vec<ChipSample>,
+    ledger: &mut QuarantineLedger,
+    mut chips: Vec<ChipSample>,
+    quarantine: QuarantineLedger,
+) {
+    yac_obs::add(Metric::ChipsQuarantined, quarantine.len() as u64);
+    ledger.absorb(quarantine);
     let Some(first) = chips.first() else { return };
     let at = completed.partition_point(|c| c.index < first.index);
     completed.splice(at..at, chips.drain(..));
 }
 
-fn insert_shard_record(records: &mut Vec<ShardRecord>, record: ShardRecord) {
-    let at = records.partition_point(|r| r.start < record.start);
-    records.insert(at, record);
-}
-
 /// Builds the outcome: merged population plus a yield interval widened by
 /// the chips the degraded shards failed to deliver.
-pub(crate) fn finish_outcome(
+fn finish_outcome(
     population: Population,
     degraded: Vec<DegradedShard>,
     requested_chips: usize,
@@ -712,44 +653,12 @@ pub fn run_supervised(
 ) -> Result<StudyOutcome, StudyError> {
     let mc = MonteCarlo::try_new(config.variation).map_err(StudyError::Config)?;
     let tasks = shards_for(config.chips, exec.shard_chips);
-    let mut completed: Vec<ChipSample> = Vec::with_capacity(config.chips);
-    let mut quarantine = QuarantineLedger::new();
-    let mut degraded: Vec<DegradedShard> = Vec::new();
-    execute_shards(&mc, config, exec, &tasks, |msg| {
-        match msg {
-            ShardMsg::Done {
-                chips,
-                quarantine: q,
-                ..
-            } => {
-                // The workers record quarantines unobserved (attempts can
-                // be cancelled or retried); the metric counts each chip
-                // once, here, when its shard's result is accepted.
-                yac_obs::add(Metric::ChipsQuarantined, q.len() as u64);
-                insert_chips_sorted(&mut completed, chips);
-                quarantine.absorb(q);
-            }
-            ShardMsg::Degraded {
-                spec,
-                attempts,
-                error,
-            } => degraded.push(DegradedShard {
-                start: spec.start,
-                len: spec.len,
-                attempts,
-                error,
-            }),
-        }
+    let mut merged = MergedShards::with_capacity(config.chips);
+    run_on_pool(mc, config, exec, &tasks, |msg| {
+        merged.accept(msg);
         Ok(())
     })?;
-    degraded.sort_by_key(|d| d.start);
-    let population = Population::from_parts(
-        completed,
-        quarantine,
-        *config.regular_model.calibration(),
-        config.seed,
-    );
-    Ok(finish_outcome(population, degraded, config.chips))
+    Ok(merged.finish(config))
 }
 
 /// Runs (or resumes) a supervised parallel study with shard-granular
@@ -820,42 +729,32 @@ pub fn run_checkpointed_workers_budget(
         .collect();
 
     let mut since_write = 0usize;
-    execute_shards(&mc, config, exec, &pending, |msg| {
-        match msg {
+    run_on_pool(mc, config, exec, &pending, |msg| {
+        let spec = msg.spec();
+        let status = match msg {
             ShardMsg::Done {
-                spec,
-                chips,
-                quarantine,
+                chips, quarantine, ..
             } => {
-                yac_obs::add(Metric::ChipsQuarantined, quarantine.len() as u64);
-                insert_chips_sorted(&mut state.completed, chips);
-                state.quarantine.absorb(quarantine);
-                insert_shard_record(
-                    &mut state.shards,
-                    ShardRecord {
-                        start: spec.start,
-                        len: spec.len,
-                        status: ShardStatus::Done,
-                    },
+                absorb_shard(
+                    &mut state.completed,
+                    &mut state.quarantine,
+                    chips,
+                    quarantine,
                 );
-                state.done += spec.len;
+                ShardStatus::Done
             }
             ShardMsg::Degraded {
-                spec,
-                attempts,
-                error,
-            } => {
-                insert_shard_record(
-                    &mut state.shards,
-                    ShardRecord {
-                        start: spec.start,
-                        len: spec.len,
-                        status: ShardStatus::Degraded { attempts, error },
-                    },
-                );
-                state.done += spec.len;
-            }
-        }
+                attempts, error, ..
+            } => ShardStatus::Degraded { attempts, error },
+        };
+        let at = state.shards.partition_point(|r| r.start < spec.start);
+        let record = ShardRecord {
+            start: spec.start,
+            len: spec.len,
+            status,
+        };
+        state.shards.insert(at, record);
+        state.done += spec.len;
         since_write += 1;
         if since_write >= every {
             since_write = 0;
@@ -925,18 +824,6 @@ mod tests {
         assert!(ShardFaultPlan::new(1.5, 0, 1).is_err());
         let always = ShardFaultPlan::always(1);
         assert!(always.fails(7, 3, 0) && !always.fails(7, 3, 1));
-    }
-
-    #[test]
-    fn attempt_tags_distinguish_generations_and_round_trip_start_time() {
-        // Same start instant, different attempts: a stale cancel store
-        // tagged with one can never match the other.
-        assert_ne!(attempt_tag(1, 500), attempt_tag(2, 500));
-        assert_eq!(tag_started_nanos(attempt_tag(3, 1234)), 1234);
-        // Never 0 (0 means idle), even where the nanos field wraps or
-        // the generation field has wrapped back to 0.
-        assert_ne!(attempt_tag(1, 0), 0);
-        assert_ne!(attempt_tag(0, TAG_NANOS_MASK), 0);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::analysis::saved_config_census;
 use crate::chip::Population;
 use crate::classify::WayCycleCensus;
 use crate::constraints::YieldConstraints;
+use crate::executor::panic_message;
 use crate::schemes::{Hybrid, PowerDownKind, Vaca, Yapd};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -198,17 +199,10 @@ pub fn suite_cpis_isolated(
                     benchmark: name,
                     error: format!("non-finite or non-positive CPI ({cpi})"),
                 }),
-                Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "opaque panic payload".to_string());
-                    failures.push(BenchmarkFailure {
-                        benchmark: name,
-                        error: format!("worker panicked: {msg}"),
-                    });
-                }
+                Err(payload) => failures.push(BenchmarkFailure {
+                    benchmark: name,
+                    error: format!("worker panicked: {}", panic_message(&*payload)),
+                }),
             }
         }
     });

@@ -15,10 +15,12 @@
 //!   is therefore byte-identical to recomputation, and to the `S` record
 //!   a sweep journal would hold for the same cell; tests assert all
 //!   three ways.
-//! * **Supervised execution.** Misses run on a [`StealPool`] of
-//!   work-stealing workers ([`crate::stealing`]), each shard under the
-//!   full retry/backoff/deadline/degrade discipline of
-//!   `run_shard_stealing`. Degraded results are returned honestly — but
+//! * **Supervised execution.** Misses run on a long-lived [`StealPool`]
+//!   of work-stealing workers ([`crate::stealing`]), each shard under
+//!   the same retry/backoff/deadline/degrade loop and result collector
+//!   as batch studies ([`crate::executor`]); the service adds heartbeat
+//!   leases watched by a stall sentinel, shard reassignment and pool
+//!   healing. Degraded results are returned honestly — but
 //!   **not cached**, because they depend on which shards happened to
 //!   fail.
 //! * **Bounded admission.** At most [`ServiceConfig::max_inflight`]
@@ -114,14 +116,13 @@
 
 use crate::chaos::{intercept_write, ChaosStream, IoSite, NetSite};
 use crate::checkpoint::{crc32, fsync_parent, StudyError};
-use crate::chip::{ChipSample, Population, PopulationConfig};
+use crate::chip::PopulationConfig;
 use crate::constraints::ConstraintSpec;
 use crate::executor::{
-    finish_outcome, insert_chips_sorted, run_shard_stealing, shards_for, DegradedShard,
-    ExecutorConfig, ShardMsg, ShardSpec,
+    collect_shards, shards_for, submit_shard, Collected, ExecutorConfig, MergedShards, ShardJob,
+    ShardMsg, ShardSpec,
 };
 use crate::health::{HealthConfig, HeartbeatRegistry, StallEvent, StallSentinel};
-use crate::quarantine::QuarantineLedger;
 use crate::schemes::PowerDownKind;
 use crate::stealing::StealPool;
 use crate::sweep::{
@@ -129,6 +130,7 @@ use crate::sweep::{
     study_result_from_outcome, CpiOptions, StudySpec, StudyStatus, SweepConfig, SweepGrid,
 };
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -899,20 +901,11 @@ pub enum ServiceReply {
     Bye,
 }
 
-/// Everything one query's shard tasks share.
-#[derive(Debug)]
-struct QueryJob {
-    mc: MonteCarlo,
-    pop: PopulationConfig,
-    exec: ExecutorConfig,
-    cancel: Arc<AtomicBool>,
-}
-
 /// A computing query, registered so the stall sentinel's handler can
 /// reassign (or degrade) its stalled shards from outside the collector.
 #[derive(Debug)]
 struct ActiveJob {
-    job: Arc<QueryJob>,
+    job: Arc<ShardJob>,
     specs: Vec<ShardSpec>,
     /// A clone of the query's result channel. Held here until the
     /// collector deregisters the job, which also keeps the channel open
@@ -929,6 +922,13 @@ type JobTable = Arc<Mutex<HashMap<u64, ActiveJob>>>;
 /// `shard` word: low 20 bits the shard index, the rest the job id.
 const SHARD_TAG_BITS: u32 = 20;
 
+/// The largest chip count one query may ask for; larger queries are
+/// refused before anything is allocated. Every chip of a query is held
+/// in memory until it is answered, and with at most 2^20 chips every
+/// shard index fits the `SHARD_TAG_BITS` that `handle_stall` decodes,
+/// whatever the shard size.
+const MAX_QUERY_CHIPS: usize = 1 << SHARD_TAG_BITS;
+
 fn shard_tag(job_id: u64, index: usize) -> u64 {
     (job_id << SHARD_TAG_BITS) | (index as u64 & ((1 << SHARD_TAG_BITS) - 1))
 }
@@ -938,58 +938,14 @@ fn lock_jobs(jobs: &JobTable) -> std::sync::MutexGuard<'_, HashMap<u64, ActiveJo
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn lock_opt<T>(slot: &Mutex<Option<T>>) -> std::sync::MutexGuard<'_, Option<T>> {
-    slot.lock()
+fn read_pool(pool: &RwLock<StealPool>) -> std::sync::RwLockReadGuard<'_, StealPool> {
+    pool.read()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Submits one shard of a job to the pool: the task takes a heartbeat
-/// lease tagged with the job+shard, beats once per chip, and reports on
-/// `tx`. Used by the collector for the initial fan-out and by the stall
-/// sentinel's handler for reassignment — both paths are byte-identical
-/// compute.
-fn submit_shard(
-    pool: &RwLock<StealPool>,
-    registry: &Arc<HeartbeatRegistry>,
-    job: Arc<QueryJob>,
-    job_id: u64,
-    spec: ShardSpec,
-    tx: mpsc::Sender<Option<ShardMsg>>,
-) {
-    let registry = Arc::clone(registry);
-    pool.read()
+fn lock_opt<T>(slot: &Mutex<Option<T>>) -> std::sync::MutexGuard<'_, Option<T>> {
+    slot.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .submit(Box::new(move |worker| {
-            if job.cancel.load(Ordering::Relaxed) {
-                let _ = tx.send(None);
-                return;
-            }
-            let lease = registry.begin(worker, shard_tag(job_id, spec.index));
-            let msg = run_shard_stealing(
-                &job.mc,
-                &job.pop,
-                &job.exec,
-                spec,
-                worker as u32,
-                &job.cancel,
-                Some(&lease),
-            );
-            match msg {
-                Some(msg) => {
-                    let _ = tx.send(Some(msg));
-                }
-                // `None` with the query's cancel flag up means the query
-                // is being discarded: tell the collector. `None` with a
-                // cancelled *lease* means the sentinel reassigned this
-                // shard to a fresh worker — report nothing; the
-                // reassigned attempt owns the shard now.
-                None => {
-                    if job.cancel.load(Ordering::Relaxed) {
-                        let _ = tx.send(None);
-                    }
-                }
-            }
-        }));
 }
 
 /// Sentinel escalation policy (steps two and three of the ladder —
@@ -1052,7 +1008,14 @@ fn handle_stall(
             ..TraceCtx::default()
         },
     );
-    submit_shard(pool, registry, job, job_id, spec, tx);
+    submit_shard(
+        &read_pool(pool),
+        registry,
+        job,
+        shard_tag(job_id, spec.index),
+        spec,
+        tx,
+    );
 }
 
 /// The background cache scrubber: a low-priority thread re-verifying
@@ -1368,11 +1331,7 @@ impl SweepService {
     /// whether a rebuild happened (counted in [`Metric::PoolRestarts`],
     /// traced as [`TraceEventKind::PoolRestarted`]).
     pub fn heal_pool(&self) -> bool {
-        let dead = self
-            .pool
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .dead_workers();
+        let dead = read_pool(&self.pool).dead_workers();
         if dead == 0 {
             return false;
         }
@@ -1398,11 +1357,7 @@ impl SweepService {
     /// A snapshot of the service counters.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        let stolen = self
-            .pool
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .stolen();
+        let stolen = read_pool(&self.pool).stolen();
         self.with_cache(|cache| ServiceStats {
             queries: self.queries.load(Ordering::Relaxed),
             served: self.served.load(Ordering::Relaxed),
@@ -1463,6 +1418,14 @@ impl SweepService {
         if query.chips == 0 {
             return ServiceReply::Error {
                 message: "query asks for zero chips".into(),
+            };
+        }
+        if query.chips > MAX_QUERY_CHIPS {
+            return ServiceReply::Error {
+                message: format!(
+                    "query asks for {} chips; the limit is {MAX_QUERY_CHIPS}",
+                    query.chips
+                ),
             };
         }
         if self.draining() {
@@ -1542,7 +1505,7 @@ impl SweepService {
             }
         };
         let shards = shards_for(query.chips, self.config.exec.shard_chips);
-        let job = Arc::new(QueryJob {
+        let job = Arc::new(ShardJob {
             mc,
             pop,
             exec: self.config.exec.clone(),
@@ -1559,105 +1522,49 @@ impl SweepService {
                 reassigns: 0,
             },
         );
+        let pool = read_pool(&self.pool);
         for spec in &shards {
+            let tag = shard_tag(job_id, spec.index);
             submit_shard(
-                &self.pool,
+                &pool,
                 &self.registry,
                 Arc::clone(&job),
-                job_id,
+                tag,
                 *spec,
                 tx.clone(),
             );
         }
-        drop(tx);
+        // Healing the pool below takes its write lock.
+        drop((pool, tx));
 
-        // The collector: first report per shard wins (a reassigned shard
-        // and its cancelled original may both complete — dedup keeps the
-        // result exactly-once), and a periodic timeout checks pool
-        // health so a task lost inside a dead worker turns into a typed
-        // `Retryable` instead of a hang. The sentinel's reassignments
-        // keep the channel open (the job table holds a sender clone)
-        // until the job is deregistered below.
-        let mut completed: Vec<ChipSample> = Vec::with_capacity(query.chips);
-        let mut quarantine = QuarantineLedger::new();
-        let mut degraded: Vec<DegradedShard> = Vec::new();
-        let mut remaining: HashSet<usize> = shards.iter().map(|s| s.index).collect();
-        let mut cancelled = false;
-        let mut retryable = false;
-        while !remaining.is_empty() {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Some(ShardMsg::Done {
-                    spec,
-                    chips,
-                    quarantine: q,
-                })) => {
-                    if remaining.remove(&spec.index) {
-                        yac_obs::add(Metric::ChipsQuarantined, q.len() as u64);
-                        insert_chips_sorted(&mut completed, chips);
-                        quarantine.absorb(q);
-                    }
-                }
-                Ok(Some(ShardMsg::Degraded {
-                    spec,
-                    attempts,
-                    error,
-                })) => {
-                    if remaining.remove(&spec.index) {
-                        degraded.push(DegradedShard {
-                            start: spec.start,
-                            len: spec.len,
-                            attempts,
-                            error,
-                        });
-                    }
-                }
-                Ok(None) => {
-                    cancelled = true;
-                    break;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if cancel.load(Ordering::Relaxed) {
-                        cancelled = true;
-                        break;
-                    }
-                    if self.heal_pool() {
-                        // Shards queued on (or running in) the dead
-                        // worker are gone; the pool is already healthy
-                        // again, so the same request will succeed.
-                        retryable = true;
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        lock_jobs(&self.jobs).remove(&job_id);
-        if retryable {
-            yac_obs::inc(Metric::QueriesRetryable);
-            return ServiceReply::Retryable {
-                retry_after_ms: self.config.retry_after_ms,
-            };
-        }
-        if cancelled || cancel.load(Ordering::Relaxed) {
-            return ServiceReply::Cancelled;
-        }
-        if !remaining.is_empty() {
-            // Every sender vanished with shards unreported — possible
-            // only through a fault the ladder did not cover. Transient
-            // by construction: report it as such.
-            yac_obs::inc(Metric::QueriesRetryable);
-            return ServiceReply::Retryable {
-                retry_after_ms: self.config.retry_after_ms,
-            };
-        }
-        degraded.sort_by_key(|d| d.start);
-        let population = Population::from_parts(
-            completed,
-            quarantine,
-            *job.pop.regular_model.calibration(),
-            job.pop.seed,
+        // The sentinel's reassignments keep the channel open (the job
+        // table holds a sender clone) until the job is deregistered
+        // below. A receive timeout heals a poisoned pool: shards queued
+        // on (or running in) the dead worker are gone, but the pool is
+        // healthy again, so the same request will succeed.
+        let mut merged = MergedShards::with_capacity(query.chips);
+        let Ok(collected) = collect_shards::<Infallible>(
+            &rx,
+            &shards,
+            cancel,
+            || self.heal_pool(),
+            |msg| {
+                merged.accept(msg);
+                Ok(())
+            },
         );
-        let outcome = finish_outcome(population, degraded, query.chips);
+        lock_jobs(&self.jobs).remove(&job_id);
+        match collected {
+            Collected::Complete if !cancel.load(Ordering::Relaxed) => {}
+            Collected::Lost if !cancel.load(Ordering::Relaxed) => {
+                yac_obs::inc(Metric::QueriesRetryable);
+                return ServiceReply::Retryable {
+                    retry_after_ms: self.config.retry_after_ms,
+                };
+            }
+            _ => return ServiceReply::Cancelled,
+        }
+        let outcome = merged.finish(&job.pop);
         match study_result_from_outcome(
             &outcome,
             query.constraint,

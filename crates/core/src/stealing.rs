@@ -1,14 +1,9 @@
-//! The work-stealing shard pool behind the sweep service.
+//! The work-stealing worker pool every shard runs on.
 //!
-//! The batch executor ([`crate::executor`]) hands out shards with a
-//! single atomic cursor: every worker pulls the next contiguous shard
-//! from one shared list. That is ideal for one big study — the work is
-//! known up front and uniformly shaped — but wrong for a *service*,
-//! where queries of different sizes arrive at different times: a worker
-//! stuck behind one query's shards would leave the rest of the pool
-//! idle while its own deque backs up.
-//!
-//! This module replaces the static cursor with **per-worker deques and
+//! Batch studies build one [`StealPool`] per call; the sweep service
+//! keeps one alive across queries of different sizes arriving at
+//! different times (see [`crate::executor`] for the supervised shard
+//! loop both submit). Balancing uses **per-worker deques and
 //! steal-half**:
 //!
 //! * Each worker owns a [`WorkDeque`]; submitted tasks are injected
@@ -284,7 +279,7 @@ impl Drop for DeathWatch<'_> {
 /// One worker: drain own deque, steal from the most loaded victim when
 /// empty, park when there is nothing to steal.
 fn worker_loop(shared: &PoolShared, me: usize) {
-    yac_obs::trace_label_thread(&format!("svc-worker-{me}"));
+    yac_obs::trace_label_thread(&format!("worker-{me}"));
     let _death_watch = DeathWatch { shared };
     loop {
         // Read the wake version *before* looking for work: a submit that

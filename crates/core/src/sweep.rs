@@ -78,7 +78,7 @@ use crate::checkpoint::{crc32, fsync_parent, StudyError};
 use crate::chip::PopulationConfig;
 use crate::confidence::{yield_interval, YieldInterval};
 use crate::constraints::{ConstraintSpec, YieldConstraints};
-use crate::executor::{run_checkpointed_workers, ExecutorConfig};
+use crate::executor::{panic_message, run_checkpointed_workers, ExecutorConfig};
 use crate::perf::{suite_cpis_isolated, PerfOptions};
 use crate::schemes::PowerDownKind;
 use std::fmt::Write as _;
@@ -973,13 +973,8 @@ pub fn run_sweep(
                     Err(panic) => {
                         yac_obs::inc(yac_obs::Metric::StudiesFailed);
                         yac_obs::trace_instant(yac_obs::TraceEventKind::StudyDegraded, ctx);
-                        let msg = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "opaque panic payload".into());
                         StudyStatus::Failed {
-                            error: format!("study panicked: {msg}"),
+                            error: format!("study panicked: {}", panic_message(&*panic)),
                         }
                     }
                 };

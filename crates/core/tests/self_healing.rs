@@ -17,10 +17,10 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use yac_core::{
-    chaos, ChaosPlan, ConstraintSpec, ExecutorConfig, PowerDownKind, ServiceConfig, ServiceReply,
-    StudyQuery, SweepService,
+    chaos, run_supervised, ChaosPlan, ConstraintSpec, ExecutorConfig, Population, PopulationConfig,
+    PowerDownKind, ServiceConfig, ServiceReply, StudyQuery, SweepService,
 };
-use yac_obs::TraceEventKind;
+use yac_obs::{Metric, TraceEventKind};
 
 static GLOBAL_CHAOS: Mutex<()> = Mutex::new(());
 
@@ -207,4 +207,55 @@ fn a_stalled_shard_is_reassigned_and_the_sweep_completes() {
     chaos::clear();
     yac_obs::trace_disable();
     service.shutdown();
+}
+
+/// Per-chip delay/leakage bit patterns under both organisations.
+fn bit_signature(pop: &Population) -> Vec<(u64, [u64; 4])> {
+    pop.chips
+        .iter()
+        .map(|c| {
+            (
+                c.index,
+                [
+                    c.regular.delay.to_bits(),
+                    c.regular.leakage.to_bits(),
+                    c.horizontal.delay.to_bits(),
+                    c.horizontal.leakage.to_bits(),
+                ],
+            )
+        })
+        .collect()
+}
+
+/// The batch path has no stall sentinel: with `stall_shard` hanging one
+/// shard's first attempt, the shard deadline alone releases it, the
+/// retry recomputes the shard, and the population is bit-identical to
+/// the serial one.
+#[test]
+fn a_stalled_batch_shard_is_released_by_its_deadline_and_retried() {
+    let _lock = serialized();
+    chaos::clear();
+    yac_obs::enable();
+
+    let mut cfg = PopulationConfig::paper(41);
+    cfg.chips = 64; // Four shards across two workers.
+    let mut exec = ExecutorConfig::with_workers(2);
+    exec.shard_chips = 16;
+    exec.max_retries = 2;
+    exec.backoff = Duration::ZERO;
+    exec.shard_deadline = Some(Duration::from_millis(50));
+
+    chaos::install(ChaosPlan::new(7, 0.0).unwrap().stall(1));
+    let timeouts_before = yac_obs::global().counter(Metric::ShardTimeouts);
+    let outcome = run_supervised(&cfg, &exec).expect("valid config");
+    let timeouts = yac_obs::global().counter(Metric::ShardTimeouts) - timeouts_before;
+    chaos::clear();
+
+    assert!(!outcome.is_degraded(), "{:?}", outcome.degraded);
+    assert!(timeouts >= 1, "the stalled attempt must time out");
+    assert_eq!(
+        bit_signature(&outcome.population),
+        bit_signature(&Population::generate_with(&cfg)),
+        "a retried stall is bit-identical to the serial path"
+    );
 }

@@ -342,6 +342,38 @@ fn zero_chip_queries_are_refused_with_an_error() {
     service.shutdown();
 }
 
+/// A wire query asking for more chips than the service will hold is
+/// refused before anything is sized from it, and the service keeps
+/// answering normal queries afterwards.
+#[test]
+fn oversized_queries_are_refused_and_the_service_keeps_serving() {
+    let service = SweepService::new(ServiceConfig {
+        exec: fast_exec(),
+        max_inflight: 1,
+        cache_bytes: 1 << 20,
+        ..ServiceConfig::default()
+    });
+    let wire =
+        r#"{"op":"query","chips":1000000000000,"seed":1,"constraint":"nominal","kind":"vertical"}"#;
+    let ServiceRequest::Query { query: huge, .. } = ServiceRequest::parse(wire).unwrap() else {
+        panic!("a query op parses as a query");
+    };
+    for oversized in [huge, query((1 << 20) + 1, 1, PowerDownKind::Vertical)] {
+        match service.query(&oversized, &no_cancel()) {
+            ServiceReply::Error { message } => assert!(message.contains("chips"), "{message}"),
+            other => panic!(
+                "{} chips should be an error, got {other:?}",
+                oversized.chips
+            ),
+        }
+    }
+    match service.query(&query(16, 1, PowerDownKind::Vertical), &no_cancel()) {
+        ServiceReply::Result { cached, .. } => assert!(!cached),
+        other => panic!("a normal query after a refused one must compute, got {other:?}"),
+    }
+    service.shutdown();
+}
+
 /// The full wire path: a real TCP listener, `serve` on a thread, typed
 /// requests through `client_request` — compute, hit bit-identically,
 /// read stats, shut down cleanly.

@@ -184,8 +184,7 @@ fn deadline_watchdog_cancels_overlong_shards() {
     e.backoff = Duration::ZERO;
     // Deterministic however fast the machine is: the worker checks its
     // own elapsed time between chips, so a 1 ns budget is exceeded by
-    // the second chip at the latest — the test does not race the
-    // watchdog thread's first sweep.
+    // the second chip at the latest.
     e.shard_deadline = Some(Duration::from_nanos(1));
 
     yac_obs::enable();

@@ -103,7 +103,7 @@ registry_enum! {
         ShardsCompleted => "shards_completed",
         /// Shard attempts re-queued after a failure (panic or timeout).
         ShardRetries => "shard_retries",
-        /// Shard attempts cancelled by the deadline watchdog.
+        /// Shard attempts cancelled for exceeding their deadline.
         ShardTimeouts => "shard_timeouts",
         /// Shards that exhausted their retry budget and were recorded as
         /// degraded (their chips are missing from the merged population).
