@@ -160,54 +160,46 @@ impl SetAssocCache {
         lo
     }
 
-    fn next_random(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng_state = x;
-        x
-    }
-
     /// Victim choice among the available ways of a set: invalid ways first
-    /// (rotating), then the policy's coldest valid way.
+    /// (rotating), then the policy's coldest valid way. Runs on every
+    /// miss, so it walks the set's ways in place rather than collecting
+    /// the candidates.
     fn choose_victim(&mut self, set: usize) -> usize {
-        let available: Vec<usize> = (0..self.config.ways)
-            .filter(|&w| self.config.way_available(set, w))
-            .collect();
-        debug_assert!(!available.is_empty());
+        let ways = self.config.ways;
+        let config = &self.config;
+        let lines = &self.lines[set * ways..(set + 1) * ways];
+        let available = |w: &usize| config.way_available(set, *w);
+        let invalid = |w: &usize| available(w) && !lines[*w].valid;
         self.fills += 1;
         // Invalid-first, rotating so cold fills spread over the ways.
-        let invalid: Vec<usize> = available
-            .iter()
-            .copied()
-            .filter(|&w| !self.lines[self.line_index(set, w)].valid)
-            .collect();
-        if !invalid.is_empty() {
-            return invalid[(self.fills % invalid.len() as u64) as usize];
+        let invalid_count = (0..ways).filter(invalid).count();
+        if invalid_count > 0 {
+            let k = (self.fills % invalid_count as u64) as usize;
+            return (0..ways).filter(invalid).nth(k).expect("k < count");
         }
-        match self.config.replacement {
-            ReplacementPolicy::TrueLru => available
-                .into_iter()
-                .min_by_key(|&w| self.lines[self.line_index(set, w)].last_use)
+        match config.replacement {
+            ReplacementPolicy::TrueLru => (0..ways)
+                .filter(available)
+                .min_by_key(|&w| lines[w].last_use)
                 .expect("non-empty"),
             ReplacementPolicy::TreePlru => {
                 let v = self.plru_victim(set);
-                if available.contains(&v) {
+                if available(&v) {
                     v
                 } else {
                     // The tree pointed at a powered-down way: take the
                     // nearest available one (a real implementation would
                     // fuse the enable mask into the tree).
-                    available
-                        .into_iter()
-                        .min_by_key(|&w| w.abs_diff(v))
+                    (0..ways)
+                        .filter(available)
+                        .min_by_key(|w| w.abs_diff(v))
                         .expect("non-empty")
                 }
             }
             ReplacementPolicy::Random => {
-                let i = (self.next_random() % available.len() as u64) as usize;
-                available[i]
+                let count = (0..ways).filter(available).count();
+                let k = (xorshift(&mut self.rng_state) % count as u64) as usize;
+                (0..ways).filter(available).nth(k).expect("k < count")
             }
         }
     }
@@ -344,6 +336,16 @@ impl SetAssocCache {
         (tag << (self.config.block_shift() + self.config.sets.trailing_zeros()))
             | ((set as u64) << self.config.block_shift())
     }
+}
+
+/// One xorshift64 step of the random policy's state.
+fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
 }
 
 #[cfg(test)]
@@ -639,6 +641,76 @@ mod tests {
         for i in 0..12u64 {
             let out = cache.access(i * stride, AccessKind::Read);
             assert_ne!(out.way, 0, "disabled way must never be filled");
+        }
+    }
+
+    /// The allocating victim choice the in-place one replaced: collect the
+    /// available ways, then the invalid ones among them.
+    fn collected_victim(cache: &mut SetAssocCache, set: usize) -> usize {
+        let available: Vec<usize> = (0..cache.config.ways)
+            .filter(|&w| cache.config.way_available(set, w))
+            .collect();
+        cache.fills += 1;
+        let invalid: Vec<usize> = available
+            .iter()
+            .copied()
+            .filter(|&w| !cache.lines[cache.line_index(set, w)].valid)
+            .collect();
+        if !invalid.is_empty() {
+            return invalid[(cache.fills % invalid.len() as u64) as usize];
+        }
+        match cache.config.replacement {
+            ReplacementPolicy::TrueLru => available
+                .into_iter()
+                .min_by_key(|&w| cache.lines[cache.line_index(set, w)].last_use)
+                .unwrap(),
+            ReplacementPolicy::TreePlru => {
+                let v = cache.plru_victim(set);
+                if available.contains(&v) {
+                    v
+                } else {
+                    available
+                        .into_iter()
+                        .min_by_key(|&w| w.abs_diff(v))
+                        .unwrap()
+                }
+            }
+            ReplacementPolicy::Random => {
+                let i = (xorshift(&mut cache.rng_state) % available.len() as u64) as usize;
+                available[i]
+            }
+        }
+    }
+
+    #[test]
+    fn victim_choice_matches_the_collected_reference() {
+        use crate::config::ReplacementPolicy as P;
+        for policy in [P::TrueLru, P::TreePlru, P::Random] {
+            for (enabled, h_region) in [
+                ([true; 4], None),
+                ([true, true, true, false], None),
+                ([false, true, false, true], None),
+                ([true; 4], Some(1)),
+                ([true, false, true, true], Some(2)),
+            ] {
+                let mut cfg = CacheConfig::uniform("t", 16, 4, 32, 4);
+                cfg.replacement = policy;
+                cfg.way_enabled = enabled.to_vec();
+                cfg.disabled_h_region = h_region;
+                let mut cache = SetAssocCache::new(cfg).unwrap();
+                let mut x = 0x2545_f491_4f6c_dd1du64;
+                for i in 0..4_000 {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let addr = (x >> 24) % 4096;
+                    let mut shadow = cache.clone();
+                    let set = shadow.config.set_of(addr);
+                    let expected = collected_victim(&mut shadow, set);
+                    let out = cache.access(addr, AccessKind::Read);
+                    if !out.hit {
+                        assert_eq!(out.way, expected, "{policy:?} {enabled:?} access {i}");
+                    }
+                }
+            }
         }
     }
 

@@ -8,12 +8,15 @@ use crate::classify::WayCycleCensus;
 use crate::constraints::YieldConstraints;
 use crate::executor::panic_message;
 use crate::schemes::{Hybrid, PowerDownKind, Vaca, Yapd};
+use crate::stealing::StealPool;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
 use yac_cache::{CacheConfig, HierarchyConfig, MemoryHierarchy};
 use yac_circuit::CacheVariant;
 use yac_pipeline::{Pipeline, PipelineConfig};
-use yac_workload::{spec2000, BenchmarkProfile, TraceGenerator};
+use yac_workload::{spec2000, BenchmarkProfile, MicroOp, TraceGenerator};
 
 /// Options controlling the pipeline simulations.
 ///
@@ -114,16 +117,27 @@ pub fn benchmark_cpi(
     pipeline: &PipelineConfig,
     opts: &PerfOptions,
 ) -> f64 {
+    let trace = TraceGenerator::new(profile, opts.trace_seed);
+    cpi_on(trace, l1d, pipeline, opts)
+}
+
+/// CPI of `trace` on a machine with the given L1D.
+fn cpi_on(
+    trace: impl IntoIterator<Item = MicroOp>,
+    l1d: &CacheConfig,
+    pipeline: &PipelineConfig,
+    opts: &PerfOptions,
+) -> f64 {
     let mut hier = HierarchyConfig::paper();
     hier.l1d = l1d.clone();
     let mem = MemoryHierarchy::new(hier).expect("valid hierarchy");
     let mut cpu = Pipeline::new(pipeline.clone(), mem).expect("valid pipeline");
-    let trace = TraceGenerator::new(profile, opts.trace_seed);
     cpu.run(trace, opts.warmup_uops, opts.measure_uops).cpi()
 }
 
 /// CPI of every SPEC2000-like benchmark on the given L1D, in suite order.
-/// Benchmarks run on separate threads.
+/// Benchmarks run as tasks on a work-stealing pool with one worker per
+/// available core.
 ///
 /// # Panics
 ///
@@ -135,7 +149,13 @@ pub fn suite_cpis(
     pipeline: &PipelineConfig,
     opts: &PerfOptions,
 ) -> Vec<(&'static str, f64)> {
-    let (cpis, failures) = suite_cpis_isolated(l1d, pipeline, opts);
+    complete(suite_cpis_isolated(l1d, pipeline, opts))
+}
+
+/// The CPIs of a suite run, panicking with its failures if it has any.
+fn complete(
+    (cpis, failures): (Vec<(&'static str, f64)>, Vec<BenchmarkFailure>),
+) -> Vec<(&'static str, f64)> {
     assert!(
         failures.is_empty(),
         "benchmark worker failed: {}",
@@ -157,8 +177,8 @@ pub struct BenchmarkFailure {
     pub error: String,
 }
 
-/// Fault-isolated variant of [`suite_cpis`]: each benchmark runs on its
-/// own thread, and a worker that panics or reports a non-finite CPI is
+/// Fault-isolated variant of [`suite_cpis`]: each benchmark's simulation
+/// runs isolated, and one that panics or reports a non-finite CPI is
 /// quarantined into the failure list instead of tearing down the suite.
 ///
 /// The CPI list keeps suite order, with failed benchmarks absent.
@@ -168,46 +188,146 @@ pub fn suite_cpis_isolated(
     pipeline: &PipelineConfig,
     opts: &PerfOptions,
 ) -> (Vec<(&'static str, f64)>, Vec<BenchmarkFailure>) {
-    let profiles = spec2000::all_profiles();
-    let mut out = Vec::with_capacity(profiles.len());
-    let mut failures = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = profiles
-            .into_iter()
-            .map(|p| {
-                let name = p.name;
-                let l1d = l1d.clone();
-                let pipeline = pipeline.clone();
-                let opts = *opts;
-                (
-                    name,
-                    scope.spawn(move || {
-                        yac_obs::trace_label_thread(&format!("bench-{name}"));
-                        let _timer = yac_obs::phase(yac_obs::Phase::PipelineSim);
-                        benchmark_cpi(p, &l1d, &pipeline, &opts)
-                    }),
-                )
+    let mut runs = suite_batch(std::slice::from_ref(l1d), pipeline, opts);
+    runs.pop().expect("one run per L1D")
+}
+
+/// One L1D's suite run: CPIs in suite order (failed benchmarks absent)
+/// and the failures.
+type SuiteRun = (Vec<(&'static str, f64)>, Vec<BenchmarkFailure>);
+
+/// What a simulation of `l1d` depends on: the enabled-way mask and the
+/// latencies of the enabled ways. The cache never reads a disabled way's
+/// latency, so L1Ds equal under this key simulate identically (Table 6's
+/// 3-1-0 YAPD, 3-0-1 and 4-0-0 repairs are all one 3-way 4-cycle cache).
+fn simulation_key(l1d: &CacheConfig) -> (Vec<bool>, Vec<u32>) {
+    let latencies = (l1d.way_enabled.iter().zip(&l1d.way_latency))
+        .filter_map(|(&on, &latency)| on.then_some(latency))
+        .collect();
+    (l1d.way_enabled.clone(), latencies)
+}
+
+/// Runs the whole suite on each of `l1ds` in one batch and returns one
+/// [`SuiteRun`] per L1D, in input order.
+///
+/// L1Ds with the same [`simulation_key`] are simulated once. Each
+/// benchmark is one task on a [`StealPool`] built for the call with one
+/// worker per available core: the task generates the benchmark's trace
+/// once and runs every distinct L1D over it. Each (benchmark, L1D) cell
+/// runs under its own `catch_unwind`, so a failure stays in its cell and
+/// never kills a pool worker.
+fn suite_batch(
+    l1ds: &[CacheConfig],
+    pipeline: &PipelineConfig,
+    opts: &PerfOptions,
+) -> Vec<SuiteRun> {
+    let mut distinct: Vec<CacheConfig> = Vec::new();
+    let mut keys = Vec::new();
+    let slots: Vec<usize> = l1ds
+        .iter()
+        .map(|l1d| {
+            let key = simulation_key(l1d);
+            keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                keys.push(key);
+                distinct.push(l1d.clone());
+                distinct.len() - 1
             })
-            .collect();
-        for (name, h) in handles {
-            match h.join() {
-                Ok(cpi) if cpi.is_finite() && cpi > 0.0 => {
-                    yac_obs::inc(yac_obs::Metric::BenchmarksSimulated);
-                    out.push((name, cpi));
-                }
-                Ok(cpi) => failures.push(BenchmarkFailure {
-                    benchmark: name,
-                    error: format!("non-finite or non-positive CPI ({cpi})"),
-                }),
-                Err(payload) => failures.push(BenchmarkFailure {
-                    benchmark: name,
-                    error: format!("worker panicked: {}", panic_message(&*payload)),
-                }),
+        })
+        .collect();
+
+    let profiles = spec2000::all_profiles();
+    let job = Arc::new((distinct, pipeline.clone(), *opts));
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let pool = StealPool::new(workers);
+    let (tx, rx) = mpsc::channel();
+    for (b, profile) in profiles.iter().cloned().enumerate() {
+        let (job, tx) = (Arc::clone(&job), tx.clone());
+        pool.submit(Box::new(move |_worker| {
+            let (l1ds, pipeline, opts) = &*job;
+            let _ = tx.send((b, benchmark_cells(profile, l1ds, pipeline, opts)));
+        }));
+    }
+    drop(tx);
+    pool.shutdown();
+    let mut cells: Vec<Option<Vec<Result<f64, String>>>> = vec![None; profiles.len()];
+    for (b, benchmark) in rx {
+        cells[b] = Some(benchmark);
+    }
+
+    let runs: Vec<SuiteRun> = (0..job.0.len())
+        .map(|l| {
+            let mut cpis = Vec::with_capacity(profiles.len());
+            let mut failures = Vec::new();
+            for (profile, benchmark) in profiles.iter().zip(&cells) {
+                let cell = benchmark.as_ref().map_or_else(
+                    || Err("benchmark task lost".to_string()),
+                    |cells| cells[l].clone(),
+                );
+                let error = match cell {
+                    Ok(cpi) if cpi.is_finite() && cpi > 0.0 => {
+                        yac_obs::inc(yac_obs::Metric::BenchmarksSimulated);
+                        cpis.push((profile.name, cpi));
+                        continue;
+                    }
+                    Ok(cpi) => format!("non-finite or non-positive CPI ({cpi})"),
+                    Err(message) => format!("worker panicked: {message}"),
+                };
+                failures.push(BenchmarkFailure {
+                    benchmark: profile.name,
+                    error,
+                });
             }
-        }
-    });
-    yac_obs::add(yac_obs::Metric::BenchmarkFailures, failures.len() as u64);
-    (out, failures)
+            yac_obs::add(yac_obs::Metric::BenchmarkFailures, failures.len() as u64);
+            (cpis, failures)
+        })
+        .collect();
+    slots.into_iter().map(|l| runs[l].clone()).collect()
+}
+
+/// Micro-ops a run of `opts` can fetch at most: commit overshoots the
+/// warm-up and the measurement by up to `width - 1` each, and when the
+/// run stops every in-flight op sits in the ROB or the fetch queue.
+fn shared_trace_len(pipeline: &PipelineConfig, opts: &PerfOptions) -> usize {
+    let bound = opts.warmup_uops
+        + opts.measure_uops
+        + 2 * (pipeline.width as u64 - 1)
+        + (pipeline.rob_size + pipeline.fetch_queue + 1) as u64;
+    usize::try_from(bound).expect("trace bound fits in memory")
+}
+
+/// One benchmark's task: generates its trace once, then simulates it on
+/// every L1D, each cell isolated. A panic (including a run that reached
+/// the end of the shared trace) becomes that cell's error message.
+fn benchmark_cells(
+    profile: BenchmarkProfile,
+    l1ds: &[CacheConfig],
+    pipeline: &PipelineConfig,
+    opts: &PerfOptions,
+) -> Vec<Result<f64, String>> {
+    let _timer = yac_obs::phase(yac_obs::Phase::PipelineSim);
+    let isolated = |f: &dyn Fn() -> f64| {
+        catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_message(&*payload))
+    };
+    let len = shared_trace_len(pipeline, opts);
+    let trace = catch_unwind(AssertUnwindSafe(|| {
+        TraceGenerator::new(profile, opts.trace_seed)
+            .take(len)
+            .collect::<Vec<_>>()
+    }));
+    let trace = match trace {
+        Ok(trace) => trace,
+        Err(payload) => return vec![Err(panic_message(&*payload)); l1ds.len()],
+    };
+    l1ds.iter()
+        .map(|l1d| {
+            isolated(&|| {
+                let past_end = std::iter::from_fn(|| -> Option<MicroOp> {
+                    panic!("simulation ran past the end of the shared {len}-op trace")
+                });
+                cpi_on(trace.iter().copied().chain(past_end), l1d, pipeline, opts)
+            })
+        })
+        .collect()
 }
 
 /// Per-benchmark CPI degradation of a repaired configuration relative to a
@@ -225,10 +345,22 @@ pub struct SuiteDegradation {
 /// baseline cache.
 #[must_use]
 pub fn suite_degradation(l1d: &CacheConfig, opts: &PerfOptions) -> SuiteDegradation {
-    let pipeline = PipelineConfig::paper();
-    let base = suite_cpis(&CacheConfig::l1d_paper(), &pipeline, opts);
-    let modified = suite_cpis(l1d, &pipeline, opts);
+    let [base, modified] = suites(&[CacheConfig::l1d_paper(), l1d.clone()], opts);
     degradation_between(&base, &modified)
+}
+
+/// The paper machine's CPIs on each of `l1ds`, from one batch.
+///
+/// # Panics
+///
+/// Panics if any benchmark fails, like [`suite_cpis`].
+fn suites<const N: usize>(
+    l1ds: &[CacheConfig; N],
+    opts: &PerfOptions,
+) -> [Vec<(&'static str, f64)>; N] {
+    let runs = suite_batch(l1ds, &PipelineConfig::paper(), opts);
+    let cpis: Vec<_> = runs.into_iter().map(complete).collect();
+    cpis.try_into().expect("one run per L1D")
 }
 
 fn degradation_between(
@@ -322,40 +454,46 @@ pub fn table6(
     let freq_vaca = saved_config_census(population, constraints, &vaca, CacheVariant::Regular);
     let freq_hybrid = saved_config_census(population, constraints, &hybrid, CacheVariant::Regular);
 
-    let pipeline = PipelineConfig::paper();
-    let base = suite_cpis(&CacheConfig::l1d_paper(), &pipeline, opts);
-    // Average degradation for a repaired L1D, memoised by configuration.
-    let mut memo: BTreeMap<(Vec<u32>, Vec<bool>), f64> = BTreeMap::new();
-    let mut degradation_of = |cfg: &CacheConfig| -> f64 {
-        let key = (cfg.way_latency.clone(), cfg.way_enabled.clone());
-        if let Some(&d) = memo.get(&key) {
-            return d;
-        }
-        let modified = suite_cpis(cfg, &pipeline, opts);
-        let d = degradation_between(&base, &modified).average;
-        memo.insert(key, d);
-        d
+    // Each row's repaired L1D per scheme, simulated in one batch after
+    // the healthy baseline; `cells` indexes into `l1ds`.
+    let mut l1ds = vec![CacheConfig::l1d_paper()];
+    let mut cell = |applicable: bool, l1d: CacheConfig| {
+        applicable.then(|| {
+            l1ds.push(l1d);
+            l1ds.len() - 1
+        })
     };
-
-    let mut rows = Vec::new();
-    for census in table6_row_order() {
-        let (can_yapd, can_vaca, can_hybrid) = scheme_applicable(census);
-        let yapd_deg = can_yapd.then(|| degradation_of(&canonical_l1d(census, true)));
-        let vaca_deg = can_vaca.then(|| degradation_of(&canonical_l1d(census, false)));
-        let hybrid_deg = can_hybrid.then(|| {
+    let cells: Vec<[Option<usize>; 3]> = table6_row_order()
+        .into_iter()
+        .map(|census| {
+            let (can_yapd, can_vaca, can_hybrid) = scheme_applicable(census);
             // The Hybrid keeps ways on as long as possible (§4.4): it
             // disables only for a 6-plus way or a leakage repair (4-0-0).
-            let needs_disable = census.ways_6_plus > 0 || census.all_fast();
-            degradation_of(&canonical_l1d(census, needs_disable))
-        });
-        rows.push(Table6Row {
+            let hybrid_disables = census.ways_6_plus > 0 || census.all_fast();
+            [
+                cell(can_yapd, canonical_l1d(census, true)),
+                cell(can_vaca, canonical_l1d(census, false)),
+                cell(can_hybrid, canonical_l1d(census, hybrid_disables)),
+            ]
+        })
+        .collect();
+    let cpis: Vec<_> = suite_batch(&l1ds, &PipelineConfig::paper(), opts)
+        .into_iter()
+        .map(complete)
+        .collect();
+    let degradation = |i: Option<usize>| i.map(|i| degradation_between(&cpis[0], &cpis[i]).average);
+
+    let rows: Vec<Table6Row> = table6_row_order()
+        .into_iter()
+        .zip(cells)
+        .map(|(census, [yapd, vaca, hybrid])| Table6Row {
             census,
             chip_frequency: freq_hybrid.get(&census).copied().unwrap_or(0),
-            yapd: yapd_deg,
-            vaca: vaca_deg,
-            hybrid: hybrid_deg,
-        });
-    }
+            yapd: degradation(yapd),
+            vaca: degradation(vaca),
+            hybrid: degradation(hybrid),
+        })
+        .collect();
 
     let weighted_for = |freq: &BTreeMap<WayCycleCensus, usize>,
                         pick: &dyn Fn(&Table6Row) -> Option<f64>| {
@@ -440,10 +578,14 @@ pub fn adaptive_comparison(opts: &PerfOptions) -> AdaptiveComparison {
         ways_5: 1,
         ways_6_plus: 0,
     };
-    let pipeline = PipelineConfig::paper();
-    let base = suite_cpis(&CacheConfig::l1d_paper(), &pipeline, opts);
-    let keep = suite_cpis(&canonical_l1d(census, false), &pipeline, opts);
-    let disable = suite_cpis(&canonical_l1d(census, true), &pipeline, opts);
+    let [base, keep, disable] = suites(
+        &[
+            CacheConfig::l1d_paper(),
+            canonical_l1d(census, false),
+            canonical_l1d(census, true),
+        ],
+        opts,
+    );
 
     let mut per_benchmark = Vec::new();
     let mut fixed_sum = 0.0;

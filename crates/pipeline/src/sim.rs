@@ -19,23 +19,47 @@
 //! do not forward to loads (the synthetic traces carry no load/store
 //! aliasing), wrong-path instructions are modeled as a fetch stall rather
 //! than fetched and squashed, and FP divides are treated as pipelined.
+//!
+//! # Event-driven execution
+//!
+//! The machine is specified cycle by cycle ([`Pipeline::run`] behaves as
+//! if every cycle ran every phase), but the simulator only does work
+//! where work exists:
+//!
+//! * **Wakeup lists.** Each op registers on its producers at dispatch.
+//!   Whenever a producer changes state (scheduled, slipped by a bypass
+//!   buffer, replayed, executing, announced, done) its waiting consumers
+//!   recompute the earliest cycle they may be scheduled, under the same
+//!   speculative and post-replay readiness rules. The scheduler then
+//!   picks oldest-first among the ops whose cycle has come and visits no
+//!   other entry.
+//! * **Idle-cycle skipping.** A cycle in which nothing can commit,
+//!   complete, arrive at a functional unit, be scheduled, dispatch or
+//!   fetch is one step that provably does nothing; its only effects are
+//!   the cycle count and the dispatch/fetch stall counters, which are
+//!   charged in bulk for the whole gap up to the next event.
+//!
+//! Both are exact: every [`SimStats`] field equals the plain per-cycle
+//! scan's (the `sim_golden` test holds the digest of a large matrix).
 
 use crate::config::PipelineConfig;
 use crate::error::ConfigError;
 use crate::predictor::BranchPredictor;
 use crate::stats::SimStats;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use yac_cache::{AccessKind, MemoryHierarchy};
 use yac_workload::{MicroOp, OpClass};
 
-/// Horizon of the FU-arrival ring (must exceed sched_to_exec + bypass).
+/// How far ahead of the scheduling cycle a functional-unit arrival may be
+/// booked: `sched_to_exec` plus the bypass slip must stay below it.
 const ARRIVAL_HORIZON: usize = 64;
-/// Horizon of the completion ring (must exceed the worst memory latency).
-const COMPLETION_HORIZON: usize = 1024;
 /// Give up on an entry after this many bypass requeues (safety valve).
 const MAX_REQUEUES: u8 = 8;
 /// Cycles without a commit after which the simulator reports a deadlock.
 const DEADLOCK_LIMIT: u64 = 500_000;
+/// `wake_at` of an op whose operands have no predicted arrival yet.
+const NEVER: u64 = u64::MAX;
 
 /// Functional-unit pools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +127,82 @@ struct Entry {
     /// discovered — "announced" to the scheduler — at this cycle; until
     /// then dependants are woken as if the load hits in the assumed time.
     announce_at: Option<u64>,
+    /// While `Waiting`: the first cycle the scheduler may pick the op,
+    /// given its producers' current states ([`NEVER`] while a producer
+    /// has no predicted result time).
+    wake_at: u64,
+}
+
+/// Waiting ops the scheduler may pick this cycle: a bitset over ROB
+/// slots (`seq % rob_size`).
+#[derive(Debug)]
+struct ReadySet {
+    words: Vec<u64>,
+    slots: usize,
+}
+
+impl ReadySet {
+    fn new(slots: usize) -> Self {
+        ReadySet {
+            words: vec![0; slots.div_ceil(64)],
+            slots,
+        }
+    }
+
+    fn insert(&mut self, slot: usize) {
+        self.words[slot / 64] |= 1 << (slot % 64);
+    }
+
+    fn remove(&mut self, slot: usize) {
+        self.words[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Members in ring order starting at `start` (the ROB head's slot),
+    /// i.e. oldest op first.
+    fn oldest_first(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
+        self.members(start, self.slots)
+            .chain(self.members(0, start))
+    }
+
+    /// Members in `from..end`, ascending.
+    fn members(&self, from: usize, end: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut i = from;
+        std::iter::from_fn(move || {
+            while i < end {
+                let bits = self.words[i / 64] >> (i % 64);
+                if bits == 0 {
+                    i = (i / 64 + 1) * 64;
+                    continue;
+                }
+                let member = i + bits.trailing_zeros() as usize;
+                i = member + 1;
+                return (member < end).then_some(member);
+            }
+            None
+        })
+    }
+}
+
+/// A min-queue of `(cycle, seq)` events.
+type EventQueue = BinaryHeap<Reverse<(u64, u64)>>;
+
+/// Pops the earliest event due by `now`, if any. Events are due exactly
+/// at `now` except an arrival booked for the cycle that books it
+/// (`sched_to_exec == 0`), which lands on the next cycle.
+fn pop_due(queue: &mut EventQueue, now: u64) -> Option<u64> {
+    let &Reverse((at, seq)) = queue.peek()?;
+    (at <= now).then(|| {
+        queue.pop();
+        seq
+    })
+}
+
+fn next_event(queue: &EventQueue) -> u64 {
+    queue.peek().map_or(NEVER, |&Reverse((at, _))| at)
 }
 
 /// The simulated out-of-order core.
@@ -139,9 +239,23 @@ pub struct Pipeline {
     fetch_resume_at: u64,
     last_fetch_block: u64,
     trace_done: bool,
-    arrivals: Vec<Vec<u64>>,
-    completions: Vec<Vec<u64>>,
-    fu_reserved: Vec<[u16; FuClass::COUNT]>,
+    /// Functional-unit arrivals by `(exec_at, seq)`.
+    arrivals: EventQueue,
+    /// Result completions by `(done_at, seq)`.
+    completions: EventQueue,
+    /// Executing loads whose result is later than the scheduler assumed,
+    /// by `(announce_at, seq)`: the cycle their dependants' predicted
+    /// operand time moves from the assumed to the actual one.
+    announces: EventQueue,
+    /// Waiting ops by `(wake_at, seq)` whose wake cycle lies in the
+    /// future. Lazily pruned: an event whose op is no longer waiting, or
+    /// whose `wake_at` has since changed, is dropped when it surfaces.
+    wakeups: EventQueue,
+    ready: ReadySet,
+    /// Per ROB slot, the ops reading that slot's result.
+    consumers: Vec<Vec<u64>>,
+    /// Scratch list of the ops picked by one `schedule` call.
+    picks: Vec<u64>,
     fu_limits: [u16; FuClass::COUNT],
     stats: SimStats,
     total_committed: u64,
@@ -185,9 +299,13 @@ impl Pipeline {
             fetch_resume_at: 0,
             last_fetch_block: u64::MAX,
             trace_done: false,
-            arrivals: vec![Vec::new(); ARRIVAL_HORIZON],
-            completions: vec![Vec::new(); COMPLETION_HORIZON],
-            fu_reserved: vec![[0; FuClass::COUNT]; ARRIVAL_HORIZON],
+            arrivals: EventQueue::new(),
+            completions: EventQueue::new(),
+            announces: EventQueue::new(),
+            wakeups: EventQueue::new(),
+            ready: ReadySet::new(cfg.rob_size),
+            consumers: vec![Vec::new(); cfg.rob_size],
+            picks: Vec::with_capacity(cfg.width),
             fu_limits,
             stats: SimStats::default(),
             total_committed: 0,
@@ -231,6 +349,7 @@ impl Pipeline {
             self.reset_stats_internal();
         }
         loop {
+            self.skip_idle_cycles();
             self.step(&mut trace);
             if !warmed && self.total_committed >= target_warm {
                 self.reset_stats_internal();
@@ -283,6 +402,58 @@ impl Pipeline {
         self.stats.cycles += 1;
     }
 
+    /// Jumps over the cycles in which `step` would provably do nothing:
+    /// the head cannot commit, nothing completes, arrives or can be
+    /// scheduled, dispatch is blocked or starved, and fetch is blocked,
+    /// stalled, full or finished. None of that changes until the next
+    /// event, so each skipped cycle is exactly one idle `step`, charged in
+    /// bulk. The jump stops one cycle short of the deadlock limit so the
+    /// deadlock check still fires at the same cycle.
+    fn skip_idle_cycles(&mut self) {
+        let now = self.now;
+        if matches!(
+            self.rob.front(),
+            Some(Entry {
+                state: ExecState::Done { .. },
+                ..
+            })
+        ) {
+            return;
+        }
+        let dispatch_stalled = match self.fetch_q.front() {
+            Some((op, _)) if !self.dispatch_blocked(op) => return,
+            front => front.is_some(),
+        };
+        let fetch_stalled = !self.trace_done && (self.fetch_blocked || now < self.fetch_resume_at);
+        if !self.trace_done && !fetch_stalled && self.fetch_q.len() < self.cfg.fetch_queue {
+            return;
+        }
+        self.promote_wakeups();
+        if !self.ready.is_empty() {
+            return;
+        }
+        let mut next = (self.last_commit_cycle + DEADLOCK_LIMIT - 1)
+            .min(next_event(&self.completions))
+            .min(next_event(&self.arrivals))
+            .min(next_event(&self.announces))
+            .min(next_event(&self.wakeups));
+        if !self.trace_done && !self.fetch_blocked && now < self.fetch_resume_at {
+            next = next.min(self.fetch_resume_at);
+        }
+        if next <= now {
+            return;
+        }
+        let gap = next - now;
+        self.now = next;
+        self.stats.cycles += gap;
+        if dispatch_stalled {
+            self.stats.dispatch_stalls += gap;
+        }
+        if fetch_stalled {
+            self.stats.fetch_stall_cycles += gap;
+        }
+    }
+
     // ---- helpers -------------------------------------------------------
 
     fn entry(&self, seq: u64) -> Option<&Entry> {
@@ -293,6 +464,10 @@ impl Pipeline {
     fn entry_mut(&mut self, seq: u64) -> Option<&mut Entry> {
         seq.checked_sub(self.base_seq)
             .and_then(|i| self.rob.get_mut(i as usize))
+    }
+
+    fn slot(&self, seq: u64) -> usize {
+        (seq % self.cfg.rob_size as u64) as usize
     }
 
     /// Latency the scheduler assumes for a producer's result.
@@ -368,6 +543,85 @@ impl Pipeline {
         }
     }
 
+    /// First cycle a waiting op may be scheduled: every operand's
+    /// predicted (or, after a replay, firm) arrival must fall within the
+    /// `sched_to_exec` pipe. Valid until one of its producers changes
+    /// state or announces.
+    fn wake_cycle(&self, e: &Entry) -> u64 {
+        let mut latest = 0;
+        for &src in e.srcs.iter().flatten() {
+            let ready = if e.replayed {
+                // Post-replay re-issue is non-speculative: wait for the
+                // producer's value to be definitely on its way.
+                self.firm_ready(src)
+            } else {
+                self.pred_ready(src)
+            };
+            match ready {
+                Some(t) => latest = latest.max(t),
+                None => return NEVER,
+            }
+        }
+        latest.saturating_sub(u64::from(self.cfg.sched_to_exec))
+    }
+
+    /// Recomputes a waiting op's wake cycle and, if it moved, files the
+    /// op as ready now or as a future wakeup. (An unmoved wake cycle is
+    /// already filed: `wake_at` is [`NEVER`] whenever the op is in
+    /// neither the ready set nor the wakeup queue.)
+    fn refresh(&mut self, seq: u64) {
+        let Some(e) = self.entry(seq) else { return };
+        if e.state != ExecState::Waiting {
+            return;
+        }
+        let wake_at = self.wake_cycle(e);
+        if wake_at == e.wake_at {
+            return;
+        }
+        self.entry_mut(seq).expect("entry exists").wake_at = wake_at;
+        let slot = self.slot(seq);
+        if wake_at <= self.now {
+            self.ready.insert(slot);
+        } else {
+            self.ready.remove(slot);
+            if wake_at != NEVER {
+                self.wakeups.push(Reverse((wake_at, seq)));
+            }
+        }
+    }
+
+    /// Refreshes every waiting op that reads `seq`'s result.
+    fn wake_consumers(&mut self, seq: u64) {
+        let slot = self.slot(seq);
+        for i in 0..self.consumers[slot].len() {
+            let consumer = self.consumers[slot][i];
+            self.refresh(consumer);
+        }
+    }
+
+    /// Moves the wakeups due by now into the ready set and drops stale
+    /// ones, leaving the earliest live future wakeup on top.
+    fn promote_wakeups(&mut self) {
+        while let Some(&Reverse((at, seq))) = self.wakeups.peek() {
+            let live = self
+                .entry(seq)
+                .is_some_and(|e| e.state == ExecState::Waiting && e.wake_at == at);
+            if live && at > self.now {
+                break;
+            }
+            self.wakeups.pop();
+            if live {
+                self.ready.insert(self.slot(seq));
+            }
+        }
+    }
+
+    fn dispatch_blocked(&self, op: &MicroOp) -> bool {
+        self.rob.len() >= self.cfg.rob_size
+            || self.iq_count >= self.cfg.iq_size
+            || (op.class.is_mem() && self.lsq_count >= self.cfg.lsq_size)
+    }
+
     /// Whether an older, still-in-flight store writes the same 8-byte word.
     fn older_store_to(&self, seq: u64, addr: u64) -> bool {
         let word = addr & !7;
@@ -387,11 +641,8 @@ impl Pipeline {
             return self.now;
         }
         // Queue behind the miss that completes first.
-        self.outstanding_misses
-            .iter()
-            .copied()
-            .fold(f64::INFINITY as u64, u64::min)
-            .max(self.now)
+        let first = self.outstanding_misses.iter().copied().min();
+        first.expect("all MSHRs busy").max(self.now)
     }
 
     // ---- pipeline phases ----------------------------------------------
@@ -414,9 +665,7 @@ impl Pipeline {
     }
 
     fn complete(&mut self) {
-        let slot = (self.now % COMPLETION_HORIZON as u64) as usize;
-        let seqs = std::mem::take(&mut self.completions[slot]);
-        for seq in seqs {
+        while let Some(seq) = pop_due(&mut self.completions, self.now) {
             let now = self.now;
             let Some(e) = self.entry_mut(seq) else {
                 continue;
@@ -434,14 +683,13 @@ impl Pipeline {
                     .fetch_resume_at
                     .max(now + u64::from(self.cfg.redirect_penalty));
             }
+            self.wake_consumers(seq);
         }
     }
 
     fn fu_arrive(&mut self) {
-        let slot = (self.now % ARRIVAL_HORIZON as u64) as usize;
-        let mut seqs = std::mem::take(&mut self.arrivals[slot]);
-        seqs.sort_unstable(); // oldest first, so producers precede consumers
-        for seq in seqs {
+        // Oldest first, so producers precede consumers.
+        while let Some(seq) = pop_due(&mut self.arrivals, self.now) {
             self.process_arrival(seq);
         }
     }
@@ -481,52 +729,7 @@ impl Pipeline {
         }
 
         if must_replay {
-            #[cfg(feature = "replay-debug")]
-            {
-                use std::sync::atomic::{AtomicU64, Ordering};
-                static WAITING: AtomicU64 = AtomicU64::new(0);
-                static LATE: AtomicU64 = AtomicU64::new(0);
-                static SHOWN: AtomicU64 = AtomicU64::new(0);
-                if SHOWN.fetch_add(1, Ordering::Relaxed) < 20 {
-                    let e = self.entry(seq).unwrap();
-                    eprint!(
-                        "REPLAY now={} seq={} class={} srcs:",
-                        self.now, seq, e.op.class
-                    );
-                    for src in e.srcs.iter().flatten() {
-                        if let SrcRef::Producer(p) = src {
-                            eprint!(" p{}={:?}", p, self.entry(*p).map(|x| x.state));
-                        } else {
-                            eprint!(" ready");
-                        }
-                    }
-                    eprintln!();
-                }
-                let mut was_waiting = false;
-                let mut late_by = 0;
-                for src in self.entry(seq).unwrap().srcs.iter().flatten() {
-                    match self.actual_ready(*src) {
-                        Err(()) => was_waiting = true,
-                        Ok(t) if t > self.now => late_by = late_by.max(t - self.now),
-                        _ => {}
-                    }
-                }
-                if was_waiting {
-                    WAITING.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    LATE.fetch_add(1, Ordering::Relaxed);
-                }
-                let w = WAITING.load(Ordering::Relaxed);
-                let l = LATE.load(Ordering::Relaxed);
-                if (w + l) % 50_000 == 0 {
-                    eprintln!("replays: waiting={w} late={l} (this late_by={late_by})");
-                }
-            }
-            let e = self.entry_mut(seq).expect("entry exists");
-            e.state = ExecState::Waiting;
-            e.replayed = true;
-            e.requeues = 0;
-            self.stats.replays += 1;
+            self.replay(seq);
             return;
         }
 
@@ -544,11 +747,7 @@ impl Pipeline {
                 self.stats.bypass_stalls += 1;
             }
             if requeues > MAX_REQUEUES {
-                let e = self.entry_mut(seq).expect("entry exists");
-                e.state = ExecState::Waiting;
-                e.replayed = true;
-                e.requeues = 0;
-                self.stats.replays += 1;
+                self.replay(seq);
                 return;
             }
             let retry = ready_at.max(self.now + 1);
@@ -559,7 +758,8 @@ impl Pipeline {
             // collapsing into replays.
             let e = self.entry_mut(seq).expect("entry exists");
             e.state = ExecState::Scheduled { exec_at: retry };
-            self.arrivals[(retry % ARRIVAL_HORIZON as u64) as usize].push(seq);
+            self.arrivals.push(Reverse((retry, seq)));
+            self.wake_consumers(seq);
             return;
         }
 
@@ -607,59 +807,70 @@ impl Pipeline {
         let e = self.entry_mut(seq).expect("entry exists");
         e.state = ExecState::Executing { done_at };
         e.announce_at = announce_at;
-        self.completions[(done_at % COMPLETION_HORIZON as u64) as usize].push(seq);
+        self.completions.push(Reverse((done_at, seq)));
+        // A load later than assumed changes its dependants' predicted
+        // operand time at the announce cycle; an on-time (or early) one
+        // never does before it completes.
+        if let Some(announce) = announce_at.filter(|&a| done_at > a) {
+            self.announces.push(Reverse((announce, seq)));
+        }
         self.iq_count -= 1;
+        self.wake_consumers(seq);
+    }
+
+    /// Selective replay: the op returns to the issue queue and re-issues
+    /// non-speculatively; its own dependants lose their predicted operand.
+    fn replay(&mut self, seq: u64) {
+        let e = self.entry_mut(seq).expect("entry exists");
+        e.state = ExecState::Waiting;
+        e.replayed = true;
+        e.requeues = 0;
+        self.stats.replays += 1;
+        self.refresh(seq);
+        self.wake_consumers(seq);
     }
 
     fn schedule(&mut self) {
-        let depth = u64::from(self.cfg.sched_to_exec);
-        let exec_at = self.now + depth;
-        let fu_slot = (exec_at % ARRIVAL_HORIZON as u64) as usize;
-        let mut slots = self.cfg.width;
-        let mut picks: Vec<u64> = Vec::with_capacity(slots);
+        while let Some(seq) = pop_due(&mut self.announces, self.now) {
+            self.wake_consumers(seq);
+        }
+        self.promote_wakeups();
 
-        'scan: for e in &self.rob {
-            if slots == 0 {
+        let exec_at = self.now + u64::from(self.cfg.sched_to_exec);
+        let head = self.slot(self.base_seq);
+        let rob_size = self.cfg.rob_size as u64;
+        // Reservations only ever concern this cycle's picks: each cycle
+        // books the distinct execute cycle `now + sched_to_exec`.
+        let mut reserved = [0u16; FuClass::COUNT];
+        let mut picks = std::mem::take(&mut self.picks);
+        for slot in self.ready.oldest_first(head) {
+            if picks.len() == self.cfg.width {
                 break;
             }
-            if !matches!(e.state, ExecState::Waiting) {
-                continue;
-            }
-            for src in e.srcs.iter().flatten() {
-                let pred = if e.replayed {
-                    // Post-replay re-issue is non-speculative: wait for the
-                    // producer's value to be definitely on its way.
-                    self.firm_ready(*src)
-                } else {
-                    self.pred_ready(*src)
-                };
-                match pred {
-                    Some(t) if t <= exec_at => {}
-                    _ => continue 'scan,
-                }
-            }
+            let seq = self.base_seq + (slot as u64 + rob_size - head as u64) % rob_size;
+            let e = self.entry(seq).expect("ready ops are in the ROB");
             let fu = FuClass::of(e.op.class) as usize;
-            if self.fu_reserved[fu_slot][fu] >= self.fu_limits[fu] {
+            if reserved[fu] >= self.fu_limits[fu] {
                 continue;
             }
-            self.fu_reserved[fu_slot][fu] += 1;
-            picks.push(e.seq);
-            slots -= 1;
+            reserved[fu] += 1;
+            picks.push(seq);
         }
 
-        // Clear the reservation slot that just expired (one past the
-        // horizon window as seen by future schedules).
-        let expired = ((self.now + ARRIVAL_HORIZON as u64 - 1) % ARRIVAL_HORIZON as u64) as usize;
-        if expired != fu_slot {
-            self.fu_reserved[expired] = [0; FuClass::COUNT];
-        }
-
-        for seq in picks {
+        for &seq in &picks {
+            let slot = self.slot(seq);
+            self.ready.remove(slot);
             let e = self.entry_mut(seq).expect("picked entries exist");
             e.state = ExecState::Scheduled { exec_at };
             e.bypass_counted = false;
-            self.arrivals[fu_slot].push(seq);
+            e.wake_at = NEVER;
+            self.arrivals.push(Reverse((exec_at, seq)));
         }
+        for &seq in &picks {
+            self.wake_consumers(seq);
+        }
+        picks.clear();
+        self.picks = picks;
     }
 
     fn dispatch(&mut self) {
@@ -667,25 +878,29 @@ impl Pipeline {
             let Some((op, _)) = self.fetch_q.front() else {
                 break;
             };
-            if self.rob.len() >= self.cfg.rob_size || self.iq_count >= self.cfg.iq_size {
-                self.stats.dispatch_stalls += 1;
-                break;
-            }
-            if op.class.is_mem() && self.lsq_count >= self.cfg.lsq_size {
+            if self.dispatch_blocked(op) {
                 self.stats.dispatch_stalls += 1;
                 break;
             }
             let (op, mispredicted) = self.fetch_q.pop_front().expect("front exists");
             let seq = self.next_seq;
             self.next_seq += 1;
+            let slot = self.slot(seq);
+            self.consumers[slot].clear();
 
             let mut srcs = [None, None];
-            for (slot, reg) in op.srcs.iter().flatten().enumerate() {
+            for (i, reg) in op.srcs.iter().flatten().enumerate() {
                 let src = match self.rat[usize::from(*reg)] {
-                    Some(p) if p >= self.base_seq => SrcRef::Producer(p),
+                    Some(p) if p >= self.base_seq => {
+                        let producer = self.slot(p);
+                        if self.consumers[producer].last() != Some(&seq) {
+                            self.consumers[producer].push(seq);
+                        }
+                        SrcRef::Producer(p)
+                    }
                     _ => SrcRef::Ready,
                 };
-                srcs[slot] = Some(src);
+                srcs[i] = Some(src);
             }
             if let Some(dest) = op.dest {
                 self.rat[usize::from(dest)] = Some(seq);
@@ -704,7 +919,9 @@ impl Pipeline {
                 resolves_fetch: mispredicted,
                 replayed: false,
                 announce_at: None,
+                wake_at: NEVER,
             });
+            self.refresh(seq);
         }
     }
 
