@@ -1,5 +1,5 @@
 //! Figure 1 of the paper: expected yield and yield-loss factors across
-//! process technologies, after the industry data the paper cites ([18],
+//! process technologies, after the industry data the paper cites (\[18\],
 //! Jones, "A Delayed 90-nm Surprise").
 //!
 //! This is the paper's motivating background figure — reference data, not

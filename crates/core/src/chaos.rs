@@ -120,7 +120,7 @@ pub struct NetPlan {
     pub seed: u64,
     /// Probability an op draws a fault (`0..=1`).
     pub rate: f64,
-    /// Injected delay for [`NetFault::Delay`] draws.
+    /// Injected delay for ops that draw the delay fault.
     pub delay: Duration,
 }
 

@@ -51,9 +51,10 @@ use std::collections::{BinaryHeap, VecDeque};
 use yac_cache::{AccessKind, MemoryHierarchy};
 use yac_workload::{MicroOp, OpClass};
 
-/// How far ahead of the scheduling cycle a functional-unit arrival may be
-/// booked: `sched_to_exec` plus the bypass slip must stay below it.
+/// Horizon of the FU-arrival ring (must exceed sched_to_exec + bypass).
 const ARRIVAL_HORIZON: usize = 64;
+/// Horizon of the completion ring (must exceed the worst memory latency).
+const COMPLETION_HORIZON: usize = 1024;
 /// Give up on an entry after this many bypass requeues (safety valve).
 const MAX_REQUEUES: u8 = 8;
 /// Cycles without a commit after which the simulator reports a deadlock.
@@ -133,17 +134,16 @@ struct Entry {
     wake_at: u64,
 }
 
-/// Waiting ops the scheduler may pick this cycle: a bitset over ROB
-/// slots (`seq % rob_size`).
+/// A set of ring slots as a bitset, iterated in ring order.
 #[derive(Debug)]
-struct ReadySet {
+struct SlotSet {
     words: Vec<u64>,
     slots: usize,
 }
 
-impl ReadySet {
+impl SlotSet {
     fn new(slots: usize) -> Self {
-        ReadySet {
+        SlotSet {
             words: vec![0; slots.div_ceil(64)],
             slots,
         }
@@ -161,9 +161,8 @@ impl ReadySet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Members in ring order starting at `start` (the ROB head's slot),
-    /// i.e. oldest op first.
-    fn oldest_first(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
+    /// Members in ring order starting at slot `start`.
+    fn from_slot(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
         self.members(start, self.slots)
             .chain(self.members(0, start))
     }
@@ -187,12 +186,55 @@ impl ReadySet {
     }
 }
 
+/// Ops bucketed by the cycle of their next event, over a ring of
+/// `horizon` cycles, with the busy buckets marked so the next event is
+/// found without visiting the empty ones.
+#[derive(Debug)]
+struct CycleRing {
+    buckets: Vec<Vec<u64>>,
+    busy: SlotSet,
+}
+
+impl CycleRing {
+    fn new(horizon: usize) -> Self {
+        CycleRing {
+            buckets: vec![Vec::new(); horizon],
+            busy: SlotSet::new(horizon),
+        }
+    }
+
+    fn bucket(&self, cycle: u64) -> usize {
+        (cycle % self.buckets.len() as u64) as usize
+    }
+
+    fn push(&mut self, cycle: u64, seq: u64) {
+        let b = self.bucket(cycle);
+        self.buckets[b].push(seq);
+        self.busy.insert(b);
+    }
+
+    /// Empties `now`'s bucket into `out`.
+    fn drain_into(&mut self, now: u64, out: &mut Vec<u64>) {
+        let b = self.bucket(now);
+        out.append(&mut self.buckets[b]);
+        self.busy.remove(b);
+    }
+
+    /// The first cycle at or after `now` with a booked event.
+    fn next_busy(&self, now: u64) -> u64 {
+        let start = self.bucket(now);
+        let horizon = self.buckets.len();
+        self.busy
+            .from_slot(start)
+            .next()
+            .map_or(NEVER, |b| now + ((b + horizon - start) % horizon) as u64)
+    }
+}
+
 /// A min-queue of `(cycle, seq)` events.
 type EventQueue = BinaryHeap<Reverse<(u64, u64)>>;
 
-/// Pops the earliest event due by `now`, if any. Events are due exactly
-/// at `now` except an arrival booked for the cycle that books it
-/// (`sched_to_exec == 0`), which lands on the next cycle.
+/// Pops an event due by `now`, if any.
 fn pop_due(queue: &mut EventQueue, now: u64) -> Option<u64> {
     let &Reverse((at, seq)) = queue.peek()?;
     (at <= now).then(|| {
@@ -239,10 +281,10 @@ pub struct Pipeline {
     fetch_resume_at: u64,
     last_fetch_block: u64,
     trace_done: bool,
-    /// Functional-unit arrivals by `(exec_at, seq)`.
-    arrivals: EventQueue,
-    /// Result completions by `(done_at, seq)`.
-    completions: EventQueue,
+    /// Functional-unit arrivals by `exec_at`.
+    arrivals: CycleRing,
+    /// Result completions by `done_at`.
+    completions: CycleRing,
     /// Executing loads whose result is later than the scheduler assumed,
     /// by `(announce_at, seq)`: the cycle their dependants' predicted
     /// operand time moves from the assumed to the actual one.
@@ -251,11 +293,14 @@ pub struct Pipeline {
     /// future. Lazily pruned: an event whose op is no longer waiting, or
     /// whose `wake_at` has since changed, is dropped when it surfaces.
     wakeups: EventQueue,
-    ready: ReadySet,
+    /// Waiting ops the scheduler may pick this cycle, by ROB slot
+    /// (`seq % rob_size`).
+    ready: SlotSet,
     /// Per ROB slot, the ops reading that slot's result.
     consumers: Vec<Vec<u64>>,
-    /// Scratch list of the ops picked by one `schedule` call.
-    picks: Vec<u64>,
+    /// Scratch list of the ops one phase handles (arrivals, completions
+    /// or picks).
+    batch: Vec<u64>,
     fu_limits: [u16; FuClass::COUNT],
     stats: SimStats,
     total_committed: u64,
@@ -299,13 +344,13 @@ impl Pipeline {
             fetch_resume_at: 0,
             last_fetch_block: u64::MAX,
             trace_done: false,
-            arrivals: EventQueue::new(),
-            completions: EventQueue::new(),
+            arrivals: CycleRing::new(ARRIVAL_HORIZON),
+            completions: CycleRing::new(COMPLETION_HORIZON),
             announces: EventQueue::new(),
             wakeups: EventQueue::new(),
-            ready: ReadySet::new(cfg.rob_size),
+            ready: SlotSet::new(cfg.rob_size),
             consumers: vec![Vec::new(); cfg.rob_size],
-            picks: Vec::with_capacity(cfg.width),
+            batch: Vec::new(),
             fu_limits,
             stats: SimStats::default(),
             total_committed: 0,
@@ -433,8 +478,8 @@ impl Pipeline {
             return;
         }
         let mut next = (self.last_commit_cycle + DEADLOCK_LIMIT - 1)
-            .min(next_event(&self.completions))
-            .min(next_event(&self.arrivals))
+            .min(self.completions.next_busy(now))
+            .min(self.arrivals.next_busy(now))
             .min(next_event(&self.announces))
             .min(next_event(&self.wakeups));
         if !self.trace_done && !self.fetch_blocked && now < self.fetch_resume_at {
@@ -665,7 +710,9 @@ impl Pipeline {
     }
 
     fn complete(&mut self) {
-        while let Some(seq) = pop_due(&mut self.completions, self.now) {
+        let mut seqs = std::mem::take(&mut self.batch);
+        self.completions.drain_into(self.now, &mut seqs);
+        for &seq in &seqs {
             let now = self.now;
             let Some(e) = self.entry_mut(seq) else {
                 continue;
@@ -685,13 +732,19 @@ impl Pipeline {
             }
             self.wake_consumers(seq);
         }
+        seqs.clear();
+        self.batch = seqs;
     }
 
     fn fu_arrive(&mut self) {
-        // Oldest first, so producers precede consumers.
-        while let Some(seq) = pop_due(&mut self.arrivals, self.now) {
+        let mut seqs = std::mem::take(&mut self.batch);
+        self.arrivals.drain_into(self.now, &mut seqs);
+        seqs.sort_unstable(); // oldest first, so producers precede consumers
+        for &seq in &seqs {
             self.process_arrival(seq);
         }
+        seqs.clear();
+        self.batch = seqs;
     }
 
     fn process_arrival(&mut self, seq: u64) {
@@ -758,7 +811,7 @@ impl Pipeline {
             // collapsing into replays.
             let e = self.entry_mut(seq).expect("entry exists");
             e.state = ExecState::Scheduled { exec_at: retry };
-            self.arrivals.push(Reverse((retry, seq)));
+            self.arrivals.push(retry, seq);
             self.wake_consumers(seq);
             return;
         }
@@ -807,7 +860,7 @@ impl Pipeline {
         let e = self.entry_mut(seq).expect("entry exists");
         e.state = ExecState::Executing { done_at };
         e.announce_at = announce_at;
-        self.completions.push(Reverse((done_at, seq)));
+        self.completions.push(done_at, seq);
         // A load later than assumed changes its dependants' predicted
         // operand time at the announce cycle; an on-time (or early) one
         // never does before it completes.
@@ -842,8 +895,8 @@ impl Pipeline {
         // Reservations only ever concern this cycle's picks: each cycle
         // books the distinct execute cycle `now + sched_to_exec`.
         let mut reserved = [0u16; FuClass::COUNT];
-        let mut picks = std::mem::take(&mut self.picks);
-        for slot in self.ready.oldest_first(head) {
+        let mut picks = std::mem::take(&mut self.batch);
+        for slot in self.ready.from_slot(head) {
             if picks.len() == self.cfg.width {
                 break;
             }
@@ -864,13 +917,13 @@ impl Pipeline {
             e.state = ExecState::Scheduled { exec_at };
             e.bypass_counted = false;
             e.wake_at = NEVER;
-            self.arrivals.push(Reverse((exec_at, seq)));
+            self.arrivals.push(exec_at, seq);
         }
         for &seq in &picks {
             self.wake_consumers(seq);
         }
         picks.clear();
-        self.picks = picks;
+        self.batch = picks;
     }
 
     fn dispatch(&mut self) {
