@@ -222,13 +222,12 @@ fn suite_batch(
     opts: &PerfOptions,
 ) -> Vec<SuiteRun> {
     let mut distinct: Vec<CacheConfig> = Vec::new();
-    let mut keys = Vec::new();
     let slots: Vec<usize> = l1ds
         .iter()
         .map(|l1d| {
             let key = simulation_key(l1d);
-            keys.iter().position(|k| *k == key).unwrap_or_else(|| {
-                keys.push(key);
+            let known = distinct.iter().position(|d| simulation_key(d) == key);
+            known.unwrap_or_else(|| {
                 distinct.push(l1d.clone());
                 distinct.len() - 1
             })
@@ -249,28 +248,23 @@ fn suite_batch(
     }
     drop(tx);
     pool.shutdown();
-    let mut cells: Vec<Option<Vec<Result<f64, String>>>> = vec![None; profiles.len()];
-    for (b, benchmark) in rx {
-        cells[b] = Some(benchmark);
-    }
+    let mut cells: Vec<(usize, Vec<Result<f64, String>>)> = rx.into_iter().collect();
+    cells.sort_unstable_by_key(|&(b, _)| b);
+    assert_eq!(cells.len(), profiles.len(), "a benchmark task died");
 
     let runs: Vec<SuiteRun> = (0..job.0.len())
         .map(|l| {
             let mut cpis = Vec::with_capacity(profiles.len());
             let mut failures = Vec::new();
-            for (profile, benchmark) in profiles.iter().zip(&cells) {
-                let cell = benchmark.as_ref().map_or_else(
-                    || Err("benchmark task lost".to_string()),
-                    |cells| cells[l].clone(),
-                );
-                let error = match cell {
+            for (profile, (_, benchmark)) in profiles.iter().zip(&cells) {
+                let error = match benchmark[l] {
                     Ok(cpi) if cpi.is_finite() && cpi > 0.0 => {
                         yac_obs::inc(yac_obs::Metric::BenchmarksSimulated);
                         cpis.push((profile.name, cpi));
                         continue;
                     }
                     Ok(cpi) => format!("non-finite or non-positive CPI ({cpi})"),
-                    Err(message) => format!("worker panicked: {message}"),
+                    Err(ref message) => format!("worker panicked: {message}"),
                 };
                 failures.push(BenchmarkFailure {
                     benchmark: profile.name,
@@ -305,22 +299,19 @@ fn benchmark_cells(
     opts: &PerfOptions,
 ) -> Vec<Result<f64, String>> {
     let _timer = yac_obs::phase(yac_obs::Phase::PipelineSim);
-    let isolated = |f: &dyn Fn() -> f64| {
-        catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_message(&*payload))
-    };
     let len = shared_trace_len(pipeline, opts);
-    let trace = catch_unwind(AssertUnwindSafe(|| {
+    let trace = isolated(|| {
         TraceGenerator::new(profile, opts.trace_seed)
             .take(len)
             .collect::<Vec<_>>()
-    }));
+    });
     let trace = match trace {
         Ok(trace) => trace,
-        Err(payload) => return vec![Err(panic_message(&*payload)); l1ds.len()],
+        Err(message) => return vec![Err(message); l1ds.len()],
     };
     l1ds.iter()
         .map(|l1d| {
-            isolated(&|| {
+            isolated(|| {
                 let past_end = std::iter::from_fn(|| -> Option<MicroOp> {
                     panic!("simulation ran past the end of the shared {len}-op trace")
                 });
@@ -328,6 +319,11 @@ fn benchmark_cells(
             })
         })
         .collect()
+}
+
+/// Runs `f`, turning a panic into its message.
+fn isolated<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_message(&*payload))
 }
 
 /// Per-benchmark CPI degradation of a repaired configuration relative to a

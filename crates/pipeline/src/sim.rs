@@ -162,7 +162,7 @@ impl SlotSet {
     }
 
     /// Members in ring order starting at slot `start`.
-    fn from_slot(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
+    fn ring_order(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
         self.members(start, self.slots)
             .chain(self.members(0, start))
     }
@@ -225,7 +225,7 @@ impl CycleRing {
         let start = self.bucket(now);
         let horizon = self.buckets.len();
         self.busy
-            .from_slot(start)
+            .ring_order(start)
             .next()
             .map_or(NEVER, |b| now + ((b + horizon - start) % horizon) as u64)
     }
@@ -610,19 +610,14 @@ impl Pipeline {
         latest.saturating_sub(u64::from(self.cfg.sched_to_exec))
     }
 
-    /// Recomputes a waiting op's wake cycle and, if it moved, files the
-    /// op as ready now or as a future wakeup. (An unmoved wake cycle is
-    /// already filed: `wake_at` is [`NEVER`] whenever the op is in
-    /// neither the ready set nor the wakeup queue.)
+    /// Recomputes a waiting op's wake cycle and files the op as ready now
+    /// or as a future wakeup.
     fn refresh(&mut self, seq: u64) {
         let Some(e) = self.entry(seq) else { return };
         if e.state != ExecState::Waiting {
             return;
         }
         let wake_at = self.wake_cycle(e);
-        if wake_at == e.wake_at {
-            return;
-        }
         self.entry_mut(seq).expect("entry exists").wake_at = wake_at;
         let slot = self.slot(seq);
         if wake_at <= self.now {
@@ -896,7 +891,7 @@ impl Pipeline {
         // books the distinct execute cycle `now + sched_to_exec`.
         let mut reserved = [0u16; FuClass::COUNT];
         let mut picks = std::mem::take(&mut self.batch);
-        for slot in self.ready.from_slot(head) {
+        for slot in self.ready.ring_order(head) {
             if picks.len() == self.cfg.width {
                 break;
             }
@@ -916,7 +911,6 @@ impl Pipeline {
             let e = self.entry_mut(seq).expect("picked entries exist");
             e.state = ExecState::Scheduled { exec_at };
             e.bypass_counted = false;
-            e.wake_at = NEVER;
             self.arrivals.push(exec_at, seq);
         }
         for &seq in &picks {
