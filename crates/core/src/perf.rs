@@ -212,10 +212,10 @@ fn simulation_key(l1d: &CacheConfig) -> (Vec<bool>, Vec<u32>) {
 ///
 /// L1Ds with the same [`simulation_key`] are simulated once. Each
 /// benchmark is one task on a [`StealPool`] built for the call with one
-/// worker per available core: the task generates the benchmark's trace
-/// once and runs every distinct L1D over it. Each (benchmark, L1D) cell
-/// runs under its own `catch_unwind`, so a failure stays in its cell and
-/// never kills a pool worker.
+/// worker per available core (at most one per task): the task generates
+/// the benchmark's trace once and runs every distinct L1D over it. Each
+/// (benchmark, L1D) cell runs under its own `catch_unwind`, so a failure
+/// stays in its cell and never kills a pool worker.
 fn suite_batch(
     l1ds: &[CacheConfig],
     pipeline: &PipelineConfig,
@@ -236,8 +236,8 @@ fn suite_batch(
 
     let profiles = spec2000::all_profiles();
     let job = Arc::new((distinct, pipeline.clone(), *opts));
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let pool = StealPool::new(workers);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let pool = StealPool::new(cores.min(profiles.len()));
     let (tx, rx) = mpsc::channel();
     for (b, profile) in profiles.iter().cloned().enumerate() {
         let (job, tx) = (Arc::clone(&job), tx.clone());
