@@ -630,12 +630,15 @@ impl Pipeline {
         }
     }
 
-    /// Refreshes every waiting op that reads `seq`'s result.
-    fn wake_consumers(&mut self, seq: u64) {
+    /// Refreshes every waiting op that reads `seq`'s result, or only the
+    /// replayed ones.
+    fn wake_consumers(&mut self, seq: u64, replayed_only: bool) {
         let slot = self.slot(seq);
         for i in 0..self.consumers[slot].len() {
             let consumer = self.consumers[slot][i];
-            self.refresh(consumer);
+            if !replayed_only || self.entry(consumer).is_some_and(|e| e.replayed) {
+                self.refresh(consumer);
+            }
         }
     }
 
@@ -712,8 +715,13 @@ impl Pipeline {
             let Some(e) = self.entry_mut(seq) else {
                 continue;
             };
-            debug_assert!(matches!(e.state, ExecState::Executing { .. }));
+            let ExecState::Executing { done_at } = e.state else {
+                unreachable!("only executing ops complete");
+            };
             e.state = ExecState::Done { at: now };
+            // Dependants already expect the value at `done_at` (= now),
+            // unless this is a load completing before its announce cycle.
+            let moved = done_at != now || e.announce_at.is_some_and(|a| a > now);
             let is_branch = e.op.class == OpClass::Branch;
             let resolves = e.resolves_fetch;
             if is_branch {
@@ -725,7 +733,9 @@ impl Pipeline {
                     .fetch_resume_at
                     .max(now + u64::from(self.cfg.redirect_penalty));
             }
-            self.wake_consumers(seq);
+            if moved {
+                self.wake_consumers(seq, false);
+            }
         }
         seqs.clear();
         self.batch = seqs;
@@ -807,7 +817,7 @@ impl Pipeline {
             let e = self.entry_mut(seq).expect("entry exists");
             e.state = ExecState::Scheduled { exec_at: retry };
             self.arrivals.push(retry, seq);
-            self.wake_consumers(seq);
+            self.wake_consumers(seq, false);
             return;
         }
 
@@ -852,7 +862,12 @@ impl Pipeline {
             }
             c => self.now + u64::from(c.exec_latency()),
         };
+        let now = self.now;
         let e = self.entry_mut(seq).expect("entry exists");
+        // Speculative dependants predicted `exec_at + assumed latency`,
+        // which an op executing on time keeps until it completes or
+        // announces; only replayed ones, waiting for a firm time, move.
+        let on_time = e.state == ExecState::Scheduled { exec_at: now };
         e.state = ExecState::Executing { done_at };
         e.announce_at = announce_at;
         self.completions.push(done_at, seq);
@@ -863,7 +878,7 @@ impl Pipeline {
             self.announces.push(Reverse((announce, seq)));
         }
         self.iq_count -= 1;
-        self.wake_consumers(seq);
+        self.wake_consumers(seq, on_time);
     }
 
     /// Selective replay: the op returns to the issue queue and re-issues
@@ -875,12 +890,12 @@ impl Pipeline {
         e.requeues = 0;
         self.stats.replays += 1;
         self.refresh(seq);
-        self.wake_consumers(seq);
+        self.wake_consumers(seq, false);
     }
 
     fn schedule(&mut self) {
         while let Some(seq) = pop_due(&mut self.announces, self.now) {
-            self.wake_consumers(seq);
+            self.wake_consumers(seq, false);
         }
         self.promote_wakeups();
 
@@ -914,7 +929,7 @@ impl Pipeline {
             self.arrivals.push(exec_at, seq);
         }
         for &seq in &picks {
-            self.wake_consumers(seq);
+            self.wake_consumers(seq, false);
         }
         picks.clear();
         self.batch = picks;
