@@ -719,8 +719,9 @@ impl Pipeline {
                 unreachable!("only executing ops complete");
             };
             e.state = ExecState::Done { at: now };
-            // Dependants already expect the value at `done_at` (= now),
-            // unless this is a load completing before its announce cycle.
+            // Dependants already expect the value at `done_at`; it moves
+            // only for a load finishing before its announce cycle (or a
+            // completion the ring delivered a horizon early).
             let moved = done_at != now || e.announce_at.is_some_and(|a| a > now);
             let is_branch = e.op.class == OpClass::Branch;
             let resolves = e.resolves_fetch;
