@@ -196,15 +196,20 @@ pub fn suite_cpis_isolated(
 /// and the failures.
 type SuiteRun = (Vec<(&'static str, f64)>, Vec<BenchmarkFailure>);
 
-/// What a simulation of `l1d` depends on: the enabled-way mask and the
-/// latencies of the enabled ways. The cache never reads a disabled way's
-/// latency, so L1Ds equal under this key simulate identically (Table 6's
-/// 3-1-0 YAPD, 3-0-1 and 4-0-0 repairs are all one 3-way 4-cycle cache).
-fn simulation_key(l1d: &CacheConfig) -> (Vec<bool>, Vec<u32>) {
-    let latencies = (l1d.way_enabled.iter().zip(&l1d.way_latency))
-        .filter_map(|(&on, &latency)| on.then_some(latency))
-        .collect();
-    (l1d.way_enabled.clone(), latencies)
+/// What a simulation of `l1d` depends on: the whole configuration,
+/// except that a disabled way's latency is normalised. The cache never
+/// reads it, and validation only rejects it when it is zero, so L1Ds with
+/// equal keys simulate identically and fail with the same message
+/// (Table 6's 3-1-0 YAPD, 3-0-1 and 4-0-0 repairs are all one 3-way
+/// 4-cycle cache).
+fn simulation_key(l1d: &CacheConfig) -> CacheConfig {
+    let mut key = l1d.clone();
+    for (latency, &on) in key.way_latency.iter_mut().zip(&key.way_enabled) {
+        if !on && *latency != 0 {
+            *latency = 1;
+        }
+    }
+    key
 }
 
 /// Runs the whole suite on each of `l1ds` in one batch and returns one
@@ -221,13 +226,14 @@ fn suite_batch(
     pipeline: &PipelineConfig,
     opts: &PerfOptions,
 ) -> Vec<SuiteRun> {
+    let mut keys: Vec<CacheConfig> = Vec::new();
     let mut distinct: Vec<CacheConfig> = Vec::new();
     let slots: Vec<usize> = l1ds
         .iter()
         .map(|l1d| {
             let key = simulation_key(l1d);
-            let known = distinct.iter().position(|d| simulation_key(d) == key);
-            known.unwrap_or_else(|| {
+            keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                keys.push(key);
                 distinct.push(l1d.clone());
                 distinct.len() - 1
             })
@@ -281,17 +287,42 @@ fn suite_batch(
 /// Micro-ops a run of `opts` can fetch at most: commit overshoots the
 /// warm-up and the measurement by up to `width - 1` each, and when the
 /// run stops every in-flight op sits in the ROB or the fetch queue.
-fn shared_trace_len(pipeline: &PipelineConfig, opts: &PerfOptions) -> usize {
-    let bound = opts.warmup_uops
-        + opts.measure_uops
-        + 2 * (pipeline.width as u64 - 1)
-        + (pipeline.rob_size + pipeline.fetch_queue + 1) as u64;
-    usize::try_from(bound).expect("trace bound fits in memory")
+fn shared_trace_len(pipeline: &PipelineConfig, opts: &PerfOptions) -> Option<usize> {
+    let in_flight = (pipeline.rob_size as u64)
+        .checked_add(pipeline.fetch_queue as u64)?
+        .checked_add(1)?;
+    let overshoot = (pipeline.width as u64).saturating_sub(1).checked_mul(2)?;
+    let bound = opts
+        .warmup_uops
+        .checked_add(opts.measure_uops)?
+        .checked_add(overshoot)?
+        .checked_add(in_flight)?;
+    usize::try_from(bound).ok()
 }
 
-/// One benchmark's task: generates its trace once, then simulates it on
-/// every L1D, each cell isolated. A panic (including a run that reached
-/// the end of the shared trace) becomes that cell's error message.
+/// `profile`'s trace up to [`shared_trace_len`].
+///
+/// # Panics
+///
+/// Panics if that length overflows or cannot be allocated.
+fn shared_trace(
+    profile: BenchmarkProfile,
+    pipeline: &PipelineConfig,
+    opts: &PerfOptions,
+) -> Vec<MicroOp> {
+    let len = shared_trace_len(pipeline, opts).expect("CPI budget fits the shared trace length");
+    let mut trace = Vec::new();
+    if let Err(e) = trace.try_reserve_exact(len) {
+        panic!("cannot hold the shared {len}-op trace: {e}");
+    }
+    trace.extend(TraceGenerator::new(profile, opts.trace_seed).take(len));
+    trace
+}
+
+/// One benchmark's task: simulates it on every L1D, each cell isolated.
+/// A lone L1D streams its trace as [`benchmark_cpi`] does; several share
+/// one trace generated up front, and a run that reaches the end of it
+/// panics. A panic becomes that cell's error message.
 fn benchmark_cells(
     profile: BenchmarkProfile,
     l1ds: &[CacheConfig],
@@ -299,13 +330,10 @@ fn benchmark_cells(
     opts: &PerfOptions,
 ) -> Vec<Result<f64, String>> {
     let _timer = yac_obs::phase(yac_obs::Phase::PipelineSim);
-    let len = shared_trace_len(pipeline, opts);
-    let trace = isolated(|| {
-        TraceGenerator::new(profile, opts.trace_seed)
-            .take(len)
-            .collect::<Vec<_>>()
-    });
-    let trace = match trace {
+    if let [l1d] = l1ds {
+        return vec![isolated(|| benchmark_cpi(profile, l1d, pipeline, opts))];
+    }
+    let trace = match isolated(|| shared_trace(profile, pipeline, opts)) {
         Ok(trace) => trace,
         Err(message) => return vec![Err(message); l1ds.len()],
     };
@@ -313,7 +341,10 @@ fn benchmark_cells(
         .map(|l1d| {
             isolated(|| {
                 let past_end = std::iter::from_fn(|| -> Option<MicroOp> {
-                    panic!("simulation ran past the end of the shared {len}-op trace")
+                    panic!(
+                        "simulation ran past the end of the shared {}-op trace",
+                        trace.len()
+                    )
                 });
                 cpi_on(trace.iter().copied().chain(past_end), l1d, pipeline, opts)
             })

@@ -929,6 +929,11 @@ const SHARD_TAG_BITS: u32 = 20;
 /// whatever the shard size.
 const MAX_QUERY_CHIPS: usize = 1 << SHARD_TAG_BITS;
 
+/// The largest CPI budget (warm-up plus measured micro-ops per benchmark)
+/// one query may ask for; larger budgets are refused before any
+/// simulation starts, so a query cannot tie a pool worker up for hours.
+const MAX_QUERY_CPI_UOPS: u64 = 1 << 24;
+
 fn shard_tag(job_id: u64, index: usize) -> u64 {
     (job_id << SHARD_TAG_BITS) | (index as u64 & ((1 << SHARD_TAG_BITS) - 1))
 }
@@ -1427,6 +1432,18 @@ impl SweepService {
                     query.chips
                 ),
             };
+        }
+        if let Some(cpi) = query.cpi {
+            let budget = cpi.warmup_uops.checked_add(cpi.measure_uops);
+            if budget.is_none_or(|uops| uops > MAX_QUERY_CPI_UOPS) {
+                return ServiceReply::Error {
+                    message: format!(
+                        "query asks for {} warm-up and {} measured micro-ops; \
+                         the limit is {MAX_QUERY_CPI_UOPS} in total",
+                        cpi.warmup_uops, cpi.measure_uops
+                    ),
+                };
+            }
         }
         if self.draining() {
             yac_obs::inc(Metric::QueriesDraining);
@@ -2908,6 +2925,37 @@ mod tests {
         // Healing is idempotent: a healthy pool is left alone.
         assert!(!service.heal_pool());
         assert_eq!(service.stats().pool_restarts, 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn oversized_cpi_budgets_are_refused_and_the_service_keeps_answering() {
+        let service = tiny_service();
+        let cancel = Arc::new(AtomicBool::new(false));
+        let budget = |warmup_uops, measure_uops| StudyQuery {
+            chips: 16,
+            cpi: Some(CpiOptions {
+                warmup_uops,
+                measure_uops,
+            }),
+            ..query()
+        };
+        for oversized in [
+            budget(0, 100_000_000_000),
+            budget(MAX_QUERY_CPI_UOPS, 1),
+            budget(u64::MAX, u64::MAX),
+        ] {
+            let reply = service.query(&oversized, &cancel);
+            assert!(
+                matches!(&reply, ServiceReply::Error { message } if message.contains("limit")),
+                "{reply:?}"
+            );
+        }
+        let reply = service.query(&budget(50, 200), &cancel);
+        assert!(
+            matches!(reply, ServiceReply::Result { cached: false, .. }),
+            "{reply:?}"
+        );
         service.shutdown();
     }
 

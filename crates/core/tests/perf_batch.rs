@@ -7,7 +7,9 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use yac_cache::CacheConfig;
-use yac_core::perf::{benchmark_cpi, canonical_l1d, table6, table6_row_order, PerfOptions};
+use yac_core::perf::{
+    benchmark_cpi, canonical_l1d, suite_degradation, table6, table6_row_order, PerfOptions,
+};
 use yac_core::{suite_cpis_isolated, ConstraintSpec, Population, YieldConstraints};
 use yac_obs::Metric;
 use yac_pipeline::PipelineConfig;
@@ -84,6 +86,36 @@ fn table6_cells_equal_serial_benchmark_cpi() {
         }
     }
     assert_eq!(checked, 16, "Table 6 has 16 applicable cells");
+}
+
+/// An L1D that differs from the healthy one in more than its way mask
+/// and latencies — here an H-YAPD repair with one horizontal region
+/// off — is simulated in its own right, bit for bit as serial calls.
+#[test]
+fn h_yapd_degradation_equals_serial_benchmark_cpi() {
+    let _lock = serialized();
+    let opts = small();
+    let pipeline = PipelineConfig::paper();
+    let mut h_yapd = CacheConfig::l1d_paper();
+    h_yapd.disabled_h_region = Some(1);
+    let got = suite_degradation(&h_yapd, &opts);
+
+    let healthy = CacheConfig::l1d_paper();
+    let mut want = Vec::new();
+    for profile in spec2000::all_profiles() {
+        let base = benchmark_cpi(profile.clone(), &healthy, &pipeline, &opts);
+        let repaired = benchmark_cpi(profile.clone(), &h_yapd, &pipeline, &opts);
+        want.push((profile.name, 100.0 * (repaired / base - 1.0)));
+    }
+    assert_eq!(got.per_benchmark.len(), want.len());
+    for (&(name, g), &(want_name, w)) in got.per_benchmark.iter().zip(&want) {
+        assert_eq!(name, want_name);
+        assert_eq!(g.to_bits(), w.to_bits(), "{name}: {g} vs {w}");
+    }
+    assert!(
+        want.iter().any(|&(_, w)| w != 0.0),
+        "the repair must cost something somewhere"
+    );
 }
 
 /// A table simulates each distinct L1D once per benchmark from one
