@@ -132,10 +132,10 @@ use crate::sweep::{
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use yac_obs::{Metric, Phase, TraceCtx, TraceEventKind};
@@ -1023,62 +1023,70 @@ fn handle_stall(
     );
 }
 
-/// The background cache scrubber: a low-priority thread re-verifying
-/// entry CRCs every interval (plus the persisted cache file, when
-/// configured). Stops promptly on signal; also stopped by drop.
-struct Scrubber {
-    stop: Arc<(Mutex<bool>, Condvar)>,
+/// A helper thread that runs `step` until the step returns `None` or
+/// the loop is halted, parking between steps for as long as the step
+/// asks. Halting (also done by drop) sets the stop flag, unparks the
+/// thread and joins it, so it never waits out a park. A failed spawn
+/// leaves no thread and `step` never runs.
+#[derive(Debug)]
+struct ParkedLoop {
+    stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for Scrubber {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scrubber").finish_non_exhaustive()
-    }
-}
-
-impl Scrubber {
-    fn spawn(cache: Arc<Mutex<ResultCache>>, interval: Duration, file: Option<PathBuf>) -> Self {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
+impl ParkedLoop {
+    fn spawn(name: &str, mut step: impl FnMut() -> Option<Duration> + Send + 'static) -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
         let handle = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
-                .name("svc-scrubber".into())
-                .spawn(move || loop {
-                    let (lock, cv) = &*stop;
-                    let guard = lock
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let (guard, _) = cv
-                        .wait_timeout_while(guard, interval.max(Duration::from_millis(1)), |s| !*s)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if *guard {
-                        return;
+                .name(name.into())
+                .spawn(move || {
+                    while !stop.load(Ordering::Acquire) {
+                        match step() {
+                            Some(wait) => std::thread::park_timeout(wait),
+                            None => return,
+                        }
                     }
-                    drop(guard);
-                    scrub_pass(&cache, file.as_deref());
                 })
                 .ok()
         };
-        Scrubber { stop, handle }
+        ParkedLoop { stop, handle }
     }
 
     fn halt(&mut self) {
-        let (lock, cv) = &*self.stop;
-        *lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-        cv.notify_all();
+        self.stop.store(true, Ordering::Release);
         if let Some(handle) = self.handle.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }
 }
 
-impl Drop for Scrubber {
+impl Drop for ParkedLoop {
     fn drop(&mut self) {
         self.halt();
     }
+}
+
+/// The background cache scrubber: a low-priority thread re-verifying
+/// entry CRCs every interval (plus the persisted cache file, when
+/// configured). Stops promptly on halt or drop.
+fn spawn_scrubber(
+    cache: Arc<Mutex<ResultCache>>,
+    interval: Duration,
+    file: Option<PathBuf>,
+) -> ParkedLoop {
+    let interval = interval.max(Duration::from_millis(1));
+    // An interval past the end of time never fires: the thread exits.
+    let mut due = Instant::now().checked_add(interval);
+    ParkedLoop::spawn("svc-scrubber", move || {
+        if Instant::now() >= due? {
+            scrub_pass(&cache, file.as_deref());
+            due = Instant::now().checked_add(interval);
+        }
+        Some(due?.saturating_duration_since(Instant::now()))
+    })
 }
 
 /// One scrub pass: in-memory CRC sweep, then the persisted file (two
@@ -1096,15 +1104,17 @@ fn scrub_pass(cache: &Mutex<ResultCache>, file: Option<&Path>) {
     }
 }
 
-/// RAII decrement of the inflight gauge. Dropping also unparks the
-/// serve loop — a draining service exits the moment the last in-flight
-/// query completes instead of waiting out a poll tick.
+/// RAII decrement of the inflight gauge. Dropping the last slot of a
+/// draining service also wakes the serve loop out of `accept`, so it
+/// exits the moment the last in-flight query completes.
 struct InflightSlot<'a>(&'a SweepService);
 
 impl Drop for InflightSlot<'_> {
     fn drop(&mut self) {
-        self.0.inflight.fetch_sub(1, Ordering::AcqRel);
-        self.0.unpark();
+        // SeqCst pairs with `request_drain`'s store and `wake_now`'s
+        // loads: of a drain and a last slot racing, one sees the other.
+        self.0.inflight.fetch_sub(1, Ordering::SeqCst);
+        self.0.wake();
     }
 }
 
@@ -1119,7 +1129,7 @@ pub struct SweepService {
     pool: Arc<RwLock<StealPool>>,
     registry: Arc<HeartbeatRegistry>,
     sentinel: Mutex<Option<StallSentinel>>,
-    scrubber: Mutex<Option<Scrubber>>,
+    scrubber: Mutex<Option<ParkedLoop>>,
     jobs: JobTable,
     next_job: AtomicU64,
     started: Instant,
@@ -1136,12 +1146,10 @@ pub struct SweepService {
     pool_restarts: AtomicU64,
     draining: AtomicBool,
     shutdown: AtomicBool,
-    /// Parks the serve loop between accepts. The mutex guards nothing
-    /// but the wait itself: wake conditions are re-checked under it in
-    /// [`SweepService::park`], and every signal site takes it in
-    /// [`SweepService::unpark`] before notifying, so a wakeup raced
-    /// against the pre-wait check cannot be lost.
-    parker: (Mutex<()>, Condvar),
+    /// Where [`SweepService::wake`] connects: the address of the
+    /// listener [`serve`] blocks on, recorded before its first check of
+    /// the exit conditions.
+    wake_addr: Mutex<Option<SocketAddr>>,
 }
 
 impl SweepService {
@@ -1181,7 +1189,7 @@ impl SweepService {
             )
         });
         let scrubber = config.scrub_interval.map(|interval| {
-            Scrubber::spawn(Arc::clone(&cache), interval, config.scrub_file.clone())
+            spawn_scrubber(Arc::clone(&cache), interval, config.scrub_file.clone())
         });
         SweepService {
             config,
@@ -1205,7 +1213,7 @@ impl SweepService {
             pool_restarts: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            parker: (Mutex::new(()), Condvar::new()),
+            wake_addr: Mutex::new(None),
         }
     }
 
@@ -1234,7 +1242,7 @@ impl SweepService {
     /// Asks the serve loop (and idle connection handlers) to wind down.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.unpark();
+        self.wake();
     }
 
     /// Whether shutdown has been requested.
@@ -1248,7 +1256,7 @@ impl SweepService {
     /// the last in-flight query completes.
     pub fn request_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
-        self.unpark();
+        self.wake();
     }
 
     /// Whether the service is draining.
@@ -1273,34 +1281,22 @@ impl SweepService {
 
     /// Whether the serve loop has a reason to wake right now.
     fn wake_now(&self) -> bool {
-        self.shutdown_requested() || (self.draining() && self.inflight() == 0)
+        self.shutdown_requested() || (self.draining() && self.inflight.load(Ordering::SeqCst) == 0)
     }
 
-    /// Parks the calling thread until [`SweepService::unpark`] or
-    /// `timeout`, whichever comes first. The wake condition is
-    /// re-checked under the parker lock before waiting, and signal
-    /// sites notify under the same lock, so a signal raised between the
-    /// caller's own check and this wait still wakes it immediately.
-    fn park(&self, timeout: Duration) {
-        let (lock, cv) = &self.parker;
-        let guard = lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if self.wake_now() {
+    /// Unblocks a serve loop waiting in `accept` once it has a reason to
+    /// exit: one loopback `connect` to its listener, dropped unserved.
+    /// Callers set the exit flag before this reads the address, and
+    /// [`serve`] records the address before reading the flags, so the
+    /// loop either sees the flag or gets the connection. A full backlog
+    /// means the loop is accepting anyway, hence the short timeout.
+    fn wake(&self) {
+        if !self.wake_now() {
             return;
         }
-        let _ = cv.wait_timeout(guard, timeout);
-    }
-
-    /// Wakes a parked serve loop (shutdown, drain, or a freed inflight
-    /// slot the drain logic may be waiting on).
-    fn unpark(&self) {
-        let (lock, cv) = &self.parker;
-        drop(
-            lock.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        cv.notify_all();
+        if let Some(addr) = *lock_opt(&self.wake_addr) {
+            let _ = TcpStream::connect_timeout(&addr, IO_TICK);
+        }
     }
 
     /// Stops the sentinel and scrubber, then joins the worker pool. Call
@@ -2358,73 +2354,64 @@ fn send_reply(
 }
 
 /// Watches a query's connection while it computes: raises the query's
-/// cancel flag on client disconnect (peeking a shared-description clone
-/// of the socket, so it consumes nothing the handler will later read)
-/// and, when the query carried a `deadline_ms`, when the deadline
-/// expires — recording which of the two fired.
+/// cancel flag on client disconnect (peeking a non-blocking
+/// shared-description clone of the socket, so it consumes nothing the
+/// handler will later read) and, when the query carried a
+/// `deadline_ms`, when the deadline expires — recording which of the
+/// two fired. Between peeks the watcher parks for [`IO_TICK`] or until
+/// the deadline, whichever is sooner; dropping the monitor unparks and
+/// joins it at once, then puts the socket back into blocking mode.
 ///
 /// A failed clone or spawn degrades gracefully: the query runs
 /// unwatched (no cancel-on-disconnect, no deadline) instead of killing
 /// the connection handler.
-struct ConnMonitor {
-    stop: Arc<AtomicBool>,
+struct ConnMonitor<'a> {
+    stream: &'a TcpStream,
     deadline_hit: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    watcher: ParkedLoop,
 }
 
-impl ConnMonitor {
-    fn spawn(stream: &TcpStream, cancel: Arc<AtomicBool>, deadline: Option<Duration>) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
+impl<'a> ConnMonitor<'a> {
+    fn spawn(stream: &'a TcpStream, cancel: Arc<AtomicBool>, deadline: Option<Duration>) -> Self {
         let deadline_hit = Arc::new(AtomicBool::new(false));
         // The clone is optional: without it the watcher still enforces
         // the deadline, it just cannot see disconnects.
-        let peek_stream = stream.try_clone().ok();
-        let handle = {
-            let stop = Arc::clone(&stop);
-            let deadline_hit = Arc::clone(&deadline_hit);
-            std::thread::Builder::new()
-                .name("svc-conn-watch".into())
-                .spawn(move || {
-                    let started = Instant::now();
-                    let mut byte = [0u8; 1];
-                    while !stop.load(Ordering::Relaxed) {
-                        if deadline.is_some_and(|limit| started.elapsed() >= limit) {
-                            deadline_hit.store(true, Ordering::Relaxed);
-                            cancel.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                        match peek_stream.as_ref().map(|s| s.peek(&mut byte)) {
-                            // No clone: deadline-only watching.
-                            None => std::thread::sleep(IO_TICK),
-                            // Orderly shutdown by the peer.
-                            Some(Ok(0)) => {
-                                cancel.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                            // Pipelined bytes: the client is alive. The
-                            // peek itself blocked up to IO_TICK, so no
-                            // extra nap is needed on this arm or the
-                            // timeout arm.
-                            Some(Ok(_)) => std::thread::sleep(IO_TICK),
-                            Some(Err(e)) if is_would_block(&e) => {}
-                            // A signal interrupted the peek: the peer is
-                            // not gone, retry. Folding this into the arm
-                            // below would cancel live queries spuriously.
-                            Some(Err(e)) if e.kind() == io::ErrorKind::Interrupted => {}
-                            // Reset or any hard error: treat as gone.
-                            Some(Err(_)) => {
-                                cancel.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                    }
-                })
-                .ok()
-        };
+        let peek_stream = stream
+            .try_clone()
+            .ok()
+            .and_then(|s| s.set_nonblocking(true).ok().map(|()| s));
+        let hit = Arc::clone(&deadline_hit);
+        let started = Instant::now();
+        let mut byte = [0u8; 1];
+        let watcher = ParkedLoop::spawn("svc-conn-watch", move || {
+            let left = deadline.map(|limit| limit.saturating_sub(started.elapsed()));
+            if left == Some(Duration::ZERO) {
+                hit.store(true, Ordering::Relaxed);
+                cancel.store(true, Ordering::Relaxed);
+                return None;
+            }
+            match peek_stream.as_ref().map(|s| s.peek(&mut byte)) {
+                // No clone (deadline-only watching), pipelined bytes (the
+                // client is alive), or nothing to read yet.
+                None | Some(Ok(1..)) => {}
+                Some(Err(e)) if is_would_block(&e) => {}
+                // A signal interrupted the peek: the peer is not gone,
+                // retry. Folding this into the arm below would cancel
+                // live queries spuriously.
+                Some(Err(e)) if e.kind() == io::ErrorKind::Interrupted => {}
+                // Orderly shutdown by the peer, a reset or any hard
+                // error: treat as gone.
+                Some(Ok(0) | Err(_)) => {
+                    cancel.store(true, Ordering::Relaxed);
+                    return None;
+                }
+            }
+            Some(left.map_or(IO_TICK, |left| left.min(IO_TICK)))
+        });
         ConnMonitor {
-            stop,
+            stream,
             deadline_hit,
-            handle,
+            watcher,
         }
     }
 
@@ -2435,11 +2422,13 @@ impl ConnMonitor {
     }
 }
 
-impl Drop for ConnMonitor {
+impl Drop for ConnMonitor<'_> {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        self.watcher.halt();
+        // The clone shared its non-blocking flag with the socket; left
+        // set, the frame loop would spin, so failing to clear it closes.
+        if self.stream.set_nonblocking(false).is_err() {
+            let _ = self.stream.shutdown(std::net::Shutdown::Both);
         }
     }
 }
@@ -2485,12 +2474,8 @@ fn handle_connection(stream: TcpStream, service: &Arc<SweepService>) {
         let request = String::from_utf8(payload)
             .map_err(|_| "request is not UTF-8".to_owned())
             .and_then(|text| ServiceRequest::parse(&text));
-        match request {
-            Err(message) => {
-                if send_reply(&mut stream, service, &ServiceReply::Error { message }).is_err() {
-                    return;
-                }
-            }
+        let reply = match request {
+            Err(message) => ServiceReply::Error { message },
             Ok(ServiceRequest::Query { query, deadline_ms }) => {
                 let cancel = Arc::new(AtomicBool::new(false));
                 let started = Instant::now();
@@ -2499,37 +2484,23 @@ fn handle_connection(stream: TcpStream, service: &Arc<SweepService>) {
                     Arc::clone(&cancel),
                     deadline_ms.map(Duration::from_millis),
                 );
-                let mut reply = service.query(&query, &cancel);
+                let reply = service.query(&query, &cancel);
                 let deadline_hit = monitor.deadline_hit();
                 drop(monitor);
                 if deadline_hit && reply == ServiceReply::Cancelled {
-                    reply = ServiceReply::Deadline {
+                    ServiceReply::Deadline {
                         elapsed_ms: started.elapsed().as_millis() as u64,
-                    };
-                }
-                if send_reply(&mut stream, service, &reply).is_err() {
-                    return;
-                }
-            }
-            Ok(ServiceRequest::Stats) => {
-                if send_reply(&mut stream, service, &ServiceReply::Stats(service.stats())).is_err()
-                {
-                    return;
+                    }
+                } else {
+                    reply
                 }
             }
-            Ok(ServiceRequest::Health) => {
-                let reply = ServiceReply::Health(service.health());
-                if send_reply(&mut stream, service, &reply).is_err() {
-                    return;
-                }
-            }
+            Ok(ServiceRequest::Stats) => ServiceReply::Stats(service.stats()),
+            Ok(ServiceRequest::Health) => ServiceReply::Health(service.health()),
             Ok(ServiceRequest::Drain) => {
                 service.request_drain();
-                let reply = ServiceReply::Draining {
+                ServiceReply::Draining {
                     inflight: service.inflight(),
-                };
-                if send_reply(&mut stream, service, &reply).is_err() {
-                    return;
                 }
             }
             Ok(ServiceRequest::Shutdown) => {
@@ -2537,6 +2508,9 @@ fn handle_connection(stream: TcpStream, service: &Arc<SweepService>) {
                 service.request_shutdown();
                 return;
             }
+        };
+        if send_reply(&mut stream, service, &reply).is_err() {
+            return;
         }
     }
 }
@@ -2558,57 +2532,96 @@ fn reject_connection(stream: TcpStream, conns: usize, cap: usize, service: &Swee
     }
 }
 
+/// A handler thread's connection slot. Dropping it (the handler returned
+/// or unwound) frees the slot and pings the serve loop.
+struct ConnSlot {
+    live: Arc<AtomicUsize>,
+    freed: mpsc::SyncSender<()>,
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::SeqCst);
+        // The channel holds one ping: a full one already wakes the loop.
+        let _ = self.freed.try_send(());
+    }
+}
+
 /// Runs the accept loop until [`SweepService::request_shutdown`] (any
 /// connection's `shutdown` op, a completed drain, or the embedding
 /// process). Each connection gets its own handler thread, up to
 /// [`ServiceConfig::max_conns`]; the excess connection is refused with
-/// a best-effort `Busy` frame. All handlers are joined before the loop
-/// returns, so a clean return means no request is still in flight.
+/// a best-effort `Busy` frame. Every handler has finished before the
+/// loop returns, so a clean return means no request is still in flight.
 ///
-/// The loop parks on the service's condvar between accepts (woken by
-/// shutdown, drain, and freed inflight slots) instead of sleep-polling,
-/// bounded by a 25 ms tick for newly arrived connections.
+/// The loop blocks in `accept`, so a new connection is served the
+/// moment it arrives. Shutdown, a drain with nothing in flight and the
+/// last in-flight slot of a drain wake it with one loopback connection
+/// to `listener`'s address (an unspecified `0.0.0.0`/`[::]` maps to
+/// loopback), which is dropped unserved and never counted as rejected.
+/// A connection arriving at the cap waits up to one 20 ms tick for a
+/// slot to free, unless the connection before it was refused too: a
+/// client that closes one connection and opens the next can beat its
+/// old handler to the EOF, while a flood at the cap is refused at once.
 ///
 /// # Errors
 ///
-/// Propagates listener errors other than the nonblocking idle signal.
+/// Propagates listener errors.
 pub fn serve(listener: &TcpListener, service: &Arc<SweepService>) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
+    listener.set_nonblocking(false)?;
+    let mut addr = listener.local_addr()?;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    *lock_opt(&service.wake_addr) = Some(addr);
     let cap = service.config().max_conns.max(1);
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !service.shutdown_requested() {
-        // A drain completes once the last in-flight query finishes; any
-        // still-open idle connections see the shutdown flag within one
-        // IO_TICK and wind down before the joins below return.
-        if service.draining() && service.inflight() == 0 {
-            service.request_shutdown();
-            break;
-        }
+    let live = Arc::new(AtomicUsize::new(0));
+    let (freed_tx, freed) = mpsc::sync_channel(1);
+    let mut refused = false;
+    while !service.wake_now() {
         match listener.accept() {
+            // A wake (or a client racing the exit): dropped unserved.
+            Ok(_) if service.wake_now() => {}
             Ok((stream, _peer)) => {
-                handlers.retain(|h| !h.is_finished());
-                if handlers.len() >= cap {
-                    reject_connection(stream, handlers.len(), cap, service);
+                let grace = Instant::now() + IO_TICK;
+                while !refused
+                    && live.load(Ordering::SeqCst) >= cap
+                    && freed
+                        .recv_timeout(grace.saturating_duration_since(Instant::now()))
+                        .is_ok()
+                {}
+                let conns = live.load(Ordering::SeqCst);
+                refused = conns >= cap;
+                if refused {
+                    reject_connection(stream, conns, cap, service);
                     continue;
                 }
+                live.fetch_add(1, Ordering::SeqCst);
+                let slot = ConnSlot {
+                    live: Arc::clone(&live),
+                    freed: freed_tx.clone(),
+                };
                 let service = Arc::clone(service);
-                handlers.push(
-                    std::thread::Builder::new()
-                        .name("svc-conn".into())
-                        .spawn(move || handle_connection(stream, &service))
-                        .map_err(io::Error::other)?,
-                );
-            }
-            Err(e) if is_would_block(&e) => {
-                handlers.retain(|h| !h.is_finished());
-                service.park(Duration::from_millis(25));
+                std::thread::Builder::new()
+                    .name("svc-conn".into())
+                    .spawn(move || {
+                        let _slot = slot;
+                        handle_connection(stream, &service);
+                    })
+                    .map_err(io::Error::other)?;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    for handle in handlers {
-        let _ = handle.join();
+    // A completed drain becomes a shutdown: still-open idle connections
+    // see the flag within one IO_TICK and wind down before this returns.
+    service.shutdown.store(true, Ordering::SeqCst);
+    while live.load(Ordering::SeqCst) > 0 {
+        let _ = freed.recv();
     }
     Ok(())
 }
@@ -3159,6 +3172,27 @@ mod tests {
             read_frame(&mut r).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+    }
+
+    /// The watcher's clone shares the socket's non-blocking flag, so a
+    /// dropped monitor must clear it: the frame loop's next idle read
+    /// waits out its IO_TICK timeout instead of failing at once.
+    #[test]
+    fn a_dropped_conn_monitor_leaves_the_socket_blocking() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(IO_TICK)).unwrap();
+        let cancel = Arc::new(AtomicBool::new(false));
+        let monitor = ConnMonitor::spawn(&stream, Arc::clone(&cancel), None);
+        std::thread::sleep(Duration::from_millis(30)); // the watcher peeks
+        drop(monitor);
+        let started = Instant::now();
+        let err = (&stream).read(&mut [0u8; 1]).unwrap_err();
+        assert!(is_would_block(&err), "unexpected error: {err}");
+        let waited = started.elapsed();
+        assert!(waited >= Duration::from_millis(10), "waited {waited:?}");
+        assert!(!cancel.load(Ordering::Relaxed), "live client cancelled");
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Overload-hardening tests for the TCP serve loop: slowloris eviction,
-//! the connection cap, graceful drain, and client-supplied query
-//! deadlines. All timing-sensitive checks use generous bounds — the
-//! point is "bounded and typed", not "fast".
+//! the connection cap, graceful drain, client-supplied query deadlines,
+//! and the wakes that unblock a loop waiting in `accept`. Most
+//! timing-sensitive checks use generous bounds — the point is "bounded
+//! and typed" — except the two latency tests, whose bounds sit far
+//! between a loop that reacts at once and one that waits out a tick.
 //!
 //! Assertions read per-service stats, never the process-global metric
 //! registry — other tests in this binary share that registry.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use yac_core::{
-    client_request, serve, ConstraintSpec, ExecutorConfig, PowerDownKind, ServiceConfig,
-    ServiceReply, ServiceRequest, ShardFaultPlan, StudyQuery, SweepService,
+    client_request, read_frame, serve, write_frame, ConstraintSpec, ExecutorConfig, PowerDownKind,
+    ServiceConfig, ServiceReply, ServiceRequest, ShardFaultPlan, StudyQuery, SweepService,
 };
 
 fn small_query(seed: u64) -> StudyQuery {
@@ -245,5 +248,183 @@ fn query_deadlines_cancel_cooperatively_with_a_typed_reply() {
         matches!(reply, ServiceReply::Result { cached: false, .. }),
         "service unhealthy after a deadline cancel: {reply:?}"
     );
+    harness.finish();
+}
+
+/// Runs `serve()` on its own thread and reports its result through a
+/// channel, so a lost wake fails the test (see [`serve_exits`]) instead
+/// of hanging it the way a plain `join` would.
+fn serve_watched(
+    listener: TcpListener,
+    config: ServiceConfig,
+) -> (Arc<SweepService>, mpsc::Receiver<io::Result<()>>) {
+    let service = Arc::new(SweepService::new(config));
+    let (tx, rx) = mpsc::channel();
+    let served = Arc::clone(&service);
+    std::thread::spawn(move || {
+        let _ = tx.send(serve(&listener, &served));
+    });
+    (service, rx)
+}
+
+fn serve_exits(exited: &mpsc::Receiver<io::Result<()>>) {
+    exited
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve() did not return within 10 s: a wake was lost")
+        .expect("serve() failed");
+}
+
+fn quick_config() -> ServiceConfig {
+    ServiceConfig {
+        exec: fast_exec(),
+        max_inflight: 1,
+        cache_bytes: 1 << 20,
+        ..ServiceConfig::default()
+    }
+}
+
+/// `request_shutdown` unblocks a loop that is waiting in `accept` and
+/// has never seen a client; the wake connection is not a rejection.
+#[test]
+fn shutdown_wakes_a_loop_no_client_ever_reached() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let (service, exited) = serve_watched(listener, quick_config());
+    std::thread::sleep(Duration::from_millis(50)); // let it block in accept
+    service.request_shutdown();
+    serve_exits(&exited);
+    assert_eq!(service.stats().rejected, 0, "the wake was counted");
+}
+
+/// A drain with nothing in flight ends the loop at once, turning into
+/// a shutdown so idle handlers wind down too.
+#[test]
+fn drain_with_nothing_in_flight_wakes_the_loop() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let (service, exited) = serve_watched(listener, quick_config());
+    std::thread::sleep(Duration::from_millis(50));
+    service.request_drain();
+    serve_exits(&exited);
+    assert!(
+        service.shutdown_requested(),
+        "a finished drain must shut down"
+    );
+}
+
+/// A drain requested while a miss computes keeps the loop alive until
+/// that query's slot frees, and the freed slot is what wakes it.
+#[test]
+fn drain_during_a_miss_exits_once_the_slot_frees() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (service, exited) = serve_watched(
+        listener,
+        ServiceConfig {
+            // Every shard fails twice and backs off 100 ms: the miss
+            // takes well over 200 ms.
+            exec: slow_exec(2, 100),
+            ..quick_config()
+        },
+    );
+    let client = std::thread::spawn(move || {
+        let request = ServiceRequest::Query {
+            query: small_query(61),
+            deadline_ms: None,
+        };
+        client_request(&addr, &request)
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.inflight() == 0 {
+        assert!(Instant::now() < deadline, "the miss never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    service.request_drain();
+    assert!(
+        matches!(exited.try_recv(), Err(TryRecvError::Empty)),
+        "serve() exited with a query in flight"
+    );
+    let (reply, _) = client.join().unwrap().unwrap();
+    assert!(
+        matches!(reply, ServiceReply::Result { cached: false, .. }),
+        "the in-flight miss must finish: {reply:?}"
+    );
+    serve_exits(&exited);
+    assert_eq!(service.inflight(), 0, "drain leaked a slot");
+}
+
+/// A listener bound to the unspecified address is woken through
+/// loopback. With the only handler slot taken, a wake that reached the
+/// connection cap would be refused and counted; it must be neither.
+#[test]
+fn a_wildcard_listener_is_woken_through_loopback() {
+    let listener = TcpListener::bind("0.0.0.0:0").unwrap();
+    let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
+    let (service, exited) = serve_watched(
+        listener,
+        ServiceConfig {
+            max_conns: 1,
+            ..quick_config()
+        },
+    );
+    let held = TcpStream::connect(&addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.stats().rejected == 0 {
+        assert!(Instant::now() < deadline, "no refusal before the deadline");
+        let _ = client_request(&addr, &ServiceRequest::Stats);
+    }
+    let rejected = service.stats().rejected;
+    service.request_shutdown();
+    serve_exits(&exited);
+    assert_eq!(service.stats().rejected, rejected, "the wake was refused");
+    drop(held);
+}
+
+/// Fresh connections are served as they arrive, not on the next poll
+/// tick: an accept loop that waited out a 25 ms tick per connection
+/// would need about a second for these 40 one-shot round trips.
+#[test]
+fn fresh_connections_do_not_wait_out_a_tick() {
+    let harness = start(quick_config());
+    client_request(&harness.addr, &ServiceRequest::Stats).unwrap();
+    let started = Instant::now();
+    for _ in 0..40 {
+        let (reply, _) = client_request(&harness.addr, &ServiceRequest::Stats).unwrap();
+        assert!(matches!(reply, ServiceReply::Stats(_)), "{reply:?}");
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "40 round trips took {took:?}"
+    );
+    harness.finish();
+}
+
+/// Queries on one open connection do not wait for the connection
+/// monitor: finishing a query must not join a watcher that sits out
+/// its 20 ms tick, which would cost these 100 cache hits over a second.
+#[test]
+fn monitored_queries_do_not_wait_for_their_watcher() {
+    let harness = start(quick_config());
+    let request = ServiceRequest::Query {
+        query: small_query(71),
+        deadline_ms: None,
+    };
+    let (reply, _) = client_request(&harness.addr, &request).unwrap();
+    assert!(matches!(reply, ServiceReply::Result { .. }), "{reply:?}");
+    let mut conn = TcpStream::connect(&harness.addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    let frame = request.to_json();
+    let started = Instant::now();
+    for _ in 0..100 {
+        write_frame(&mut conn, frame.as_bytes()).unwrap();
+        let text = String::from_utf8(read_frame(&mut conn).unwrap().unwrap()).unwrap();
+        let reply = ServiceReply::parse(&text).unwrap();
+        assert!(
+            matches!(reply, ServiceReply::Result { cached: true, .. }),
+            "{reply:?}"
+        );
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(500), "100 hits took {took:?}");
+    drop(conn);
     harness.finish();
 }
