@@ -51,7 +51,8 @@ pub enum IoSite {
     CheckpointRename,
     /// One appended line of a sweep journal (payload + fsync).
     SweepJournal,
-    /// A service result-cache file write (full rewrite + fsync).
+    /// A service result-cache file save: the temp-file write (payload +
+    /// fsync) and the rename publishing it (+ parent-dir fsync).
     CacheFile,
 }
 

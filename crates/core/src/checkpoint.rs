@@ -13,25 +13,30 @@
 //! Chips are computed per-index from the same SplitMix64 stream as
 //! [`crate::Population::generate_with`], with the same fault isolation.
 //!
-//! # Format v2
+//! # Format v3
 //!
-//! Version 2 (written by everything since the supervised executor landed)
-//! extends v1 in two ways, and v1 files still parse:
+//! A `crc_log` snapshot (the line format shared with the sweep journal
+//! and the result cache): every line carries its own
+//! ` CRC xxxxxxxx` trailer, and the file is published whole by an atomic
+//! rewrite, so a torn write or a bit-rotted line is rejected as
+//! [`StudyError::Corrupt`] instead of resuming from silently wrong state.
+//! After the `seed`/`chips`/`done` header lines come the records:
 //!
-//! * **Shard records.** `S start len` marks a completed shard and
-//!   `D start len attempts error` a degraded one, so a killed *parallel*
-//!   run ([`crate::executor::run_checkpointed_workers`]) resumes at shard
+//! * `C index <results>` — one completed chip evaluation;
+//! * `Q index seed error` — one quarantined chip;
+//! * `S start len` / `D start len attempts error` — a completed or
+//!   degraded shard, so a killed *parallel* run
+//!   ([`crate::executor::run_checkpointed_workers`]) resumes at shard
 //!   granularity without recomputing finished shards. For shard-granular
 //!   checkpoints `done` counts the chips covered by recorded shards (not
 //!   necessarily a contiguous prefix).
-//! * **A CRC32 trailer.** The final line `CRC xxxxxxxx` holds the IEEE
-//!   CRC32 of every preceding byte (up to and including the `END` line's
-//!   newline); [`parse_checkpoint`] verifies it, so a torn write or
-//!   bit-rotted file is rejected as [`StudyError::Corrupt`] instead of
-//!   resuming from silently wrong state. The temp file is `sync_all`ed
-//!   before the rename, making the write-then-rename durable.
+//!
+//! A final `END` line marks the file complete, so a file cut exactly at
+//! a line boundary — every remaining line intact — is still refused.
+//! Files from earlier versions are refused as corrupt at line 1.
 
 use crate::chip::{evaluate_isolated, ChipSample, Population, PopulationConfig};
+use crate::crc_log::{self, crc_line, Policy};
 use crate::quarantine::QuarantineLedger;
 use std::fmt;
 use std::path::Path;
@@ -39,29 +44,29 @@ use yac_circuit::{CacheCircuitResult, WayCircuitResult};
 use yac_variation::{ConfigError, MonteCarlo};
 
 /// Format version tag; bump when the line layout changes.
-const MAGIC: &str = "YAC-CHECKPOINT v2";
-/// The previous format (no shard records, no CRC trailer); still parsed.
-const MAGIC_V1: &str = "YAC-CHECKPOINT v1";
+const MAGIC: &str = "YAC-CHECKPOINT v3";
 
-/// An error from the checkpointed-study machinery.
+/// An error from the checkpointed-study machinery and the durable files
+/// it shares its line format with (sweep journal, result cache).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StudyError {
-    /// The checkpoint file could not be read or written.
+    /// A durable file could not be read or written.
     Io {
         /// The path involved.
         path: String,
         /// The underlying I/O error message.
         message: String,
     },
-    /// The checkpoint file does not parse (or fails its CRC).
+    /// A durable file does not parse (or fails its CRC).
     Corrupt {
         /// 1-based line number of the offending line.
         line: usize,
         /// What was wrong with it.
         what: String,
     },
-    /// The checkpoint belongs to a different study (seed, chip count or
-    /// shard layout disagree with the configuration).
+    /// A durable file belongs to a different study or grid (seed, chip
+    /// count, shard layout or grid fingerprint disagree with the
+    /// configuration), or the request itself is inconsistent.
     Mismatch(String),
     /// The study configuration itself is invalid.
     Config(ConfigError),
@@ -83,11 +88,9 @@ pub enum StudyError {
 impl fmt::Display for StudyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StudyError::Io { path, message } => write!(f, "checkpoint {path}: {message}"),
-            StudyError::Corrupt { line, what } => {
-                write!(f, "corrupt checkpoint at line {line}: {what}")
-            }
-            StudyError::Mismatch(what) => write!(f, "checkpoint mismatch: {what}"),
+            StudyError::Io { path, message } => write!(f, "I/O error on {path}: {message}"),
+            StudyError::Corrupt { line, what } => write!(f, "corrupt file at line {line}: {what}"),
+            StudyError::Mismatch(what) => f.write_str(what),
             StudyError::Config(e) => write!(f, "invalid study configuration: {e}"),
             StudyError::Degraded { missing, requested } => write!(
                 f,
@@ -99,6 +102,16 @@ impl fmt::Display for StudyError {
 }
 
 impl std::error::Error for StudyError {}
+
+impl StudyError {
+    /// An [`StudyError::Io`] for `path`.
+    pub(crate) fn io(path: &Path, e: std::io::Error) -> Self {
+        StudyError::Io {
+            path: path.display().to_string(),
+            message: e.to_string(),
+        }
+    }
+}
 
 /// What became of one shard of a supervised parallel run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,7 +127,7 @@ pub enum ShardStatus {
     },
 }
 
-/// One shard's outcome, as persisted in a v2 checkpoint.
+/// One shard's outcome, as persisted in a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRecord {
     /// First chip index of the shard.
@@ -164,20 +177,6 @@ impl CheckpointState {
     pub fn is_complete(&self) -> bool {
         self.done >= self.chips
     }
-}
-
-/// IEEE CRC32 (the zlib/PNG polynomial), bitwise. Shared with the sweep
-/// journal, whose records carry the same trailer.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 fn f64_hex(v: f64) -> String {
@@ -276,127 +275,78 @@ fn parse_result<'a>(
     })
 }
 
-/// Serialises a state to the (v2) checkpoint text format.
+/// Serialises a state to the (v3) checkpoint text format.
 #[must_use]
 pub fn render_checkpoint(state: &CheckpointState) -> String {
-    use fmt::Write;
     let mut out = String::new();
-    let _ = writeln!(out, "{MAGIC}");
-    let _ = writeln!(out, "seed {:016x}", state.seed);
-    let _ = writeln!(out, "chips {}", state.chips);
-    let _ = writeln!(out, "done {}", state.done);
+    let mut line = |body: &str| out.push_str(&crc_line(body));
+    line(MAGIC);
+    line(&format!("seed {:016x}", state.seed));
+    line(&format!("chips {}", state.chips));
+    line(&format!("done {}", state.done));
     for chip in &state.completed {
-        let mut line = format!("C {}", chip.index);
-        push_result(&mut line, &chip.regular);
-        push_result(&mut line, &chip.horizontal);
-        let _ = writeln!(out, "{line}");
+        let mut record = format!("C {}", chip.index);
+        push_result(&mut record, &chip.regular);
+        push_result(&mut record, &chip.horizontal);
+        line(&record);
     }
     for q in state.quarantine.entries() {
-        let _ = writeln!(
-            out,
+        line(&format!(
             "Q {} {:016x} {}",
             q.index,
             q.seed,
             q.error.replace('\n', " ")
-        );
+        ));
     }
     for s in &state.shards {
         match &s.status {
-            ShardStatus::Done => {
-                let _ = writeln!(out, "S {} {}", s.start, s.len);
-            }
-            ShardStatus::Degraded { attempts, error } => {
-                let _ = writeln!(
-                    out,
-                    "D {} {} {} {}",
-                    s.start,
-                    s.len,
-                    attempts,
-                    error.replace('\n', " ")
-                );
-            }
+            ShardStatus::Done => line(&format!("S {} {}", s.start, s.len)),
+            ShardStatus::Degraded { attempts, error } => line(&format!(
+                "D {} {} {} {}",
+                s.start,
+                s.len,
+                attempts,
+                error.replace('\n', " ")
+            )),
         }
     }
-    let _ = writeln!(out, "END");
-    let _ = writeln!(out, "CRC {:08x}", crc32(out.as_bytes()));
+    line("END");
     out
 }
 
-/// Verifies the `CRC xxxxxxxx` trailer of a v2 checkpoint and returns the
-/// covered body (everything up to and including the `END` line).
-fn split_crc_trailer(text: &str) -> Result<&str, StudyError> {
-    let last_line = text.lines().count();
-    let corrupt = |what: &str| StudyError::Corrupt {
-        line: last_line,
-        what: what.to_string(),
-    };
-    let stripped = text
-        .strip_suffix('\n')
-        .ok_or_else(|| corrupt("missing trailing newline"))?;
-    let (body, trailer) = stripped
-        .rsplit_once('\n')
-        .ok_or_else(|| corrupt("missing CRC trailer"))?;
-    let hex = trailer
-        .strip_prefix("CRC ")
-        .ok_or_else(|| corrupt("expected CRC trailer"))?;
-    let stated = u32::from_str_radix(hex, 16).map_err(|_| corrupt("bad CRC digits"))?;
-    let covered = &text[..body.len() + 1];
-    let actual = crc32(covered.as_bytes());
-    if actual != stated {
-        return Err(corrupt(&format!(
-            "CRC mismatch: stated {stated:08x}, computed {actual:08x} \
-             (torn write or bit rot)"
-        )));
-    }
-    Ok(covered)
-}
-
-/// Parses the checkpoint text format back into a state.
-///
-/// Both the current v2 format (with shard records and a CRC32 trailer)
-/// and the legacy v1 format are accepted.
+/// Parses the checkpoint format back into a state. Takes raw file bytes
+/// (or text): a line that is not valid UTF-8 fails its CRC like any
+/// other rot.
 ///
 /// # Errors
 ///
 /// Returns [`StudyError::Corrupt`] naming the offending line — including
-/// a failed CRC check, which rejects torn or bit-rotted v2 files.
-pub fn parse_checkpoint(text: &str) -> Result<CheckpointState, StudyError> {
-    let magic = text.lines().next().ok_or(StudyError::Corrupt {
-        line: 1,
-        what: "empty file".to_string(),
-    })?;
-    match magic {
-        MAGIC => parse_body(split_crc_trailer(text)?, 2),
-        MAGIC_V1 => parse_body(text, 1),
-        _ => Err(StudyError::Corrupt {
-            line: 1,
-            what: "bad magic".to_string(),
-        }),
-    }
-}
-
-fn parse_body(text: &str, version: u8) -> Result<CheckpointState, StudyError> {
-    let mut lines = text.lines().enumerate();
+/// a failed line CRC, which rejects torn or bit-rotted files, and line 1
+/// for a file of an earlier format version.
+pub fn parse_checkpoint(text: impl AsRef<[u8]>) -> Result<CheckpointState, StudyError> {
+    let log = crc_log::parse(text.as_ref(), MAGIC, Policy::Snapshot)?;
+    let last_line = log.records.last().map_or(1, |&(n, _)| n);
+    let mut lines = log.records.into_iter();
     let corrupt = |line: usize, what: &str| StudyError::Corrupt {
         line,
         what: what.to_string(),
     };
-    lines.next(); // The magic line, already verified by the caller.
 
-    let mut header = |name: &str| -> Result<String, StudyError> {
-        let (n, l) = lines.next().ok_or_else(|| corrupt(0, "truncated header"))?;
+    let mut header = |name: &str| -> Result<(usize, &str), StudyError> {
+        let (n, l) = lines
+            .next()
+            .ok_or_else(|| corrupt(last_line, "truncated header"))?;
         l.strip_prefix(name)
             .and_then(|v| v.strip_prefix(' '))
-            .map(str::to_string)
-            .ok_or_else(|| corrupt(n + 1, &format!("expected {name} header")))
+            .map(|v| (n, v))
+            .ok_or_else(|| corrupt(n, &format!("expected {name} header")))
     };
-    let seed = u64::from_str_radix(&header("seed")?, 16).map_err(|_| corrupt(2, "bad seed"))?;
-    let chips = header("chips")?
-        .parse()
-        .map_err(|_| corrupt(3, "bad chip count"))?;
-    let done = header("done")?
-        .parse()
-        .map_err(|_| corrupt(4, "bad done count"))?;
+    let (n, seed) = header("seed")?;
+    let seed = u64::from_str_radix(seed, 16).map_err(|_| corrupt(n, "bad seed"))?;
+    let (n, chips) = header("chips")?;
+    let chips = chips.parse().map_err(|_| corrupt(n, "bad chip count"))?;
+    let (n, done) = header("done")?;
+    let done = done.parse().map_err(|_| corrupt(n, "bad done count"))?;
 
     let mut state = CheckpointState {
         seed,
@@ -407,8 +357,7 @@ fn parse_body(text: &str, version: u8) -> Result<CheckpointState, StudyError> {
         shards: Vec::new(),
     };
     let mut ended = false;
-    for (n, l) in lines {
-        let line = n + 1;
+    for (line, l) in lines {
         if ended {
             return Err(corrupt(line, "content after END"));
         }
@@ -443,8 +392,7 @@ fn parse_body(text: &str, version: u8) -> Result<CheckpointState, StudyError> {
             // when first quarantined; re-parsing the checkpoint on resume
             // must not count them again.
             state.quarantine.record_unobserved(index, q_seed, error);
-        } else if version >= 2 && l.starts_with("S ") {
-            let rest = &l[2..];
+        } else if let Some(rest) = l.strip_prefix("S ") {
             let mut tokens = rest.split_ascii_whitespace();
             let start = take(&mut tokens, line)?
                 .parse()
@@ -458,8 +406,7 @@ fn parse_body(text: &str, version: u8) -> Result<CheckpointState, StudyError> {
                 len,
                 status: ShardStatus::Done,
             });
-        } else if version >= 2 && l.starts_with("D ") {
-            let rest = &l[2..];
+        } else if let Some(rest) = l.strip_prefix("D ") {
             let mut tokens = rest.splitn(4, ' ');
             let start = take(&mut tokens, line)?
                 .parse()
@@ -479,65 +426,23 @@ fn parse_body(text: &str, version: u8) -> Result<CheckpointState, StudyError> {
         }
     }
     if !ended {
-        return Err(corrupt(text.lines().count(), "missing END marker"));
+        return Err(corrupt(last_line, "missing END marker"));
     }
     Ok(state)
 }
 
 pub(crate) fn read_state(path: &Path) -> Result<Option<CheckpointState>, StudyError> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => parse_checkpoint(&text).map(Some),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(StudyError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Syncs `path`'s parent directory, making a just-renamed entry durable
-/// (on Unix a rename lives in the directory, which has its own cache).
-pub(crate) fn fsync_parent(path: &Path) -> std::io::Result<()> {
-    if cfg!(unix) {
-        if let Some(parent) = path.parent() {
-            let dir = if parent.as_os_str().is_empty() {
-                Path::new(".")
-            } else {
-                parent
-            };
-            std::fs::File::open(dir)?.sync_all()?;
-        }
-    }
-    Ok(())
+    crc_log::read(path)?.map(parse_checkpoint).transpose()
 }
 
 pub(crate) fn write_state(path: &Path, state: &CheckpointState) -> Result<(), StudyError> {
-    let io_err = |e: std::io::Error| StudyError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    };
-    // Write, sync, rename, then sync the parent directory: a kill
-    // mid-write leaves the previous checkpoint intact, the file fsync
-    // makes sure the rename cannot publish data still in the page cache,
-    // and the directory fsync makes the rename itself survive power loss.
-    let tmp = path.with_extension("tmp");
-    crate::chaos::intercept_write(
+    // A kill mid-write leaves the previous checkpoint intact.
+    crc_log::rewrite(
+        path,
+        &render_checkpoint(state),
         crate::chaos::IoSite::Checkpoint,
-        &tmp,
-        render_checkpoint(state).as_bytes(),
-        |bytes| {
-            use std::io::Write;
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(bytes)?;
-            file.sync_all()
-        },
-    )
-    .map_err(io_err)?;
-    crate::chaos::intercept_write(crate::chaos::IoSite::CheckpointRename, path, &[], |_| {
-        std::fs::rename(&tmp, path)?;
-        fsync_parent(path)
-    })
-    .map_err(io_err)?;
+        crate::chaos::IoSite::CheckpointRename,
+    )?;
     yac_obs::inc(yac_obs::Metric::CheckpointsWritten);
     yac_obs::trace_instant(
         yac_obs::TraceEventKind::CheckpointWritten,
@@ -687,13 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_the_standard_check_value() {
-        // The IEEE CRC32 check value for "123456789" (ITU-T V.42 / zlib).
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn checkpoint_text_roundtrips_exactly() {
         let cfg = small_config(6, 11);
         let mc = MonteCarlo::new(cfg.variation);
@@ -721,47 +619,50 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_still_parse() {
-        let cfg = small_config(4, 11);
-        let mc = MonteCarlo::new(cfg.variation);
-        let mut state = CheckpointState::fresh(11, 4);
-        advance(&mut state, &cfg, &mc, 4);
-        // Reconstruct the v1 text: v2 body minus the CRC trailer, with
-        // the old magic.
-        let v2 = render_checkpoint(&state);
-        let body = split_crc_trailer(&v2).unwrap();
-        let v1 = body.replacen(MAGIC, MAGIC_V1, 1);
-        let parsed = parse_checkpoint(&v1).unwrap();
-        assert_eq!(parsed, state);
-        // ... but v1 must not smuggle in v2 shard records.
-        let with_shard = v1.replace("END\n", "S 0 4\nEND\n");
-        assert!(matches!(
-            parse_checkpoint(&with_shard),
-            Err(StudyError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
     fn corrupt_checkpoints_are_rejected_with_line_numbers() {
         assert!(matches!(
             parse_checkpoint("not a checkpoint\n"),
             Err(StudyError::Corrupt { line: 1, .. })
         ));
         let good = render_checkpoint(&CheckpointState::fresh(1, 2));
-        // Dropping the END line invalidates the CRC.
-        let truncated = good.replace("END\n", "");
+        // Dropping the END line leaves every other line intact.
+        let truncated = good.replace(&crc_line("END"), "");
         assert!(matches!(
             parse_checkpoint(&truncated),
             Err(StudyError::Corrupt { .. })
         ));
         let garbled = good.replace("END", "X 1 2");
         assert!(parse_checkpoint(&garbled).is_err());
-        // Chopping off the CRC trailer is detected too.
-        let lines: Vec<&str> = good.lines().collect();
-        let no_crc = format!("{}\n", lines[..lines.len() - 1].join("\n"));
+    }
+
+    #[test]
+    fn a_file_cut_at_a_line_boundary_before_end_is_corrupt() {
+        let cfg = small_config(3, 23);
+        let mc = MonteCarlo::new(cfg.variation);
+        let mut state = CheckpointState::fresh(23, 3);
+        advance(&mut state, &cfg, &mc, 3);
+        let good = render_checkpoint(&state);
+        let lines: Vec<&str> = good.split_inclusive('\n').collect();
+        // Every proper prefix of whole lines is refused, END or not.
+        for keep in 1..lines.len() {
+            let cut = lines[..keep].concat();
+            let err = parse_checkpoint(&cut).unwrap_err();
+            assert!(
+                matches!(&err, StudyError::Corrupt { line, .. } if *line == keep),
+                "cut after {keep} lines: {err}"
+            );
+        }
+        assert_eq!(parse_checkpoint(&good).unwrap(), state);
+    }
+
+    #[test]
+    fn an_earlier_format_version_is_refused_at_line_one() {
+        // A v2 checkpoint: plain lines, one whole-file CRC trailer.
+        let body = "YAC-CHECKPOINT v2\nseed 0000000000000001\nchips 2\ndone 0\nEND\n";
+        let v2 = format!("{body}CRC {:08x}\n", crc_log::crc32(body.as_bytes()));
         assert!(matches!(
-            parse_checkpoint(&no_crc),
-            Err(StudyError::Corrupt { .. })
+            parse_checkpoint(&v2),
+            Err(StudyError::Corrupt { line: 1, .. })
         ));
     }
 

@@ -39,6 +39,7 @@ pub mod classify;
 pub mod client;
 pub mod confidence;
 pub mod constraints;
+mod crc_log;
 pub mod economics;
 pub mod executor;
 pub mod health;

@@ -74,12 +74,13 @@
 //! # Cache persistence (`YAC-CACHE v1`)
 //!
 //! [`ResultCache::save`] writes the cache as CRC-trailed lines (the
-//! sweep journal's discipline): a magic line, then one `E <key>
-//! <record>` line per entry in ascending recency, so LRU order survives
-//! a round trip. The write runs through the chaos layer
-//! ([`IoSite::CacheFile`]) and is fully rewritten each time; a torn or
-//! rotted file is refused as [`StudyError::Corrupt`] on load — the cache
-//! is an optimisation, never a source of silent corruption. A cold cache
+//! line format of the sweep journal and the checkpoint): a magic line,
+//! then one `E <key> <record>` line per entry in ascending recency, so
+//! LRU order survives a round trip. Each save atomically rewrites the
+//! whole file (temp file, fsync, rename, parent fsync) through the chaos
+//! layer ([`IoSite::CacheFile`]); a torn or rotted file is refused as
+//! [`StudyError::Corrupt`] on load — the cache is an optimisation, never
+//! a source of silent corruption. A cold cache
 //! can also be warmed from a completed sweep journal
 //! ([`ResultCache::warm_from_journal`]), re-keying each `Completed`
 //! record by its cell's query fingerprint.
@@ -114,10 +115,11 @@
 //! service.shutdown();
 //! ```
 
-use crate::chaos::{intercept_write, ChaosStream, IoSite, NetSite};
-use crate::checkpoint::{crc32, fsync_parent, StudyError};
+use crate::chaos::{ChaosStream, IoSite, NetSite};
+use crate::checkpoint::StudyError;
 use crate::chip::PopulationConfig;
 use crate::constraints::ConstraintSpec;
+use crate::crc_log::{self, crc32, crc_line, Policy};
 use crate::executor::{
     collect_shards, shards_for, submit_shard, Collected, ExecutorConfig, MergedShards, ShardJob,
     ShardMsg, ShardSpec,
@@ -126,8 +128,8 @@ use crate::health::{HealthConfig, HeartbeatRegistry, StallEvent, StallSentinel};
 use crate::schemes::PowerDownKind;
 use crate::stealing::StealPool;
 use crate::sweep::{
-    check_crc_line, crc_line, parse_journal, parse_result, render_result,
-    study_result_from_outcome, CpiOptions, StudySpec, StudyStatus, SweepConfig, SweepGrid,
+    parse_journal, parse_result, render_result, study_result_from_outcome, CpiOptions, StudySpec,
+    StudyStatus, SweepConfig, SweepGrid,
 };
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
@@ -138,6 +140,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use yac_obs::json::{json_string, FlatObject};
 use yac_obs::{Metric, Phase, TraceCtx, TraceEventKind};
 use yac_variation::MonteCarlo;
 
@@ -424,13 +427,10 @@ impl ResultCache {
     /// optimisation, and load-time strictness already refuses corrupt
     /// files wholesale.
     pub fn scrub_file(&mut self, path: &Path) -> usize {
-        let Ok(text) = std::fs::read_to_string(path) else {
+        let Ok(bytes) = std::fs::read(path) else {
             return 0;
         };
-        let rotted = text
-            .lines()
-            .filter(|line| check_crc_line(line).is_none())
-            .count();
+        let rotted = crc_log::bad_lines(&bytes);
         if rotted == 0 {
             return 0;
         }
@@ -513,17 +513,11 @@ impl ResultCache {
         }
     }
 
-    fn io_err(path: &Path, e: io::Error) -> StudyError {
-        StudyError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        }
-    }
-
     /// Persists the cache to `path` in `YAC-CACHE v1` format: CRC-trailed
     /// lines, entries in ascending recency so a load replays them in LRU
-    /// order. One full rewrite through the chaos layer
-    /// ([`IoSite::CacheFile`]), fsynced file and parent.
+    /// order. One atomic rewrite (temp file, fsync, rename, parent
+    /// fsync), both steps through the chaos layer at
+    /// [`IoSite::CacheFile`].
     ///
     /// Entries that fail their own CRC are silently skipped: persisting
     /// a rotted record would either poison the file's strict load (a
@@ -546,48 +540,28 @@ impl ResultCache {
             let record = String::from_utf8_lossy(&entry.record);
             text.push_str(&crc_line(&format!("E {key:016x} {record}")));
         }
-        intercept_write(IoSite::CacheFile, path, text.as_bytes(), |bytes| {
-            let mut f = std::fs::File::create(path)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-            fsync_parent(path)
-        })
-        .map_err(|e| Self::io_err(path, e))
+        crc_log::rewrite(path, &text, IoSite::CacheFile, IoSite::CacheFile)
     }
 
     /// Loads a cache persisted by [`ResultCache::save`]. `Ok(None)` when
     /// no file exists (a cold start). Unlike the append-only sweep
-    /// journal, the cache file is rewritten whole, so *any* CRC failure
-    /// — torn tail included — is refused as corrupt; the caller discards
-    /// the file and starts cold.
+    /// journal, the cache file is rewritten whole, so *any* bad line —
+    /// torn tail, bit rot or bytes that are not UTF-8 — is refused as
+    /// corrupt; the caller discards the file and starts cold.
     ///
     /// # Errors
     ///
     /// [`StudyError::Io`] when the file cannot be read;
-    /// [`StudyError::Corrupt`] for CRC failures, a bad magic or
-    /// malformed entry lines.
+    /// [`StudyError::Corrupt`] for CRC failures, a bad magic, an empty
+    /// file or malformed entry lines.
     pub fn load(path: &Path, budget: usize) -> Result<Option<ResultCache>, StudyError> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(Self::io_err(path, e)),
+        let Some(bytes) = crc_log::read(path)? else {
+            return Ok(None);
         };
+        let log = crc_log::parse(&bytes, CACHE_MAGIC, Policy::Snapshot)?;
         let mut cache = ResultCache::new(budget);
-        for (lineno, line) in text.lines().enumerate() {
-            let line_number = lineno + 1;
-            let corrupt = |what: String| StudyError::Corrupt {
-                line: line_number,
-                what,
-            };
-            let Some(body) = check_crc_line(line) else {
-                return Err(corrupt("cache line fails its CRC".into()));
-            };
-            if line_number == 1 {
-                if body != CACHE_MAGIC {
-                    return Err(corrupt(format!("bad cache magic {body:?}")));
-                }
-                continue;
-            }
+        for (line, body) in log.records {
+            let corrupt = |what: String| StudyError::Corrupt { line, what };
             let rest = body
                 .strip_prefix("E ")
                 .ok_or_else(|| corrupt(format!("unknown cache record {body:?}")))?;
@@ -598,14 +572,8 @@ impl ResultCache {
                 .map_err(|_| corrupt(format!("bad cache key {key_hex:?}")))?;
             // Parse and re-render: refuses malformed records and pins the
             // stored text to the canonical rendering.
-            let result = parse_result(record, line_number)?;
+            let result = parse_result(record, line)?;
             cache.insert(key, render_result(&result));
-        }
-        if text.is_empty() {
-            return Err(StudyError::Corrupt {
-                line: 1,
-                what: "cache file is empty (missing magic)".into(),
-            });
         }
         Ok(Some(cache))
     }
@@ -637,22 +605,12 @@ impl ResultCache {
                     .into(),
             ));
         }
-        let text = std::fs::read_to_string(path).map_err(|e| Self::io_err(path, e))?;
-        let Some(journal) = parse_journal(&text)? else {
+        let bytes = std::fs::read(path).map_err(|e| StudyError::io(path, e))?;
+        let Some(journal) = parse_journal(bytes)? else {
             return Ok(0); // Headerless journal: nothing durable to warm from.
         };
         let specs = grid.studies();
-        let fingerprint = grid.fingerprint(config);
-        if journal.grid_hash != fingerprint || journal.studies != specs.len() {
-            return Err(StudyError::Mismatch(format!(
-                "sweep journal belongs to a different grid \
-                 (journal {:016x}/{} studies, this grid {:016x}/{})",
-                journal.grid_hash,
-                journal.studies,
-                fingerprint,
-                specs.len()
-            )));
-        }
+        journal.check_grid(grid.fingerprint(config), specs.len())?;
         let mut warmed = 0;
         for (index, status) in &journal.terminal {
             if let StudyStatus::Completed(result) = status {
@@ -1606,224 +1564,9 @@ impl SweepService {
 }
 
 // ---------------------------------------------------------------------
-// Flat JSON encoding
+// Wire JSON: flat objects of scalars, written and read with
+// `yac_obs::json`.
 // ---------------------------------------------------------------------
-//
-// The protocol needs exactly flat objects of scalars, so the codec is
-// ~100 lines here instead of a dependency: an escaping writer and a
-// recursive-descent parser for one object of string/number/bool/null
-// values. Numbers are kept as raw token text until a typed accessor
-// parses them, so `u64` seeds survive without an `f64` round trip.
-
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// One scalar value in a flat JSON object.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonScalar {
-    Str(String),
-    /// Raw number token, parsed on demand by the typed accessors.
-    Num(String),
-    Bool(bool),
-    Null,
-}
-
-/// A parsed flat JSON object with typed, diagnostic-bearing accessors.
-#[derive(Debug)]
-struct FlatObject {
-    fields: Vec<(String, JsonScalar)>,
-}
-
-impl FlatObject {
-    fn get(&self, key: &str) -> Option<&JsonScalar> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn str(&self, key: &str) -> Result<&str, String> {
-        match self.get(key) {
-            Some(JsonScalar::Str(s)) => Ok(s),
-            Some(_) => Err(format!("field {key:?} is not a string")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, String> {
-        match self.get(key) {
-            Some(JsonScalar::Num(raw)) => raw
-                .parse()
-                .map_err(|_| format!("field {key:?} is not an unsigned integer")),
-            Some(_) => Err(format!("field {key:?} is not a number")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
-
-    fn usize(&self, key: &str) -> Result<usize, String> {
-        self.u64(key).map(|v| v as usize)
-    }
-
-    fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(_) => self.u64(key).map(Some),
-        }
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, String> {
-        match self.get(key) {
-            Some(JsonScalar::Bool(b)) => Ok(*b),
-            Some(_) => Err(format!("field {key:?} is not a bool")),
-            None => Err(format!("missing field {key:?}")),
-        }
-    }
-
-    fn opt_bool(&self, key: &str) -> Result<Option<bool>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(_) => self.bool(key).map(Some),
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self.chars.next_if(|c| c.is_ascii_whitespace()).is_some() {}
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        match self.chars.next() {
-            Some(c) if c == want => Ok(()),
-            Some(c) => Err(format!("expected {want:?}, got {c:?}")),
-            None => Err(format!("expected {want:?}, got end of input")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next() {
-                None => return Err("unterminated string".into()),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let digit = self
-                                .chars
-                                .next()
-                                .and_then(|c| c.to_digit(16))
-                                .ok_or("bad \\u escape")?;
-                            code = code * 16 + digit;
-                        }
-                        // Surrogates don't appear in our own output;
-                        // foreign ones are refused rather than mangled.
-                        out.push(char::from_u32(code).ok_or("\\u escape is not a scalar value")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(c) => out.push(c),
-            }
-        }
-    }
-
-    fn scalar(&mut self) -> Result<JsonScalar, String> {
-        match self.chars.peek() {
-            Some('"') => self.string().map(JsonScalar::Str),
-            Some('t') => self.literal("true").map(|()| JsonScalar::Bool(true)),
-            Some('f') => self.literal("false").map(|()| JsonScalar::Bool(false)),
-            Some('n') => self.literal("null").map(|()| JsonScalar::Null),
-            Some(c) if *c == '-' || c.is_ascii_digit() => {
-                let mut raw = String::new();
-                while let Some(c) = self
-                    .chars
-                    .next_if(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-                {
-                    raw.push(c);
-                }
-                // Validate the token shape once; integer accessors
-                // re-parse the raw text exactly.
-                raw.parse::<f64>()
-                    .map_err(|_| format!("bad number {raw:?}"))?;
-                Ok(JsonScalar::Num(raw))
-            }
-            Some(c) => Err(format!("unexpected {c:?} (nested values not supported)")),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        for want in word.chars() {
-            self.expect(want)?;
-        }
-        Ok(())
-    }
-}
-
-/// Parses one flat JSON object (string/number/bool/null values only).
-fn parse_flat_object(text: &str) -> Result<FlatObject, String> {
-    let mut p = JsonParser {
-        chars: text.chars().peekable(),
-    };
-    p.skip_ws();
-    p.expect('{')?;
-    let mut fields = Vec::new();
-    p.skip_ws();
-    if p.chars.peek() == Some(&'}') {
-        p.chars.next();
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(':')?;
-            p.skip_ws();
-            let value = p.scalar()?;
-            fields.push((key, value));
-            p.skip_ws();
-            match p.chars.next() {
-                Some(',') => {}
-                Some('}') => break,
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-    p.skip_ws();
-    if let Some(c) = p.chars.next() {
-        return Err(format!("trailing {c:?} after object"));
-    }
-    Ok(FlatObject { fields })
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    let _ = std::fmt::Write::write_fmt(out, format_args!("\"{key}\":\""));
-    json_escape(out, value);
-    out.push('"');
-}
 
 impl ServiceRequest {
     /// Renders the request as its wire JSON.
@@ -1872,7 +1615,7 @@ impl ServiceRequest {
     /// Returns a one-line diagnostic naming the malformed field; the
     /// server sends it back as [`ServiceReply::Error`].
     pub fn parse(text: &str) -> Result<ServiceRequest, String> {
-        let obj = parse_flat_object(text)?;
+        let obj = FlatObject::parse(text)?;
         match obj.str("op")? {
             "stats" => Ok(ServiceRequest::Stats),
             "health" => Ok(ServiceRequest::Health),
@@ -1920,13 +1663,10 @@ impl ServiceReply {
                 record,
                 key,
                 cached,
-            } => {
-                let mut out =
-                    format!("{{\"status\":\"ok\",\"cached\":{cached},\"key\":\"{key:016x}\",");
-                push_str_field(&mut out, "record", record);
-                out.push('}');
-                out
-            }
+            } => format!(
+                "{{\"status\":\"ok\",\"cached\":{cached},\"key\":\"{key:016x}\",\"record\":{}}}",
+                json_string(record)
+            ),
             ServiceReply::Busy {
                 inflight,
                 limit,
@@ -1946,10 +1686,10 @@ impl ServiceReply {
                 format!("{{\"status\":\"retryable\",\"retry_after_ms\":{retry_after_ms}}}")
             }
             ServiceReply::Error { message } => {
-                let mut out = "{\"status\":\"error\",".to_owned();
-                push_str_field(&mut out, "message", message);
-                out.push('}');
-                out
+                format!(
+                    "{{\"status\":\"error\",\"message\":{}}}",
+                    json_string(message)
+                )
             }
             ServiceReply::Stats(s) => format!(
                 "{{\"status\":\"stats\",\"queries\":{},\"served\":{},\"busy\":{},\
@@ -2007,7 +1747,7 @@ impl ServiceReply {
     ///
     /// Returns a one-line diagnostic naming the malformed field.
     pub fn parse(text: &str) -> Result<ServiceReply, String> {
-        let obj = parse_flat_object(text)?;
+        let obj = FlatObject::parse(text)?;
         match obj.str("status")? {
             "ok" => {
                 let key_hex = obj.str("key")?;
@@ -2864,6 +2604,54 @@ mod tests {
     }
 
     #[test]
+    fn cache_bytes_match_the_pinned_yac_cache_v1_text() {
+        let path = std::env::temp_dir()
+            .join("yac-service-tests")
+            .join("golden.cache");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let mut cache = ResultCache::new(4096);
+        assert!(cache.insert(0x2a, canonical_record(100)));
+        assert!(cache.insert(0xfeed_beef, canonical_record(200)));
+        cache.save(&path).unwrap();
+        let golden = "YAC-CACHE v1 CRC d3ef59a6\n\
+            E 000000000000002a total 100 quarantined 1 variant H spec strict base 2 4 1 0 0 0 \
+            schemes 1 H-YAPD 2 4 0 0 0 0 interval 3feccccccccccccd 3feb333333333333 \
+            3fee666666666666 evaluated 100 missing 0 shards 0 cpi - CRC f6be26fd\n\
+            E 00000000feedbeef total 200 quarantined 1 variant H spec strict base 2 4 1 0 0 0 \
+            schemes 1 H-YAPD 2 4 0 0 0 0 interval 3feccccccccccccd 3feb333333333333 \
+            3fee666666666666 evaluated 200 missing 0 shards 0 cpi - CRC 289b7e20\n";
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), golden);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_high_bit_flip_is_corruption_that_the_file_scrubber_repairs() {
+        let path = std::env::temp_dir()
+            .join("yac-service-tests")
+            .join("high-bit-flip.cache");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let (alpha, beta) = (canonical_record(100), canonical_record(200));
+        let mut cache = ResultCache::new(4096);
+        assert!(cache.insert(1, alpha.clone()));
+        assert!(cache.insert(2, beta.clone()));
+        cache.save(&path).unwrap();
+
+        // Flip bit 7 of the middle byte: the file is no longer UTF-8.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = ResultCache::load(&path, 4096).unwrap_err();
+        assert!(matches!(err, StudyError::Corrupt { .. }), "got {err:?}");
+
+        assert!(cache.scrub_file(&path) >= 1);
+        let mut reloaded = ResultCache::load(&path, 4096).unwrap().unwrap();
+        assert_eq!(reloaded.get(1).as_deref(), Some(alpha.as_str()));
+        assert_eq!(reloaded.get(2).as_deref(), Some(beta.as_str()));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn scrub_file_rewrites_a_file_with_rotted_lines() {
         let path = std::env::temp_dir()
             .join("yac-service-tests")
@@ -3079,6 +2867,27 @@ mod tests {
     }
 
     #[test]
+    fn string_carrying_replies_keep_their_wire_bytes() {
+        let ok = ServiceReply::Result {
+            record: "total 8 \"q\"\n".into(),
+            key: 0xab,
+            cached: true,
+        };
+        assert_eq!(
+            ok.to_json(),
+            "{\"status\":\"ok\",\"cached\":true,\"key\":\"00000000000000ab\",\
+             \"record\":\"total 8 \\\"q\\\"\\n\"}"
+        );
+        let err = ServiceReply::Error {
+            message: "bad\tfield".into(),
+        };
+        assert_eq!(
+            err.to_json(),
+            "{\"status\":\"error\",\"message\":\"bad\\tfield\"}"
+        );
+    }
+
+    #[test]
     fn busy_without_a_hint_assumes_the_default() {
         let reply =
             ServiceReply::parse("{\"status\":\"busy\",\"inflight\":2,\"limit\":2}").unwrap();
@@ -3109,18 +2918,6 @@ mod tests {
         ] {
             assert!(ServiceRequest::parse(bad).is_err(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn json_strings_escape_and_unescape() {
-        let mut out = String::new();
-        json_escape(&mut out, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\te\\u0001");
-        let obj = parse_flat_object(&format!("{{\"k\":\"{out}\"}}")).unwrap();
-        assert_eq!(obj.str("k").unwrap(), "a\"b\\c\nd\te\u{1}");
-        // Foreign escapes parse too.
-        let obj = parse_flat_object("{\"k\":\"\\u0041\\/\\b\\f\\r\"}").unwrap();
-        assert_eq!(obj.str("k").unwrap(), "A/\u{8}\u{c}\r");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   isolation; a poisoned study is recorded [`StudyStatus::Failed`] and
 //!   the sweep continues.
 //! * **Crash-safe journal.** Progress is appended to a `YAC-SWEEP v1`
-//!   journal, every record CRC-trailed like the v2 checkpoint format and
+//!   journal, every record CRC-trailed like the checkpoint format and
 //!   fsynced (file *and* parent directory) before the sweep moves on. A
 //!   torn final line — the signature of a crash mid-append — is detected
 //!   and dropped; anything else corrupt is refused as
@@ -73,11 +73,12 @@
 //! ```
 
 use crate::analysis::{table2, table3, LossBreakdown, LossTable, SchemeLosses};
-use crate::chaos::{intercept_write, IoSite};
-use crate::checkpoint::{crc32, fsync_parent, StudyError};
+use crate::chaos::IoSite;
+use crate::checkpoint::StudyError;
 use crate::chip::PopulationConfig;
 use crate::confidence::{yield_interval, YieldInterval};
 use crate::constraints::{ConstraintSpec, YieldConstraints};
+use crate::crc_log::{self, Appender, Policy};
 use crate::executor::{panic_message, run_checkpointed_workers, ExecutorConfig};
 use crate::perf::{suite_cpis_isolated, PerfOptions};
 use crate::schemes::PowerDownKind;
@@ -366,20 +367,6 @@ impl SweepOutcome {
 // Journal rendering and parsing
 // ---------------------------------------------------------------------
 
-/// Appends the per-line CRC trailer.
-pub(crate) fn crc_line(body: &str) -> String {
-    format!("{body} CRC {:08x}\n", crc32(body.as_bytes()))
-}
-
-/// Splits a journal line into its body and verifies the CRC trailer.
-/// `None` means the line is torn or rotted (only tolerable as the final
-/// line of the file).
-pub(crate) fn check_crc_line(line: &str) -> Option<&str> {
-    let (body, hex) = line.rsplit_once(" CRC ")?;
-    let stated = u32::from_str_radix(hex, 16).ok()?;
-    (crc32(body.as_bytes()) == stated).then_some(body)
-}
-
 fn name_token(name: &str) -> String {
     // Journal records are whitespace-tokenised; names with whitespace
     // (none of ours have any) are made token-safe, at the cost of exact
@@ -582,54 +569,32 @@ pub(crate) struct ParsedJournal {
     pub(crate) valid_len: u64,
 }
 
-/// Parses journal text. `Ok(None)` means the file holds no complete
-/// header — the signature of a crash during creation — and the sweep
-/// should start fresh (rewriting the file).
-pub(crate) fn parse_journal(text: &str) -> Result<Option<ParsedJournal>, StudyError> {
-    // A crash mid-append can only tear the final line: CRC-check line by
-    // line, tolerating damage (bad CRC or a missing newline) only at the
-    // very end of the file. Damage anywhere else is bit rot and fatal.
-    let mut bodies = Vec::new();
-    let mut torn_tail = false;
-    let mut valid_len = 0usize;
-    let mut lineno = 0usize;
-    let mut pos = 0usize;
-    while pos < text.len() {
-        lineno += 1;
-        let Some(nl) = text[pos..].find('\n') else {
-            torn_tail = true; // Newline-less tail: crash mid-append.
-            break;
-        };
-        let line = &text[pos..pos + nl];
-        match check_crc_line(line) {
-            Some(body) => {
-                bodies.push((lineno, body));
-                pos += nl + 1;
-                valid_len = pos;
-            }
-            None if pos + nl + 1 == text.len() => {
-                torn_tail = true;
-                break;
-            }
-            None => {
-                return Err(StudyError::Corrupt {
-                    line: lineno,
-                    what: "journal line fails its CRC (bit rot mid-file)".into(),
-                })
-            }
+impl ParsedJournal {
+    /// Refuses a journal written for a different grid (or config) than
+    /// the one with `fingerprint` and `studies` cells.
+    ///
+    /// # Errors
+    ///
+    /// [`StudyError::Mismatch`] naming both fingerprints.
+    pub(crate) fn check_grid(&self, fingerprint: u64, studies: usize) -> Result<(), StudyError> {
+        if self.grid_hash == fingerprint && self.studies == studies {
+            return Ok(());
         }
+        Err(StudyError::Mismatch(format!(
+            "sweep journal belongs to a different grid \
+             (journal {:016x}/{} studies, this grid {:016x}/{studies})",
+            self.grid_hash, self.studies, fingerprint
+        )))
     }
-    let Some(&(_, magic)) = bodies.first() else {
-        return Ok(None); // Nothing durable yet: fresh sweep.
-    };
-    if magic != MAGIC {
-        return Err(StudyError::Corrupt {
-            line: 1,
-            what: format!("bad magic {magic:?}"),
-        });
-    }
-    let Some(&(gline, grid)) = bodies.get(1) else {
-        return Ok(None); // Header crashed before the grid line.
+}
+
+/// Parses a journal file's bytes. `Ok(None)` means the file holds no
+/// complete header — the signature of a crash during creation — and the
+/// sweep should start fresh (rewriting the file).
+pub(crate) fn parse_journal(bytes: impl AsRef<[u8]>) -> Result<Option<ParsedJournal>, StudyError> {
+    let log = crc_log::parse(bytes.as_ref(), MAGIC, Policy::Append)?;
+    let Some(&(gline, grid)) = log.records.first() else {
+        return Ok(None); // Nothing durable past the magic: fresh sweep.
     };
     let mut r = TokenReader {
         tokens: grid.split_ascii_whitespace(),
@@ -646,7 +611,7 @@ pub(crate) fn parse_journal(text: &str) -> Result<Option<ParsedJournal>, StudyEr
             Some((_, s)) => *s = status,
             None => terminal.push((index, status)),
         };
-    for &(line, body) in &bodies[2..] {
+    for &(line, body) in &log.records[1..] {
         let corrupt = |what: String| StudyError::Corrupt { line, what };
         let (tag, rest) = body
             .split_once(' ')
@@ -675,67 +640,9 @@ pub(crate) fn parse_journal(text: &str) -> Result<Option<ParsedJournal>, StudyEr
         grid_hash,
         studies,
         terminal,
-        torn_tail,
-        valid_len: valid_len as u64,
+        torn_tail: log.torn_tail,
+        valid_len: log.valid_len,
     }))
-}
-
-/// The append side of the journal: an open handle plus the path (for
-/// error messages and chaos attribution). Appends are CRC-trailed,
-/// written in one `write_all` and fsynced before returning.
-struct SweepJournal {
-    path: PathBuf,
-    file: std::fs::File,
-}
-
-impl SweepJournal {
-    fn io_err(path: &Path, e: std::io::Error) -> StudyError {
-        StudyError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        }
-    }
-
-    /// Opens `path` for appending, creating it (plus the header lines
-    /// and a parent-directory fsync) when `fresh`.
-    fn open(path: &Path, fresh: bool, grid_hash: u64, studies: usize) -> Result<Self, StudyError> {
-        if fresh {
-            // Recreate from scratch: a half-written header from a
-            // previous crash must not linger ahead of ours.
-            let header = format!(
-                "{}{}",
-                crc_line(MAGIC),
-                crc_line(&format!("G {grid_hash:016x} {studies}"))
-            );
-            intercept_write(IoSite::SweepJournal, path, header.as_bytes(), |bytes| {
-                use std::io::Write;
-                let mut f = std::fs::File::create(path)?;
-                f.write_all(bytes)?;
-                f.sync_all()?;
-                fsync_parent(path)
-            })
-            .map_err(|e| Self::io_err(path, e))?;
-        }
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| Self::io_err(path, e))?;
-        Ok(SweepJournal {
-            path: path.to_path_buf(),
-            file,
-        })
-    }
-
-    /// Appends one CRC-trailed record line durably.
-    fn append(&mut self, body: &str) -> Result<(), StudyError> {
-        let line = crc_line(body);
-        intercept_write(IoSite::SweepJournal, &self.path, line.as_bytes(), |bytes| {
-            use std::io::Write;
-            self.file.write_all(bytes)?;
-            self.file.sync_all()
-        })
-        .map_err(|e| Self::io_err(&self.path, e))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -847,49 +754,33 @@ pub fn run_sweep(
     }
     let fingerprint = grid.fingerprint(config);
 
-    let parsed = match std::fs::read_to_string(journal_path) {
-        Ok(text) => parse_journal(&text)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => return Err(SweepJournal::io_err(journal_path, e)),
+    let parsed = match crc_log::read(journal_path)? {
+        Some(bytes) => parse_journal(bytes)?,
+        None => None,
     };
     let mut statuses: Vec<StudyStatus> = vec![StudyStatus::Pending; specs.len()];
     let (resumed, recovered) = match &parsed {
         None => (false, 0),
         Some(journal) => {
-            if journal.grid_hash != fingerprint || journal.studies != specs.len() {
-                return Err(StudyError::Mismatch(format!(
-                    "sweep journal belongs to a different grid \
-                     (journal {:016x}/{} studies, this grid {:016x}/{})",
-                    journal.grid_hash,
-                    journal.studies,
-                    fingerprint,
-                    specs.len()
-                )));
-            }
+            journal.check_grid(fingerprint, specs.len())?;
             for (index, status) in &journal.terminal {
                 statuses[*index] = status.clone();
             }
             (true, journal.terminal.len())
         }
     };
-    if let Some(journal) = &parsed {
-        if journal.torn_tail {
-            // Drop the torn tail before appending: a new record written
-            // after a partial line would corrupt the journal mid-file.
-            intercept_write(IoSite::SweepJournal, journal_path, &[], |_| {
-                let f = std::fs::OpenOptions::new().write(true).open(journal_path)?;
-                f.set_len(journal.valid_len)?;
-                f.sync_all()
-            })
-            .map_err(|e| SweepJournal::io_err(journal_path, e))?;
-        }
-    }
-    let journal = Mutex::new(SweepJournal::open(
-        journal_path,
-        parsed.is_none(),
-        fingerprint,
-        specs.len(),
-    )?);
+    let journal = Mutex::new(match &parsed {
+        None => Appender::create(
+            journal_path,
+            IoSite::SweepJournal,
+            &[MAGIC, &format!("G {fingerprint:016x} {}", specs.len())],
+        )?,
+        Some(journal) => Appender::resume(
+            journal_path,
+            IoSite::SweepJournal,
+            journal.torn_tail.then_some(journal.valid_len),
+        )?,
+    });
     if resumed {
         yac_obs::trace_instant(
             yac_obs::TraceEventKind::SweepResumed,
@@ -1018,6 +909,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc_log::crc_line;
 
     #[test]
     fn grid_enumerates_seed_major_with_stable_indices() {
@@ -1133,15 +1025,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn journal_lines_carry_verifiable_crcs() {
-        let line = crc_line("S 3 total 1");
-        let body = check_crc_line(line.trim_end()).unwrap();
-        assert_eq!(body, "S 3 total 1");
-        assert!(check_crc_line("S 3 total 1 CRC 00000000").is_none());
-        assert!(check_crc_line("no trailer at all").is_none());
-    }
-
     fn journal_text(records: &[&str]) -> String {
         let mut out = String::new();
         out.push_str(&crc_line(MAGIC));
@@ -1209,19 +1092,91 @@ mod tests {
         text.push_str("G 00000000");
         assert!(parse_journal(&text).unwrap().is_none());
         // But a wrong magic is corruption, not freshness.
-        assert!(parse_journal(&crc_line("YAC-CHECKPOINT v2")).is_err());
+        assert!(parse_journal(crc_line("YAC-CHECKPOINT v2")).is_err());
     }
 
     #[test]
     fn out_of_range_indices_and_unknown_tags_are_corrupt() {
         assert!(matches!(
-            parse_journal(&journal_text(&["S 9 total 1"])),
+            parse_journal(journal_text(&["S 9 total 1"])),
             Err(StudyError::Corrupt { .. })
         ));
         assert!(matches!(
-            parse_journal(&journal_text(&["X 0 what"])),
+            parse_journal(journal_text(&["X 0 what"])),
             Err(StudyError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn journal_bytes_match_the_pinned_yac_sweep_v1_text() {
+        let dir = std::env::temp_dir().join("yac-sweep-unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("golden.sweep");
+        let ok = render_result(&sample_result(Some(1.2345678901234)));
+        let mut journal = Appender::create(
+            &path,
+            IoSite::SweepJournal,
+            &[MAGIC, "G 00000000000000aa 4"],
+        )
+        .unwrap();
+        for record in [
+            "R 0",
+            &format!("S 0 {ok}"),
+            "R 1",
+            "F 1 study panicked: injected",
+        ] {
+            journal.append(record).unwrap();
+        }
+        drop(journal);
+        let golden = "YAC-SWEEP v1 CRC e2544178\n\
+            G 00000000000000aa 4 CRC aa217e8a\n\
+            R 0 CRC 232437c2\n\
+            S 0 total 100 quarantined 3 variant H spec strict base 7 4 3 2 0 1 schemes 2 \
+            H-YAPD 7 4 0 0 0 1 VACA 7 4 1 0 0 1 interval 3febd70a3d70a3d7 3fe9febc5d7dafb8 \
+            3fedc28f5c28f5c3 evaluated 103 missing 5 shards 1 cpi 3ff3c0ca428c58fc CRC dcba97ac\n\
+            R 1 CRC 54230754\n\
+            F 1 study panicked: injected CRC 7f45511c\n";
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), golden);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_final_line_flipped_to_invalid_utf8_resumes_as_a_torn_tail() {
+        let grid = SweepGrid {
+            chips: 16,
+            seeds: vec![3],
+            constraints: vec![ConstraintSpec::NOMINAL],
+            kinds: vec![PowerDownKind::Vertical, PowerDownKind::Horizontal],
+        };
+        let mut config = SweepConfig::default();
+        config.exec.workers = 2;
+        let dir = std::env::temp_dir().join("yac-sweep-unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("flipped-tail.sweep");
+        let _ = std::fs::remove_file(&path);
+        let clean = run_sweep(&grid, &config, &path).unwrap();
+
+        // Flip bit 7 of a byte in the final (terminal) record.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last_start = bytes[..bytes.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        let at = (last_start + bytes.len()) / 2;
+        bytes[at] ^= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let resumed = run_sweep(&grid, &config, &path).unwrap();
+        assert!(resumed.resumed);
+        assert_eq!(resumed.recovered, 1, "the flipped record is dropped");
+        assert_eq!(resumed.studies, clean.studies, "bit-identical to clean");
+        let journal = parse_journal(std::fs::read(&path).unwrap())
+            .unwrap()
+            .unwrap();
+        assert!(!journal.torn_tail, "the torn tail was cut before appending");
+        assert_eq!(journal.terminal.len(), 2);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

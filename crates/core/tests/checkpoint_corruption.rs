@@ -58,13 +58,28 @@ fn flipped_hex_digit_is_caught_by_the_crc() {
 }
 
 #[test]
+fn high_bit_flip_is_corruption_not_an_io_error() {
+    let cfg = config(20, 38);
+    let path = tmp_path("high-bit.ckpt");
+    let text = partial_checkpoint(&path, &cfg);
+    // Bit 7 of the middle byte: the file is no longer valid UTF-8.
+    let mut rotted = text.into_bytes();
+    let mid = rotted.len() / 2;
+    rotted[mid] ^= 0x80;
+    std::fs::write(&path, rotted).unwrap();
+    let err = run_checkpointed(&cfg, &path, 5).unwrap_err();
+    assert!(matches!(err, StudyError::Corrupt { .. }), "got {err}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn wrong_magic_is_rejected_at_line_one() {
     let cfg = config(20, 33);
     let path = tmp_path("magic.ckpt");
     let text = partial_checkpoint(&path, &cfg);
     std::fs::write(
         &path,
-        text.replacen("YAC-CHECKPOINT v2", "YAC-CHECKPOINT v9", 1),
+        text.replacen("YAC-CHECKPOINT v3", "YAC-CHECKPOINT v9", 1),
     )
     .unwrap();
     let err = run_checkpointed(&cfg, &path, 5).unwrap_err();

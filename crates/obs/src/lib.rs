@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod json;
 pub mod manifest;
 pub mod ndjson;
 pub mod perfetto;

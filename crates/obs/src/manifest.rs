@@ -33,6 +33,7 @@
 //! `metrics[].name` values are append-only: existing names never change
 //! meaning, so a gate reading `chips_per_sec` keeps working across PRs.
 
+use crate::json::json_string;
 use crate::registry::{Metric, Phase, Registry};
 use std::fmt::Write as _;
 
@@ -262,27 +263,6 @@ impl RunManifest {
     }
 }
 
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Formats an `f64` as a JSON number (finite guaranteed by callers;
 /// non-finite values degrade to `0` rather than emitting invalid JSON).
 fn json_f64(v: f64) -> String {
@@ -397,12 +377,6 @@ mod tests {
         assert!(json.contains(&format!("\"buckets\": [[{}, 1]]", 1u64 << 29)));
         // Phases with no samples serialize an empty bucket list.
         assert!(json.contains("\"buckets\": [] }"));
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("plain"), "\"plain\"");
     }
 
     #[test]

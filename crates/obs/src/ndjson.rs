@@ -14,11 +14,10 @@
 //! `dur_ns` and `kind` are always present; `phase` appears on
 //! `PhaseSpan` lines; `worker`/`shard`/`attempt`/`chip`/`scheme`/`study`
 //! appear when the event carried that context. [`parse_ndjson`] reads the
-//! format back (a deliberately narrow reader for our own stable writer —
-//! the container carries no JSON dependency), which is also what the CI
+//! format back, one [`FlatObject`] per line, which is also what the CI
 //! trace-validation step and the round-trip tests use.
 
-use crate::perfetto::json_escape;
+use crate::json::{json_string, FlatObject};
 use crate::registry::Phase;
 use crate::trace::{TraceCtx, TraceEvent, TraceEventKind, TraceSnapshot};
 use std::fmt::Write as _;
@@ -60,7 +59,7 @@ fn write_line(out: &mut String, slot: usize, label: &str, event: &TraceEvent) {
     let _ = write!(
         out,
         "{{\"slot\":{slot},\"thread\":{},\"t_ns\":{},\"dur_ns\":{},\"kind\":\"{}\"",
-        json_escape(label),
+        json_string(label),
         event.t_ns,
         event.dur_ns,
         event.kind.name()
@@ -132,24 +131,22 @@ pub fn parse_ndjson(text: &str) -> Result<ParsedTrace, String> {
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty());
     let (_, header) = lines.next().ok_or("empty trace: missing header line")?;
-    let schema = str_field(header, "schema").ok_or("header line has no \"schema\" field")?;
+    let in_header = |e: String| format!("header line: {e}");
+    let header = FlatObject::parse(header).map_err(in_header)?;
+    let schema = header.str("schema").map_err(in_header)?;
     if schema != NDJSON_SCHEMA {
         return Err(format!(
             "unsupported schema {schema:?} (want {NDJSON_SCHEMA:?})"
         ));
     }
-    let dropped_events =
-        u64_field(header, "dropped_events").ok_or("header line has no \"dropped_events\"")?;
-    let threads = u64_field(header, "threads").ok_or("header line has no \"threads\"")? as usize;
+    let dropped_events = header.u64("dropped_events").map_err(in_header)?;
+    let threads = header.usize("threads").map_err(in_header)?;
     let mut events = Vec::new();
     for (idx, line) in lines {
         let bad = |what: &str| format!("line {}: {what}: {line}", idx + 1);
-        let slot = u64_field(line, "slot").ok_or_else(|| bad("missing \"slot\""))? as usize;
-        let thread = str_field(line, "thread").ok_or_else(|| bad("missing \"thread\""))?;
-        let t_ns = u64_field(line, "t_ns").ok_or_else(|| bad("missing \"t_ns\""))?;
-        let dur_ns = u64_field(line, "dur_ns").ok_or_else(|| bad("missing \"dur_ns\""))?;
-        let kind_name = str_field(line, "kind").ok_or_else(|| bad("missing \"kind\""))?;
-        let phase = match str_field(line, "phase") {
+        let field = |e: String| bad(&e);
+        let obj = FlatObject::parse(line).map_err(field)?;
+        let phase = match obj.opt_str("phase").map_err(field)? {
             Some(name) => Some(
                 Phase::ALL
                     .into_iter()
@@ -158,24 +155,26 @@ pub fn parse_ndjson(text: &str) -> Result<ParsedTrace, String> {
             ),
             None => None,
         };
+        let kind_name = obj.str("kind").map_err(field)?;
         let kind =
-            TraceEventKind::from_name(&kind_name, phase).ok_or_else(|| bad("unknown kind"))?;
+            TraceEventKind::from_name(kind_name, phase).ok_or_else(|| bad("unknown kind"))?;
+        let ctx_field = |key: &str| obj.opt_u64(key).map_err(field);
         let narrow32 = |v: u64| u32::try_from(v).map_err(|_| bad("context field exceeds u32"));
         let narrow16 = |v: u64| u16::try_from(v).map_err(|_| bad("scheme field exceeds u16"));
         events.push(NdjsonEvent {
-            slot,
-            thread,
+            slot: obj.usize("slot").map_err(field)?,
+            thread: obj.str("thread").map_err(field)?.to_owned(),
             event: TraceEvent {
-                t_ns,
-                dur_ns,
+                t_ns: obj.u64("t_ns").map_err(field)?,
+                dur_ns: obj.u64("dur_ns").map_err(field)?,
                 kind,
                 ctx: TraceCtx {
-                    worker: u64_field(line, "worker").map(narrow32).transpose()?,
-                    shard: u64_field(line, "shard").map(narrow32).transpose()?,
-                    attempt: u64_field(line, "attempt").map(narrow32).transpose()?,
-                    chip: u64_field(line, "chip"),
-                    scheme: u64_field(line, "scheme").map(narrow16).transpose()?,
-                    study: u64_field(line, "study").map(narrow32).transpose()?,
+                    worker: ctx_field("worker")?.map(narrow32).transpose()?,
+                    shard: ctx_field("shard")?.map(narrow32).transpose()?,
+                    attempt: ctx_field("attempt")?.map(narrow32).transpose()?,
+                    chip: ctx_field("chip")?,
+                    scheme: ctx_field("scheme")?.map(narrow16).transpose()?,
+                    study: ctx_field("study")?.map(narrow32).transpose()?,
                 },
             },
         });
@@ -185,49 +184,6 @@ pub fn parse_ndjson(text: &str) -> Result<ParsedTrace, String> {
         threads,
         events,
     })
-}
-
-/// Extracts a `"key":"string"` field from one flat JSON line, undoing
-/// the writer's escapes.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let rest = field_value(line, key)?;
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts a `"key":123` numeric field from one flat JSON line.
-fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let rest = field_value(line, key)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The text immediately after `"key":` in a flat single-line object.
-fn field_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    Some(line[line.find(&needle)? + needle.len()..].trim_start())
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 //! assert!(json.contains("\"ShardCompleted\""));
 //! ```
 
+use crate::json::json_string;
 use crate::trace::{TraceEvent, TraceEventKind, TraceSnapshot};
 use std::fmt::Write as _;
 use std::io;
@@ -44,7 +45,7 @@ pub fn to_chrome_json(snapshot: &TraceSnapshot) -> String {
             ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
              \"args\":{{\"name\":{}}}}}",
             thread.slot,
-            json_escape(&thread.label)
+            json_string(&thread.label)
         );
     }
     for thread in &snapshot.threads {
@@ -91,7 +92,7 @@ fn write_event(out: &mut String, tid: usize, event: &TraceEvent) {
     let _ = write!(
         out,
         "{{\"name\":{},\"cat\":\"{cat}\",\"pid\":1,\"tid\":{tid},\"ts\":{ts:.3}",
-        json_escape(name)
+        json_string(name)
     );
     if event.dur_ns > 0 {
         let _ = write!(
@@ -131,27 +132,6 @@ fn write_event(out: &mut String, tid: usize, event: &TraceEvent) {
         arg("study", u64::from(s));
     }
     out.push_str("}}");
-}
-
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
