@@ -30,9 +30,10 @@
 //!   lookup, and refusing it would punish exactly the queries the cache
 //!   exists to make cheap.
 //!
-//! Cancellation is cooperative and per query: the connection handler
-//! watches for client disconnect and raises the query's cancel flag,
-//! which stops its shards between chips without burning retries.
+//! Cancellation is cooperative and per query: while a query computes,
+//! the connection handler watches for client disconnect and raises the
+//! query's cancel flag, which stops its shards between chips without
+//! burning retries. A cache hit answers at once and is not watched.
 //!
 //! # Wire protocol
 //!
@@ -60,7 +61,8 @@
 //!   `slow_clients_evicted` and traced as `SlowClientEvicted`.
 //! * **A connection cap** — [`ServiceConfig::max_conns`]; the excess
 //!   connection gets a best-effort `Busy` frame and is closed
-//!   (`conns_rejected` / `ConnRejected`).
+//!   (`conns_rejected` / `ConnRejected`). Handler threads are reused
+//!   across connections and never outnumber the cap.
 //! * **Typed backpressure with a hint** — [`ServiceReply::Busy`] carries
 //!   `retry_after_ms` so clients back off without guessing.
 //! * **Client deadlines** — a query's `deadline_ms` arms a server-side
@@ -1371,6 +1373,19 @@ impl SweepService {
     /// Cache hits bypass admission by design: a saturated service keeps
     /// answering the cheap queries.
     pub fn query(&self, query: &StudyQuery, cancel: &Arc<AtomicBool>) -> ServiceReply {
+        self.query_watched(query, cancel, || ())
+    }
+
+    /// [`SweepService::query`], calling `watch` only for a query that
+    /// will compute — after the cache misses and admission succeeds —
+    /// and holding its guard until the computation ends. Hits, refusals
+    /// and invalid queries never call it, so they pay for no watcher.
+    pub(crate) fn query_watched<G>(
+        &self,
+        query: &StudyQuery,
+        cancel: &Arc<AtomicBool>,
+        watch: impl FnOnce() -> G,
+    ) -> ServiceReply {
         self.queries.fetch_add(1, Ordering::Relaxed);
         yac_obs::inc(Metric::QueriesReceived);
         yac_obs::trace_instant(TraceEventKind::QueryReceived, TraceCtx::default());
@@ -1424,6 +1439,7 @@ impl SweepService {
             };
         }
         let _slot = InflightSlot(self);
+        let _watch = watch();
         let _span = yac_obs::phase_ctx(Phase::QueryExec, TraceCtx::default());
         // A pool poisoned by an earlier query is rebuilt before this one
         // fans out, so the damage never outlives the query that saw it.
@@ -2102,6 +2118,12 @@ fn send_reply(
 /// the deadline, whichever is sooner; dropping the monitor unparks and
 /// joins it at once, then puts the socket back into blocking mode.
 ///
+/// The handler starts one only for a query that computes (through
+/// [`SweepService::query_watched`]): a cache hit, a refusal or an
+/// invalid query answers at once and never checks its cancel flag, so
+/// it spawns no watcher thread. `deadline` is what is left of the
+/// client's budget when the monitor starts.
+///
 /// A failed clone or spawn degrades gracefully: the query runs
 /// unwatched (no cancel-on-disconnect, no deadline) instead of killing
 /// the connection handler.
@@ -2153,12 +2175,6 @@ impl<'a> ConnMonitor<'a> {
             deadline_hit,
             watcher,
         }
-    }
-
-    /// Whether the watcher cancelled the query because its deadline
-    /// expired (as opposed to a client disconnect).
-    fn deadline_hit(&self) -> bool {
-        self.deadline_hit.load(Ordering::Relaxed)
     }
 }
 
@@ -2218,18 +2234,22 @@ fn handle_connection(stream: TcpStream, service: &Arc<SweepService>) {
             Err(message) => ServiceReply::Error { message },
             Ok(ServiceRequest::Query { query, deadline_ms }) => {
                 let cancel = Arc::new(AtomicBool::new(false));
-                let started = Instant::now();
-                let monitor = ConnMonitor::spawn(
-                    stream.get_ref(),
-                    Arc::clone(&cancel),
-                    deadline_ms.map(Duration::from_millis),
-                );
-                let reply = service.query(&query, &cancel);
-                let deadline_hit = monitor.deadline_hit();
-                drop(monitor);
+                let received = Instant::now();
+                // Set only if the query computed under a watcher: the
+                // flag records whether its deadline fired.
+                let mut deadline_hit = None;
+                let reply = service.query_watched(&query, &cancel, || {
+                    // The deadline counts from receipt, not from here.
+                    let left = deadline_ms
+                        .map(|ms| Duration::from_millis(ms).saturating_sub(received.elapsed()));
+                    let monitor = ConnMonitor::spawn(stream.get_ref(), Arc::clone(&cancel), left);
+                    deadline_hit = Some(Arc::clone(&monitor.deadline_hit));
+                    monitor
+                });
+                let deadline_hit = deadline_hit.is_some_and(|hit| hit.load(Ordering::Relaxed));
                 if deadline_hit && reply == ServiceReply::Cancelled {
                     ServiceReply::Deadline {
-                        elapsed_ms: started.elapsed().as_millis() as u64,
+                        elapsed_ms: received.elapsed().as_millis() as u64,
                     }
                 } else {
                     reply
@@ -2272,8 +2292,8 @@ fn reject_connection(stream: TcpStream, conns: usize, cap: usize, service: &Swee
     }
 }
 
-/// A handler thread's connection slot. Dropping it (the handler returned
-/// or unwound) frees the slot and pings the serve loop.
+/// A connection's slot. Dropping it (its handler finished with the
+/// connection, or unwound) frees the slot and pings the serve loop.
 struct ConnSlot {
     live: Arc<AtomicUsize>,
     freed: mpsc::SyncSender<()>,
@@ -2287,12 +2307,56 @@ impl Drop for ConnSlot {
     }
 }
 
+/// An accepted connection on its way to a handler, with its slot.
+type Conn = (TcpStream, ConnSlot);
+
+/// Spawns a `svc-conn` handler that serves `first`, then parks on the
+/// shared `handoff` channel for the next connection until the serve
+/// loop drops the sender. After each connection it counts itself in `idle`
+/// *before* freeing the slot, so the serve loop, woken by that slot,
+/// finds it idle instead of spawning another handler. A panic unwinds
+/// the handler with its slot; the thread is simply gone.
+fn spawn_handler(
+    first: Conn,
+    handoff: &Arc<Mutex<mpsc::Receiver<Conn>>>,
+    idle: &Arc<AtomicUsize>,
+    service: &Arc<SweepService>,
+) -> io::Result<JoinHandle<()>> {
+    let (handoff, idle, service) = (Arc::clone(handoff), Arc::clone(idle), Arc::clone(service));
+    std::thread::Builder::new()
+        .name("svc-conn".into())
+        .spawn(move || {
+            let (mut stream, mut slot) = first;
+            loop {
+                handle_connection(stream, &service);
+                idle.fetch_add(1, Ordering::SeqCst);
+                drop(slot);
+                // Its own statement, so the lock is released before the
+                // connection is served.
+                let next = handoff
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .recv();
+                let Ok(conn) = next else { return };
+                (stream, slot) = conn;
+            }
+        })
+}
+
 /// Runs the accept loop until [`SweepService::request_shutdown`] (any
 /// connection's `shutdown` op, a completed drain, or the embedding
-/// process). Each connection gets its own handler thread, up to
-/// [`ServiceConfig::max_conns`]; the excess connection is refused with
-/// a best-effort `Busy` frame. Every handler has finished before the
-/// loop returns, so a clean return means no request is still in flight.
+/// process). Up to [`ServiceConfig::max_conns`] connections are served
+/// at once; the excess connection is refused with a best-effort `Busy`
+/// frame.
+///
+/// Handler threads are reused. An accepted connection goes to an idle
+/// handler (claimed by decrementing the idle count, so it never queues
+/// behind a busy one) over one shared channel; a `svc-conn` thread is
+/// spawned only when none is idle. A handler counts itself idle before
+/// it frees its connection slot, so there are never more handlers than
+/// `max_conns`. On exit the loop waits for every connection to finish,
+/// then drops the channel and joins every handler: a clean return means
+/// no request is still in flight and no handler thread is left.
 ///
 /// The loop blocks in `accept`, so a new connection is served the
 /// moment it arrives. Shutdown, a drain with nothing in flight and the
@@ -2306,7 +2370,7 @@ impl Drop for ConnSlot {
 ///
 /// # Errors
 ///
-/// Propagates listener errors.
+/// Propagates listener errors and a failure to spawn a handler.
 pub fn serve(listener: &TcpListener, service: &Arc<SweepService>) -> io::Result<()> {
     listener.set_nonblocking(false)?;
     let mut addr = listener.local_addr()?;
@@ -2320,6 +2384,10 @@ pub fn serve(listener: &TcpListener, service: &Arc<SweepService>) -> io::Result<
     let cap = service.config().max_conns.max(1);
     let live = Arc::new(AtomicUsize::new(0));
     let (freed_tx, freed) = mpsc::sync_channel(1);
+    let idle = Arc::new(AtomicUsize::new(0));
+    let (handoff_tx, handoff) = mpsc::channel::<Conn>();
+    let handoff = Arc::new(Mutex::new(handoff));
+    let mut handlers = Vec::new();
     let mut refused = false;
     while !service.wake_now() {
         match listener.accept() {
@@ -2340,18 +2408,22 @@ pub fn serve(listener: &TcpListener, service: &Arc<SweepService>) -> io::Result<
                     continue;
                 }
                 live.fetch_add(1, Ordering::SeqCst);
-                let slot = ConnSlot {
-                    live: Arc::clone(&live),
-                    freed: freed_tx.clone(),
-                };
-                let service = Arc::clone(service);
-                std::thread::Builder::new()
-                    .name("svc-conn".into())
-                    .spawn(move || {
-                        let _slot = slot;
-                        handle_connection(stream, &service);
-                    })
-                    .map_err(io::Error::other)?;
+                let conn = (
+                    stream,
+                    ConnSlot {
+                        live: Arc::clone(&live),
+                        freed: freed_tx.clone(),
+                    },
+                );
+                let claimed = idle
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                    .is_ok();
+                if claimed {
+                    // `serve` holds a receiver, so the send cannot fail.
+                    let _ = handoff_tx.send(conn);
+                } else {
+                    handlers.push(spawn_handler(conn, &handoff, &idle, service)?);
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -2362,6 +2434,12 @@ pub fn serve(listener: &TcpListener, service: &Arc<SweepService>) -> io::Result<
     service.shutdown.store(true, Ordering::SeqCst);
     while live.load(Ordering::SeqCst) > 0 {
         let _ = freed.recv();
+    }
+    // Every slot is free, so the channel is empty and every handler is
+    // parked on it (or unwound): closing it ends them all.
+    drop(handoff_tx);
+    for handler in handlers {
+        let _ = handler.join();
     }
     Ok(())
 }
@@ -2397,6 +2475,7 @@ pub fn client_request(addr: &str, request: &ServiceRequest) -> io::Result<(Servi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     fn query() -> StudyQuery {
         StudyQuery {
@@ -2756,6 +2835,83 @@ mod tests {
         assert!(
             matches!(reply, ServiceReply::Result { cached: false, .. }),
             "{reply:?}"
+        );
+        service.shutdown();
+    }
+
+    /// Only a query that computes starts a connection watcher, and the
+    /// watcher's guard lives until the computed record is cached.
+    #[test]
+    fn only_computed_queries_call_the_watcher() {
+        let service = tiny_service();
+        let cancel = Arc::new(AtomicBool::new(false));
+        let q = StudyQuery {
+            chips: 16,
+            cpi: None,
+            ..query()
+        };
+
+        /// Records, when dropped, whether the query's record was
+        /// already cached — i.e. whether it was held across `compute`.
+        struct Guard<'a>(&'a SweepService, u64, &'a Cell<Option<bool>>);
+        impl Drop for Guard<'_> {
+            fn drop(&mut self) {
+                let (service, key) = (self.0, self.1);
+                self.2.set(Some(
+                    service.with_cache(|cache| cache.entries.contains_key(&key)),
+                ));
+            }
+        }
+        let calls = Cell::new(0);
+        let cached_at_drop = Cell::new(None);
+        let reply = service.query_watched(&q, &cancel, || {
+            calls.set(calls.get() + 1);
+            assert_eq!(service.inflight(), 1, "watcher started before admission");
+            Guard(&service, q.fingerprint(), &cached_at_drop)
+        });
+        assert!(
+            matches!(reply, ServiceReply::Result { cached: false, .. }),
+            "{reply:?}"
+        );
+        assert_eq!(calls.get(), 1, "a computed query is watched once");
+        assert_eq!(cached_at_drop.get(), Some(true), "guard dropped early");
+
+        let unwatched = |query: &StudyQuery| {
+            service.query_watched(query, &cancel, || calls.set(calls.get() + 1))
+        };
+        let hit = unwatched(&q);
+        assert!(
+            matches!(hit, ServiceReply::Result { cached: true, .. }),
+            "{hit:?}"
+        );
+        for invalid in [0, MAX_QUERY_CHIPS + 1] {
+            let reply = unwatched(&StudyQuery {
+                chips: invalid,
+                ..q
+            });
+            assert!(matches!(reply, ServiceReply::Error { .. }), "{reply:?}");
+        }
+        // Every admission slot taken: the new cell is refused as busy.
+        let limit = service.config().max_inflight;
+        let slots: Vec<_> = (0..limit)
+            .map(|_| {
+                assert!(service.try_admit(limit));
+                InflightSlot(&service)
+            })
+            .collect();
+        let busy = unwatched(&StudyQuery { seed: 12, ..q });
+        assert!(matches!(busy, ServiceReply::Busy { .. }), "{busy:?}");
+        drop(slots);
+        service.request_drain();
+        let draining = unwatched(&StudyQuery { seed: 13, ..q });
+        assert!(
+            matches!(draining, ServiceReply::Draining { .. }),
+            "{draining:?}"
+        );
+        assert_eq!(
+            calls.get(),
+            1,
+            "an answer that computed nothing was watched"
         );
         service.shutdown();
     }

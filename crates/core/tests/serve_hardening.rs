@@ -428,3 +428,80 @@ fn monitored_queries_do_not_wait_for_their_watcher() {
     drop(conn);
     harness.finish();
 }
+
+/// The connection sockets' poll tick: a connection served late by a
+/// whole tick was queued behind another handler.
+const IO_TICK: Duration = Duration::from_millis(20);
+
+/// Sends one request on an open connection and waits (bounded) for its
+/// reply, returning it with the round-trip time.
+fn round_trip(conn: &mut TcpStream, request: &ServiceRequest) -> (ServiceReply, Duration) {
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let started = Instant::now();
+    write_frame(conn, request.to_json().as_bytes()).unwrap();
+    let payload = read_frame(conn)
+        .expect("no reply: the connection was starved")
+        .expect("the server closed the connection");
+    let took = started.elapsed();
+    let reply = ServiceReply::parse(&String::from_utf8(payload).unwrap()).unwrap();
+    (reply, took)
+}
+
+/// Reused handlers never starve a connection: with every handler
+/// holding an open connection each one is still served, the next
+/// connection is refused, and once those close their handlers serve
+/// fresh connections at once.
+#[test]
+fn reused_handlers_never_starve_a_connection() {
+    let harness = start(ServiceConfig {
+        max_conns: 3,
+        ..quick_config()
+    });
+    let request = ServiceRequest::Query {
+        query: small_query(81),
+        deadline_ms: None,
+    };
+    let connect = || {
+        let conn = TcpStream::connect(&harness.addr).unwrap();
+        conn.set_nodelay(true).unwrap();
+        conn
+    };
+
+    // Three persistent connections, each queried while all stay open.
+    let mut held: Vec<TcpStream> = (0..3).map(|_| connect()).collect();
+    for (i, conn) in held.iter_mut().enumerate() {
+        let (reply, _) = round_trip(conn, &request);
+        assert!(
+            matches!(reply, ServiceReply::Result { .. }),
+            "connection {i}: {reply:?}"
+        );
+    }
+
+    // A fourth is over the cap: refused with Busy before any request.
+    let mut fourth = connect();
+    fourth
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let refusal = read_frame(&mut fourth).unwrap().expect("no refusal frame");
+    let refusal = ServiceReply::parse(&String::from_utf8(refusal).unwrap()).unwrap();
+    assert!(
+        matches!(refusal, ServiceReply::Busy { limit: 3, .. }),
+        "{refusal:?}"
+    );
+    drop(fourth);
+
+    // Closed connections return their handlers; fresh ones reuse them.
+    drop(held);
+    std::thread::sleep(Duration::from_millis(100));
+    let mut fresh: Vec<TcpStream> = (0..3).map(|_| connect()).collect();
+    for (i, conn) in fresh.iter_mut().enumerate() {
+        let (reply, took) = round_trip(conn, &request);
+        assert!(
+            matches!(reply, ServiceReply::Result { cached: true, .. }),
+            "fresh connection {i}: {reply:?}"
+        );
+        assert!(took < IO_TICK, "fresh connection {i} answered in {took:?}");
+    }
+    drop(fresh);
+    harness.finish();
+}
