@@ -7,7 +7,8 @@ use std::error::Error;
 use std::fmt;
 
 /// A rejected [`crate::PipelineConfig`] (or a configuration the simulator
-/// itself cannot host — see [`ConfigError::DepthExceedsHorizon`]).
+/// itself cannot host — see [`ConfigError::DepthExceedsHorizon`] and
+/// [`ConfigError::RobExceedsSlots`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// The issue width is zero.
@@ -32,6 +33,9 @@ pub enum ConfigError {
     /// The schedule-to-execute depth overflows the simulator's wakeup
     /// horizon.
     DepthExceedsHorizon,
+    /// The ROB, rounded up to a power of two, exceeds the simulator's
+    /// 32768 slots.
+    RobExceedsSlots,
 }
 
 impl fmt::Display for ConfigError {
@@ -49,6 +53,7 @@ impl fmt::Display for ConfigError {
             ConfigError::DepthExceedsHorizon => {
                 "schedule-to-execute depth exceeds the arrival horizon"
             }
+            ConfigError::RobExceedsSlots => "ROB exceeds the simulator's 32768 slots",
         })
     }
 }

@@ -53,14 +53,24 @@ use yac_workload::{MicroOp, OpClass};
 
 /// Horizon of the FU-arrival ring (must exceed sched_to_exec + bypass).
 const ARRIVAL_HORIZON: usize = 64;
-/// Horizon of the completion ring (must exceed the worst memory latency).
+/// Horizon of the completion ring. Completions further out than this
+/// wait in an overflow queue instead.
 const COMPLETION_HORIZON: usize = 1024;
+const _: () = assert!(ARRIVAL_HORIZON.is_power_of_two() && COMPLETION_HORIZON.is_power_of_two());
+/// Most ROB slots a pipeline may have: slot indices are `u16`, with
+/// [`NIL`] kept free as the end-of-list mark.
+const MAX_SLOTS: usize = 1 << 15;
+/// End of a slot-linked list.
+const NIL: u16 = u16::MAX;
 /// Give up on an entry after this many bypass requeues (safety valve).
 const MAX_REQUEUES: u8 = 8;
 /// Cycles without a commit after which the simulator reports a deadlock.
 const DEADLOCK_LIMIT: u64 = 500_000;
 /// `wake_at` of an op whose operands have no predicted arrival yet.
 const NEVER: u64 = u64::MAX;
+/// Source of an operand with no in-flight producer: absent, ready at
+/// dispatch, or (like any retired seq) already in the register file.
+const NO_PRODUCER: u64 = u64::MAX;
 
 /// Functional-unit pools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,66 +96,94 @@ impl FuClass {
     }
 }
 
-/// A source operand after rename.
+/// Execution progress of one ROB entry; [`Entry::at`] holds its cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SrcRef {
-    /// Architecturally ready at dispatch.
-    Ready,
-    /// Produced by the ROB entry with this sequence number.
-    Producer(u64),
-}
-
-/// Execution progress of one ROB entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecState {
+enum Phase {
     /// In the issue queue, not yet selected.
     Waiting,
-    /// Selected; will arrive at its functional unit at `exec_at`.
-    Scheduled { exec_at: u64 },
-    /// Executing; result available at `done_at`.
-    Executing { done_at: u64 },
-    /// Complete.
-    Done { at: u64 },
+    /// Selected; will arrive at its functional unit at `at`.
+    Scheduled,
+    /// Executing; result available at `at`.
+    Executing,
+    /// Complete since `at`.
+    Done,
 }
 
-#[derive(Debug, Clone)]
+/// One ROB entry: 64 bytes, so the scheduler's walks touch one cache
+/// line per op.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
-    op: MicroOp,
-    seq: u64,
-    srcs: [Option<SrcRef>; 2],
-    state: ExecState,
+    /// Producer seqs of the two operands, or [`NO_PRODUCER`].
+    srcs: [u64; 2],
+    /// Effective address (memory ops only).
+    addr: u64,
+    /// The cycle of the current [`Phase`].
+    at: u64,
+    /// For executing loads: the cycle the scheduler *expected* the value
+    /// (exec start + assumed hit latency), or 0 for none. A slow way or a
+    /// miss is only discovered — "announced" to the scheduler — at this
+    /// cycle; until then dependants are woken as if the load hits in the
+    /// assumed time.
+    announce_at: u64,
+    /// While `Waiting`: the first cycle the scheduler may pick the op,
+    /// given its producers' current states ([`NEVER`] while a producer
+    /// has no predicted result time).
+    wake_at: u64,
+    /// Slot of the newest op reading this op's result, or [`NIL`]; the
+    /// list continues through each consumer's `next_consumer`.
+    consumers: u16,
+    /// Per source: the next op on that producer's consumer list. An op
+    /// reading one producer twice is listed once, through source 0.
+    next_consumer: [u16; 2],
+    class: OpClass,
+    phase: Phase,
+    requeues: u8,
     /// Counted one bypass stall already.
     bypass_counted: bool,
-    requeues: u8,
     /// This mispredicted branch unblocks fetch when it completes.
     resolves_fetch: bool,
     /// The op has been replayed: it re-issues only once its operands are
     /// *actually* available (no further speculative wakeup), which is what
     /// keeps one replay from seeding a self-sustaining replay wave.
     replayed: bool,
-    /// For executing loads: the cycle the scheduler *expected* the value
-    /// (exec start + assumed hit latency). A slow way or a miss is only
-    /// discovered — "announced" to the scheduler — at this cycle; until
-    /// then dependants are woken as if the load hits in the assumed time.
-    announce_at: Option<u64>,
-    /// While `Waiting`: the first cycle the scheduler may pick the op,
-    /// given its producers' current states ([`NEVER`] while a producer
-    /// has no predicted result time).
-    wake_at: u64,
+}
+
+impl Entry {
+    const EMPTY: Entry = Entry {
+        srcs: [NO_PRODUCER; 2],
+        addr: 0,
+        at: 0,
+        announce_at: 0,
+        wake_at: NEVER,
+        consumers: NIL,
+        next_consumer: [NIL; 2],
+        class: OpClass::IntAlu,
+        phase: Phase::Waiting,
+        requeues: 0,
+        bypass_counted: false,
+        resolves_fetch: false,
+        replayed: false,
+    };
+
+    /// Which of this op's `next_consumer` links continues `producer`'s list.
+    fn link_for(&self, producer: u64) -> usize {
+        usize::from(self.srcs[0] != producer)
+    }
 }
 
 /// A set of ring slots as a bitset, iterated in ring order.
 #[derive(Debug)]
 struct SlotSet {
-    words: Vec<u64>,
-    slots: usize,
+    words: Box<[u64]>,
 }
 
 impl SlotSet {
+    /// A set over `slots` slots, a power of two, so the words form a
+    /// ring of their own.
     fn new(slots: usize) -> Self {
+        assert!(slots.is_power_of_two(), "ring of {slots} slots");
         SlotSet {
-            words: vec![0; slots.div_ceil(64)],
-            slots,
+            words: vec![0; slots.div_ceil(64)].into_boxed_slice(),
         }
     }
 
@@ -161,73 +199,109 @@ impl SlotSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Members in ring order starting at slot `start`.
-    fn ring_order(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
-        self.members(start, self.slots)
-            .chain(self.members(0, start))
-    }
-
-    /// Members in `from..end`, ascending.
-    fn members(&self, from: usize, end: usize) -> impl Iterator<Item = usize> + '_ {
-        let mut i = from;
-        std::iter::from_fn(move || {
-            while i < end {
-                let bits = self.words[i / 64] >> (i % 64);
-                if bits == 0 {
-                    i = (i / 64 + 1) * 64;
-                    continue;
-                }
-                let member = i + bits.trailing_zeros() as usize;
-                i = member + 1;
-                return (member < end).then_some(member);
-            }
-            None
-        })
+    /// Members in ring order starting at slot `start`: `start..` first,
+    /// then the slots below `start`.
+    fn ring_order(&self, start: usize) -> RingOrder<'_> {
+        let word = start / 64;
+        let bit = start % 64;
+        RingOrder {
+            words: &self.words,
+            word,
+            bits: self.words[word] & (u64::MAX << bit),
+            left: self.words.len(),
+            wrapped_bits: (1 << bit) - 1,
+        }
     }
 }
 
-/// Ops bucketed by the cycle of their next event, over a ring of
+/// Iterator of [`SlotSet::ring_order`]: one bitset word at a time.
+struct RingOrder<'a> {
+    words: &'a [u64],
+    word: usize,
+    /// Members of `word` not yet yielded.
+    bits: u64,
+    /// Words still to load; the last is the start word again.
+    left: usize,
+    /// The start word's bits below the start slot.
+    wrapped_bits: u64,
+}
+
+impl Iterator for RingOrder<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            if self.left == 0 {
+                return None;
+            }
+            self.left -= 1;
+            self.word = (self.word + 1) & (self.words.len() - 1);
+            self.bits = self.words[self.word];
+            if self.left == 0 {
+                self.bits &= self.wrapped_bits;
+            }
+        }
+        let member = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(member)
+    }
+}
+
+/// ROB slots bucketed by the cycle of their next event, over a ring of
 /// `horizon` cycles, with the busy buckets marked so the next event is
-/// found without visiting the empty ones.
+/// found without visiting the empty ones. Each bucket is a list linked
+/// through `next`, so an op may sit in at most one bucket of a ring.
 #[derive(Debug)]
 struct CycleRing {
-    buckets: Vec<Vec<u64>>,
+    heads: Box<[u16]>,
+    next: Box<[u16]>,
     busy: SlotSet,
+    mask: u64,
 }
 
 impl CycleRing {
-    fn new(horizon: usize) -> Self {
+    fn new(horizon: usize, slots: usize) -> Self {
         CycleRing {
-            buckets: vec![Vec::new(); horizon],
+            heads: vec![NIL; horizon].into_boxed_slice(),
+            next: vec![NIL; slots].into_boxed_slice(),
             busy: SlotSet::new(horizon),
+            mask: horizon as u64 - 1,
         }
     }
 
     fn bucket(&self, cycle: u64) -> usize {
-        (cycle % self.buckets.len() as u64) as usize
+        (cycle & self.mask) as usize
     }
 
-    fn push(&mut self, cycle: u64, seq: u64) {
+    /// Books `slot` for `cycle`, which is delivered by the first
+    /// [`CycleRing::drain_into`] of a cycle congruent to it.
+    fn push(&mut self, cycle: u64, slot: u16) {
         let b = self.bucket(cycle);
-        self.buckets[b].push(seq);
+        self.next[usize::from(slot)] = self.heads[b];
+        self.heads[b] = slot;
         self.busy.insert(b);
     }
 
     /// Empties `now`'s bucket into `out`.
-    fn drain_into(&mut self, now: u64, out: &mut Vec<u64>) {
+    fn drain_into(&mut self, now: u64, out: &mut Vec<u16>) {
         let b = self.bucket(now);
-        out.append(&mut self.buckets[b]);
+        let mut slot = std::mem::replace(&mut self.heads[b], NIL);
+        if slot == NIL {
+            return;
+        }
         self.busy.remove(b);
+        while slot != NIL {
+            out.push(slot);
+            slot = self.next[usize::from(slot)];
+        }
     }
 
     /// The first cycle at or after `now` with a booked event.
     fn next_busy(&self, now: u64) -> u64 {
         let start = self.bucket(now);
-        let horizon = self.buckets.len();
-        self.busy
-            .ring_order(start)
-            .next()
-            .map_or(NEVER, |b| now + ((b + horizon - start) % horizon) as u64)
+        self.busy.ring_order(start).next().map_or(NEVER, |b| {
+            now + ((b as u64).wrapping_sub(start as u64) & self.mask)
+        })
     }
 }
 
@@ -269,12 +343,16 @@ pub struct Pipeline {
     mem: MemoryHierarchy,
     predictor: BranchPredictor,
     now: u64,
-    rob: VecDeque<Entry>,
+    /// The ROB: a ring of `rob_size.next_power_of_two()` slots, op `seq`
+    /// in slot `seq & slot_mask`, holding the seqs `base_seq..next_seq`.
+    rob: Box<[Entry]>,
+    slot_mask: u64,
     base_seq: u64,
     next_seq: u64,
     iq_count: usize,
     lsq_count: usize,
-    rat: [Option<u64>; 256],
+    /// Per architectural register, the seq of its last writer.
+    rat: [u64; 256],
     fetch_q: VecDeque<(MicroOp, bool)>,
     /// Fetch is stalled until the flagged branch completes.
     fetch_blocked: bool,
@@ -283,8 +361,10 @@ pub struct Pipeline {
     trace_done: bool,
     /// Functional-unit arrivals by `exec_at`.
     arrivals: CycleRing,
-    /// Result completions by `done_at`.
+    /// Result completions by `done_at`, up to a horizon ahead.
     completions: CycleRing,
+    /// Completions further out than the completion ring's horizon.
+    far_completions: EventQueue,
     /// Executing loads whose result is later than the scheduler assumed,
     /// by `(announce_at, seq)`: the cycle their dependants' predicted
     /// operand time moves from the assumed to the actual one.
@@ -293,14 +373,11 @@ pub struct Pipeline {
     /// future. Lazily pruned: an event whose op is no longer waiting, or
     /// whose `wake_at` has since changed, is dropped when it surfaces.
     wakeups: EventQueue,
-    /// Waiting ops the scheduler may pick this cycle, by ROB slot
-    /// (`seq % rob_size`).
+    /// Waiting ops the scheduler may pick this cycle, by ROB slot.
     ready: SlotSet,
-    /// Per ROB slot, the ops reading that slot's result.
-    consumers: Vec<Vec<u64>>,
-    /// Scratch list of the ops one phase handles (arrivals, completions
-    /// or picks).
-    batch: Vec<u64>,
+    /// Scratch list of the ROB slots one phase handles (arrivals,
+    /// completions or picks).
+    batch: Vec<u16>,
     fu_limits: [u16; FuClass::COUNT],
     stats: SimStats,
     total_committed: u64,
@@ -314,12 +391,17 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Returns the [`ConfigError`] if the configuration is inconsistent
-    /// or too deep for the simulator's wakeup horizon.
+    /// Returns the [`ConfigError`] if the configuration is inconsistent,
+    /// too deep for the simulator's wakeup horizon, or its ROB too large
+    /// for the simulator's slot indices.
     pub fn new(cfg: PipelineConfig, mem: MemoryHierarchy) -> Result<Self, ConfigError> {
         cfg.validate()?;
         if (cfg.sched_to_exec + cfg.bypass_depth + 2) as usize >= ARRIVAL_HORIZON {
             return Err(ConfigError::DepthExceedsHorizon);
+        }
+        let slots = cfg.rob_size.next_power_of_two();
+        if slots > MAX_SLOTS {
+            return Err(ConfigError::RobExceedsSlots);
         }
         let fu_limits = [
             cfg.int_alu as u16,
@@ -333,23 +415,24 @@ impl Pipeline {
             predictor,
             mem,
             now: 0,
-            rob: VecDeque::with_capacity(cfg.rob_size),
+            rob: vec![Entry::EMPTY; slots].into_boxed_slice(),
+            slot_mask: slots as u64 - 1,
             base_seq: 0,
             next_seq: 0,
             iq_count: 0,
             lsq_count: 0,
-            rat: [None; 256],
+            rat: [NO_PRODUCER; 256],
             fetch_q: VecDeque::with_capacity(cfg.fetch_queue),
             fetch_blocked: false,
             fetch_resume_at: 0,
             last_fetch_block: u64::MAX,
             trace_done: false,
-            arrivals: CycleRing::new(ARRIVAL_HORIZON),
-            completions: CycleRing::new(COMPLETION_HORIZON),
+            arrivals: CycleRing::new(ARRIVAL_HORIZON, slots),
+            completions: CycleRing::new(COMPLETION_HORIZON, slots),
+            far_completions: EventQueue::new(),
             announces: EventQueue::new(),
             wakeups: EventQueue::new(),
-            ready: SlotSet::new(cfg.rob_size),
-            consumers: vec![Vec::new(); cfg.rob_size],
+            ready: SlotSet::new(slots),
             batch: Vec::new(),
             fu_limits,
             stats: SimStats::default(),
@@ -406,16 +489,17 @@ impl Pipeline {
             if warmed && self.total_committed >= target_end {
                 break;
             }
-            if self.trace_done && self.rob.is_empty() && self.fetch_q.is_empty() {
+            if self.trace_done && self.rob_len() == 0 && self.fetch_q.is_empty() {
                 break;
             }
             assert!(
                 self.now - self.last_commit_cycle < DEADLOCK_LIMIT,
                 "pipeline deadlock at cycle {}: rob={} iq={} head={:?}",
                 self.now,
-                self.rob.len(),
+                self.rob_len(),
                 self.iq_count,
-                self.rob.front().map(|e| (e.seq, e.state, e.op.class)),
+                self.entry(self.base_seq)
+                    .map(|e| (self.base_seq, e.phase, e.at, e.class)),
             );
         }
         yac_obs::add(yac_obs::Metric::UopsCommitted, self.stats.committed);
@@ -456,13 +540,10 @@ impl Pipeline {
     /// deadlock check still fires at the same cycle.
     fn skip_idle_cycles(&mut self) {
         let now = self.now;
-        if matches!(
-            self.rob.front(),
-            Some(Entry {
-                state: ExecState::Done { .. },
-                ..
-            })
-        ) {
+        if self
+            .entry(self.base_seq)
+            .is_some_and(|e| e.phase == Phase::Done)
+        {
             return;
         }
         let dispatch_stalled = match self.fetch_q.front() {
@@ -479,6 +560,7 @@ impl Pipeline {
         }
         let mut next = (self.last_commit_cycle + DEADLOCK_LIMIT - 1)
             .min(self.completions.next_busy(now))
+            .min(next_event(&self.far_completions))
             .min(self.arrivals.next_busy(now))
             .min(next_event(&self.announces))
             .min(next_event(&self.wakeups));
@@ -501,90 +583,79 @@ impl Pipeline {
 
     // ---- helpers -------------------------------------------------------
 
-    fn entry(&self, seq: u64) -> Option<&Entry> {
-        seq.checked_sub(self.base_seq)
-            .and_then(|i| self.rob.get(i as usize))
+    fn rob_len(&self) -> u64 {
+        self.next_seq - self.base_seq
     }
 
-    fn entry_mut(&mut self, seq: u64) -> Option<&mut Entry> {
-        seq.checked_sub(self.base_seq)
-            .and_then(|i| self.rob.get_mut(i as usize))
+    /// Whether `seq` is in the ROB (not yet retired, and not a sentinel).
+    fn in_rob(&self, seq: u64) -> bool {
+        seq.wrapping_sub(self.base_seq) < self.rob_len()
     }
 
     fn slot(&self, seq: u64) -> usize {
-        (seq % self.cfg.rob_size as u64) as usize
+        (seq & self.slot_mask) as usize
+    }
+
+    /// The seq of the op in ROB slot `slot`.
+    fn seq_at(&self, slot: u16) -> u64 {
+        self.base_seq + (u64::from(slot).wrapping_sub(self.base_seq) & self.slot_mask)
+    }
+
+    fn entry(&self, seq: u64) -> Option<&Entry> {
+        self.in_rob(seq).then(|| &self.rob[self.slot(seq)])
     }
 
     /// Latency the scheduler assumes for a producer's result.
-    fn assumed_latency(&self, op: &MicroOp) -> u32 {
-        match op.class {
+    fn assumed_latency(&self, class: OpClass) -> u64 {
+        u64::from(match class {
             OpClass::Load => self.cfg.assumed_load_latency,
             c => c.exec_latency(),
-        }
+        })
     }
 
-    /// Predicted cycle at which `src`'s value becomes available, or `None`
-    /// if its producer has not even been scheduled.
-    fn pred_ready(&self, src: SrcRef) -> Option<u64> {
-        match src {
-            SrcRef::Ready => Some(0),
-            SrcRef::Producer(seq) => match self.entry(seq) {
-                None => Some(0), // producer retired: value in the register file
-                Some(e) => match e.state {
-                    ExecState::Waiting => None,
-                    ExecState::Scheduled { exec_at } => {
-                        Some(exec_at + u64::from(self.assumed_latency(&e.op)))
-                    }
-                    ExecState::Executing { done_at } => match e.announce_at {
-                        // Until the expected-completion cycle passes, the
-                        // scheduler still believes the assumed latency.
-                        Some(announce) if self.now < announce => {
-                            Some(announce.max(done_at.min(announce)))
-                        }
-                        _ => Some(done_at),
-                    },
-                    ExecState::Done { at } => Some(at),
-                },
-            },
+    /// Predicted cycle at which the value of `src` becomes available, or
+    /// `None` if its producer has not even been scheduled.
+    fn pred_ready(&self, src: u64) -> Option<u64> {
+        // No producer in flight: the value is in the register file.
+        let Some(e) = self.entry(src) else {
+            return Some(0);
+        };
+        match e.phase {
+            Phase::Waiting => None,
+            Phase::Scheduled => Some(e.at + self.assumed_latency(e.class)),
+            // Until the expected-completion cycle passes, the scheduler
+            // still believes the assumed latency.
+            Phase::Executing if self.now < e.announce_at => Some(e.announce_at),
+            Phase::Executing | Phase::Done => Some(e.at),
         }
     }
 
     /// Readiness without speculation: the value's arrival time once the
     /// producer is executing or done, `None` while it is merely queued or
     /// scheduled. Used to re-issue replayed ops safely.
-    fn firm_ready(&self, src: SrcRef) -> Option<u64> {
-        match src {
-            SrcRef::Ready => Some(0),
-            SrcRef::Producer(seq) => match self.entry(seq) {
-                None => Some(0),
-                Some(e) => match e.state {
-                    ExecState::Executing { done_at } => Some(done_at),
-                    ExecState::Done { at } => Some(at),
-                    ExecState::Waiting | ExecState::Scheduled { .. } => None,
-                },
-            },
+    fn firm_ready(&self, src: u64) -> Option<u64> {
+        let Some(e) = self.entry(src) else {
+            return Some(0);
+        };
+        match e.phase {
+            Phase::Executing | Phase::Done => Some(e.at),
+            Phase::Waiting | Phase::Scheduled => None,
         }
     }
 
-    /// Actual readiness of `src` at FU arrival: `Ok(ready_at)` once the
-    /// producer is executing or done, `Err(())` if it must be replayed
-    /// against (producer not in flight).
-    fn actual_ready(&self, src: SrcRef) -> Result<u64, ()> {
-        match src {
-            SrcRef::Ready => Ok(0),
-            SrcRef::Producer(seq) => match self.entry(seq) {
-                None => Ok(0),
-                Some(e) => match e.state {
-                    ExecState::Executing { done_at } => Ok(done_at),
-                    ExecState::Done { at } => Ok(at),
-                    // Scheduled: the value may still arrive in time; report
-                    // its predicted time so the caller can requeue-and-see.
-                    ExecState::Scheduled { exec_at } => {
-                        Ok(exec_at + u64::from(self.assumed_latency(&e.op)))
-                    }
-                    ExecState::Waiting => Err(()),
-                },
-            },
+    /// Actual readiness of `src` at FU arrival: the value's arrival time
+    /// once the producer is executing or done, `None` if the consumer must
+    /// be replayed (producer not in flight).
+    fn actual_ready(&self, src: u64) -> Option<u64> {
+        let Some(e) = self.entry(src) else {
+            return Some(0);
+        };
+        match e.phase {
+            Phase::Executing | Phase::Done => Some(e.at),
+            // Scheduled: the value may still arrive in time; report its
+            // predicted time so the caller can requeue-and-see.
+            Phase::Scheduled => Some(e.at + self.assumed_latency(e.class)),
+            Phase::Waiting => None,
         }
     }
 
@@ -594,7 +665,7 @@ impl Pipeline {
     /// state or announces.
     fn wake_cycle(&self, e: &Entry) -> u64 {
         let mut latest = 0;
-        for &src in e.srcs.iter().flatten() {
+        for &src in &e.srcs {
             let ready = if e.replayed {
                 // Post-replay re-issue is non-speculative: wait for the
                 // producer's value to be definitely on its way.
@@ -610,21 +681,26 @@ impl Pipeline {
         latest.saturating_sub(u64::from(self.cfg.sched_to_exec))
     }
 
-    /// Recomputes a waiting op's wake cycle and files the op as ready now
-    /// or as a future wakeup.
-    fn refresh(&mut self, seq: u64) {
-        let Some(e) = self.entry(seq) else { return };
-        if e.state != ExecState::Waiting {
+    /// Recomputes the wake cycle of the op in ROB slot `slot`, if it is
+    /// waiting, and files it as ready now or as a future wakeup.
+    fn refresh(&mut self, slot: usize) {
+        let e = &self.rob[slot];
+        if e.phase != Phase::Waiting {
             return;
         }
         let wake_at = self.wake_cycle(e);
-        self.entry_mut(seq).expect("entry exists").wake_at = wake_at;
-        let slot = self.slot(seq);
+        if wake_at == e.wake_at && wake_at > self.now {
+            // Unchanged and still ahead: its wakeup event is queued and
+            // live, and the op is not in the ready set.
+            return;
+        }
+        self.rob[slot].wake_at = wake_at;
         if wake_at <= self.now {
             self.ready.insert(slot);
         } else {
             self.ready.remove(slot);
             if wake_at != NEVER {
+                let seq = self.seq_at(slot as u16);
                 self.wakeups.push(Reverse((wake_at, seq)));
             }
         }
@@ -633,11 +709,13 @@ impl Pipeline {
     /// Refreshes every waiting op that reads `seq`'s result, or only the
     /// replayed ones.
     fn wake_consumers(&mut self, seq: u64, replayed_only: bool) {
-        let slot = self.slot(seq);
-        for i in 0..self.consumers[slot].len() {
-            let consumer = self.consumers[slot][i];
-            if !replayed_only || self.entry(consumer).is_some_and(|e| e.replayed) {
-                self.refresh(consumer);
+        let mut consumer = self.rob[self.slot(seq)].consumers;
+        while consumer != NIL {
+            let slot = usize::from(consumer);
+            let e = &self.rob[slot];
+            consumer = e.next_consumer[e.link_for(seq)];
+            if !replayed_only || e.replayed {
+                self.refresh(slot);
             }
         }
     }
@@ -648,7 +726,7 @@ impl Pipeline {
         while let Some(&Reverse((at, seq))) = self.wakeups.peek() {
             let live = self
                 .entry(seq)
-                .is_some_and(|e| e.state == ExecState::Waiting && e.wake_at == at);
+                .is_some_and(|e| e.phase == Phase::Waiting && e.wake_at == at);
             if live && at > self.now {
                 break;
             }
@@ -660,16 +738,18 @@ impl Pipeline {
     }
 
     fn dispatch_blocked(&self, op: &MicroOp) -> bool {
-        self.rob.len() >= self.cfg.rob_size
+        self.rob_len() >= self.cfg.rob_size as u64
             || self.iq_count >= self.cfg.iq_size
             || (op.class.is_mem() && self.lsq_count >= self.cfg.lsq_size)
     }
 
-    /// Whether an older, still-in-flight store writes the same 8-byte word.
+    /// Whether an older, still-in-flight store writes the same 8-byte
+    /// word as the load `seq`: a walk from the ROB head up to the load.
     fn older_store_to(&self, seq: u64, addr: u64) -> bool {
         let word = addr & !7;
-        self.rob.iter().any(|e| {
-            e.seq < seq && e.op.class == OpClass::Store && e.op.addr.map(|a| a & !7) == Some(word)
+        (self.base_seq..seq).any(|older| {
+            let e = &self.rob[self.slot(older)];
+            e.class == OpClass::Store && e.addr & !7 == word
         })
     }
 
@@ -692,15 +772,16 @@ impl Pipeline {
 
     fn commit(&mut self) {
         for _ in 0..self.cfg.width {
-            let Some(front) = self.rob.front() else { break };
-            let ExecState::Done { .. } = front.state else {
+            let Some(head) = self.entry(self.base_seq) else {
                 break;
             };
-            let entry = self.rob.pop_front().expect("front exists");
-            self.base_seq += 1;
-            if entry.op.class.is_mem() {
+            if head.phase != Phase::Done {
+                break;
+            }
+            if head.class.is_mem() {
                 self.lsq_count -= 1;
             }
+            self.base_seq += 1;
             self.total_committed += 1;
             self.stats.committed += 1;
             self.last_commit_cycle = self.now;
@@ -708,63 +789,68 @@ impl Pipeline {
     }
 
     fn complete(&mut self) {
-        let mut seqs = std::mem::take(&mut self.batch);
-        self.completions.drain_into(self.now, &mut seqs);
-        for &seq in &seqs {
-            let now = self.now;
-            let Some(e) = self.entry_mut(seq) else {
-                continue;
-            };
-            let ExecState::Executing { done_at } = e.state else {
-                unreachable!("only executing ops complete");
-            };
-            e.state = ExecState::Done { at: now };
+        let now = self.now;
+        let mut slots = std::mem::take(&mut self.batch);
+        self.completions.drain_into(now, &mut slots);
+        while let Some(seq) = pop_due(&mut self.far_completions, now) {
+            slots.push(self.slot(seq) as u16);
+        }
+        for &slot in &slots {
+            let e = &mut self.rob[usize::from(slot)];
+            debug_assert!(e.phase == Phase::Executing && e.at == now);
+            e.phase = Phase::Done;
             // Dependants already expect the value at `done_at`; it moves
-            // only for a load finishing before its announce cycle (or a
-            // completion the ring delivered a horizon early).
-            let moved = done_at != now || e.announce_at.is_some_and(|a| a > now);
-            let is_branch = e.op.class == OpClass::Branch;
-            let resolves = e.resolves_fetch;
-            if is_branch {
+            // only for a load finishing before its announce cycle.
+            let moved = e.announce_at > now;
+            if e.class == OpClass::Branch {
                 self.stats.branches += 1;
             }
-            if resolves {
+            if e.resolves_fetch {
                 self.fetch_blocked = false;
                 self.fetch_resume_at = self
                     .fetch_resume_at
                     .max(now + u64::from(self.cfg.redirect_penalty));
             }
             if moved {
-                self.wake_consumers(seq, false);
+                self.wake_consumers(self.seq_at(slot), false);
             }
         }
-        seqs.clear();
-        self.batch = seqs;
+        slots.clear();
+        self.batch = slots;
     }
 
     fn fu_arrive(&mut self) {
-        let mut seqs = std::mem::take(&mut self.batch);
-        self.arrivals.drain_into(self.now, &mut seqs);
-        seqs.sort_unstable(); // oldest first, so producers precede consumers
-        for &seq in &seqs {
-            self.process_arrival(seq);
+        let mut slots = std::mem::take(&mut self.batch);
+        self.arrivals.drain_into(self.now, &mut slots);
+        // Oldest first, so producers precede consumers.
+        let (base, mask) = (self.base_seq, self.slot_mask);
+        if slots.len() > 1 {
+            slots.sort_unstable_by_key(|&slot| u64::from(slot).wrapping_sub(base) & mask);
         }
-        seqs.clear();
-        self.batch = seqs;
+        for &slot in &slots {
+            self.process_arrival(self.seq_at(slot));
+        }
+        slots.clear();
+        self.batch = slots;
     }
 
     fn process_arrival(&mut self, seq: u64) {
-        let Some(e) = self.entry(seq) else { return };
-        if !matches!(e.state, ExecState::Scheduled { .. }) {
-            return; // stale arrival from before a replay
-        }
+        let slot = self.slot(seq);
+        let Entry {
+            srcs,
+            class,
+            addr,
+            phase,
+            ..
+        } = self.rob[slot];
+        debug_assert_eq!(phase, Phase::Scheduled, "one arrival per scheduling");
         // Determine operand lateness.
         let mut ready_at = 0u64;
         let mut must_replay = false;
-        for src in e.srcs.iter().flatten() {
-            match self.actual_ready(*src) {
-                Ok(t) => ready_at = ready_at.max(t),
-                Err(()) => {
+        for src in srcs {
+            match self.actual_ready(src) {
+                Some(t) => ready_at = ready_at.max(t),
+                None => {
                     must_replay = true;
                     break;
                 }
@@ -795,88 +881,82 @@ impl Pipeline {
         if ready_at > self.now {
             // The load-bypass buffer absorbs the lateness: wait and retry
             // when the value arrives.
-            let (requeues, first_stall) = {
-                let e = self.entry_mut(seq).expect("entry exists");
-                let first = !e.bypass_counted;
-                e.bypass_counted = true;
-                e.requeues += 1;
-                (e.requeues, first)
-            };
+            let e = &mut self.rob[slot];
+            let first_stall = !e.bypass_counted;
+            e.bypass_counted = true;
+            e.requeues += 1;
             if first_stall {
                 self.stats.bypass_stalls += 1;
             }
-            if requeues > MAX_REQUEUES {
+            if e.requeues > MAX_REQUEUES {
                 self.replay(seq);
                 return;
             }
-            let retry = ready_at.max(self.now + 1);
             // The scheduler is informed of the stall (§4.3 of the paper):
             // slipping the op's effective execute cycle keeps its own
             // dependants' wakeup predictions in step, so a one-cycle delay
             // propagates down the chain as exactly one cycle instead of
             // collapsing into replays.
-            let e = self.entry_mut(seq).expect("entry exists");
-            e.state = ExecState::Scheduled { exec_at: retry };
-            self.arrivals.push(retry, seq);
+            let retry = ready_at.max(self.now + 1);
+            e.at = retry;
+            self.arrivals.push(retry, slot as u16);
             self.wake_consumers(seq, false);
             return;
         }
 
         // Operands ready: execute.
-        let (class, addr) = {
-            let e = self.entry(seq).expect("entry exists");
-            (e.op.class, e.op.addr)
-        };
-        let mut announce_at = None;
+        let now = self.now;
+        let mut announce_at = 0;
         let done_at = match class {
             OpClass::Load => {
-                let addr = addr.expect("loads carry addresses");
                 self.stats.loads += 1;
-                announce_at = Some(self.now + u64::from(self.cfg.assumed_load_latency));
+                announce_at = now + u64::from(self.cfg.assumed_load_latency);
                 if self.cfg.store_forwarding && self.older_store_to(seq, addr) {
                     // The LSQ forwards the word; the cache is not touched.
                     self.stats.forwarded_loads += 1;
-                    self.now + u64::from(self.cfg.forward_latency)
+                    now + u64::from(self.cfg.forward_latency)
                 } else {
                     let out = self.mem.data_access(addr, AccessKind::Read);
                     if out.l1_hit {
                         self.stats.l1d_load_hits += 1;
-                        self.now + u64::from(out.latency)
+                        now + u64::from(out.latency)
                     } else {
                         // A miss needs an MSHR; with all of them busy the
                         // access queues behind the oldest outstanding miss.
                         let start = self.acquire_mshr();
                         let done = start + u64::from(out.latency);
                         self.outstanding_misses.push(done);
-                        if start > self.now {
-                            self.stats.mshr_stall_cycles += start - self.now;
+                        if start > now {
+                            self.stats.mshr_stall_cycles += start - now;
                         }
                         done
                     }
                 }
             }
             OpClass::Store => {
-                let _ = self
-                    .mem
-                    .data_access(addr.expect("stores carry addresses"), AccessKind::Write);
-                self.now + 1
+                let _ = self.mem.data_access(addr, AccessKind::Write);
+                now + 1
             }
-            c => self.now + u64::from(c.exec_latency()),
+            c => now + u64::from(c.exec_latency()),
         };
-        let now = self.now;
-        let e = self.entry_mut(seq).expect("entry exists");
+        let e = &mut self.rob[slot];
         // Speculative dependants predicted `exec_at + assumed latency`,
         // which an op executing on time keeps until it completes or
         // announces; only replayed ones, waiting for a firm time, move.
-        let on_time = e.state == ExecState::Scheduled { exec_at: now };
-        e.state = ExecState::Executing { done_at };
+        let on_time = e.at == now;
+        e.phase = Phase::Executing;
+        e.at = done_at;
         e.announce_at = announce_at;
-        self.completions.push(done_at, seq);
+        if done_at - now < COMPLETION_HORIZON as u64 {
+            self.completions.push(done_at, slot as u16);
+        } else {
+            self.far_completions.push(Reverse((done_at, seq)));
+        }
         // A load later than assumed changes its dependants' predicted
         // operand time at the announce cycle; an on-time (or early) one
         // never does before it completes.
-        if let Some(announce) = announce_at.filter(|&a| done_at > a) {
-            self.announces.push(Reverse((announce, seq)));
+        if announce_at != 0 && done_at > announce_at {
+            self.announces.push(Reverse((announce_at, seq)));
         }
         self.iq_count -= 1;
         self.wake_consumers(seq, on_time);
@@ -885,12 +965,13 @@ impl Pipeline {
     /// Selective replay: the op returns to the issue queue and re-issues
     /// non-speculatively; its own dependants lose their predicted operand.
     fn replay(&mut self, seq: u64) {
-        let e = self.entry_mut(seq).expect("entry exists");
-        e.state = ExecState::Waiting;
+        let slot = self.slot(seq);
+        let e = &mut self.rob[slot];
+        e.phase = Phase::Waiting;
         e.replayed = true;
         e.requeues = 0;
         self.stats.replays += 1;
-        self.refresh(seq);
+        self.refresh(slot);
         self.wake_consumers(seq, false);
     }
 
@@ -901,36 +982,32 @@ impl Pipeline {
         self.promote_wakeups();
 
         let exec_at = self.now + u64::from(self.cfg.sched_to_exec);
-        let head = self.slot(self.base_seq);
-        let rob_size = self.cfg.rob_size as u64;
         // Reservations only ever concern this cycle's picks: each cycle
         // books the distinct execute cycle `now + sched_to_exec`.
         let mut reserved = [0u16; FuClass::COUNT];
         let mut picks = std::mem::take(&mut self.batch);
-        for slot in self.ready.ring_order(head) {
+        for slot in self.ready.ring_order(self.slot(self.base_seq)) {
             if picks.len() == self.cfg.width {
                 break;
             }
-            let seq = self.base_seq + (slot as u64 + rob_size - head as u64) % rob_size;
-            let e = self.entry(seq).expect("ready ops are in the ROB");
-            let fu = FuClass::of(e.op.class) as usize;
+            let fu = FuClass::of(self.rob[slot].class) as usize;
             if reserved[fu] >= self.fu_limits[fu] {
                 continue;
             }
             reserved[fu] += 1;
-            picks.push(seq);
+            picks.push(slot as u16);
         }
 
-        for &seq in &picks {
-            let slot = self.slot(seq);
-            self.ready.remove(slot);
-            let e = self.entry_mut(seq).expect("picked entries exist");
-            e.state = ExecState::Scheduled { exec_at };
+        for &slot in &picks {
+            self.ready.remove(usize::from(slot));
+            let e = &mut self.rob[usize::from(slot)];
+            e.phase = Phase::Scheduled;
+            e.at = exec_at;
             e.bypass_counted = false;
-            self.arrivals.push(exec_at, seq);
+            self.arrivals.push(exec_at, slot);
         }
-        for &seq in &picks {
-            self.wake_consumers(seq, false);
+        for &slot in &picks {
+            self.wake_consumers(self.seq_at(slot), false);
         }
         picks.clear();
         self.batch = picks;
@@ -947,44 +1024,40 @@ impl Pipeline {
             }
             let (op, mispredicted) = self.fetch_q.pop_front().expect("front exists");
             let seq = self.next_seq;
-            self.next_seq += 1;
             let slot = self.slot(seq);
-            self.consumers[slot].clear();
-
-            let mut srcs = [None, None];
+            let mut e = Entry {
+                addr: if op.class.is_mem() {
+                    op.addr.expect("memory ops carry addresses")
+                } else {
+                    0
+                },
+                class: op.class,
+                resolves_fetch: mispredicted,
+                ..Entry::EMPTY
+            };
             for (i, reg) in op.srcs.iter().flatten().enumerate() {
-                let src = match self.rat[usize::from(*reg)] {
-                    Some(p) if p >= self.base_seq => {
-                        let producer = self.slot(p);
-                        if self.consumers[producer].last() != Some(&seq) {
-                            self.consumers[producer].push(seq);
-                        }
-                        SrcRef::Producer(p)
-                    }
-                    _ => SrcRef::Ready,
-                };
-                srcs[i] = Some(src);
+                let producer = self.rat[usize::from(*reg)];
+                if !self.in_rob(producer) {
+                    continue; // retired: the value is in the register file
+                }
+                e.srcs[i] = producer;
+                if i == 1 && e.srcs[0] == producer {
+                    continue; // already on this producer's list
+                }
+                let p = self.slot(producer);
+                e.next_consumer[i] = self.rob[p].consumers;
+                self.rob[p].consumers = slot as u16;
             }
             if let Some(dest) = op.dest {
-                self.rat[usize::from(dest)] = Some(seq);
+                self.rat[usize::from(dest)] = seq;
             }
             if op.class.is_mem() {
                 self.lsq_count += 1;
             }
             self.iq_count += 1;
-            self.rob.push_back(Entry {
-                op,
-                seq,
-                srcs,
-                state: ExecState::Waiting,
-                bypass_counted: false,
-                requeues: 0,
-                resolves_fetch: mispredicted,
-                replayed: false,
-                announce_at: None,
-                wake_at: NEVER,
-            });
-            self.refresh(seq);
+            self.rob[slot] = e;
+            self.next_seq += 1;
+            self.refresh(slot);
         }
     }
 
@@ -1324,6 +1397,156 @@ mod tests {
         let mut pipe = cpu(PipelineConfig::paper(), HierarchyConfig::paper());
         let stats = pipe.run(independent_alus(500), 0, 1_000_000);
         assert_eq!(stats.committed, 500, "all ops commit even past trace end");
+    }
+
+    #[test]
+    fn completions_past_the_ring_horizon_arrive_on_time() {
+        // Around 1000 cycles of memory latency an L1D miss completes more
+        // than the completion ring's horizon out (queued behind a full
+        // MSHR file, up to twice the latency). It must still complete at
+        // its own cycle, not a horizon early, so CPI keeps rising.
+        for mshrs in [0, 2] {
+            let cpis: Vec<f64> = [980, 1000, 1100]
+                .into_iter()
+                .map(|latency| {
+                    let mut cfg = PipelineConfig::paper();
+                    cfg.mshrs = mshrs;
+                    let mut hier = HierarchyConfig::paper();
+                    hier.memory_latency = latency;
+                    let mut pipe = cpu(cfg, hier);
+                    let trace = TraceGenerator::new(spec2000::profile("mcf").unwrap(), 7);
+                    pipe.run(trace, 2_000, 20_000).cpi()
+                })
+                .collect();
+            assert!(
+                cpis.windows(2).all(|w| w[0] < w[1]),
+                "mshrs={mshrs}: CPI must rise with memory latency: {cpis:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rob_ring_wraps_with_non_power_of_two_sizes() {
+        for rob_size in [48, 100] {
+            let mut cfg = PipelineConfig::paper();
+            cfg.rob_size = rob_size;
+            cfg.iq_size = rob_size;
+            cfg.lsq_size = rob_size;
+
+            // Every op of a serial chain reads its predecessor's slot, so
+            // the chain crosses the ring's wrap hundreds of times.
+            let mut pipe = cpu(cfg.clone(), HierarchyConfig::paper());
+            let cpi = pipe.run(alu_chain(20_000), 2_000, 10_000).cpi();
+            assert!((0.95..1.2).contains(&cpi), "rob {rob_size}: cpi={cpi}");
+            assert_eq!(pipe.rob.len(), rob_size.next_power_of_two());
+            assert!(pipe.base_seq > 50 * pipe.rob.len() as u64);
+
+            // Misses back the ROB up to `rob_size`, never to the ring.
+            let mut pipe = cpu(cfg, HierarchyConfig::paper());
+            let mut trace = TraceGenerator::new(spec2000::profile("mcf").unwrap(), 7);
+            let mut fullest = 0;
+            while pipe.total_committed < 20_000 {
+                pipe.skip_idle_cycles();
+                pipe.step(&mut trace);
+                fullest = fullest.max(pipe.rob_len());
+            }
+            assert_eq!(fullest, rob_size as u64);
+        }
+    }
+
+    #[test]
+    fn ready_scan_is_oldest_first_across_the_word_wrap() {
+        let mut set = SlotSet::new(256);
+        for slot in [3, 64, 130, 250, 255] {
+            set.insert(slot);
+        }
+        let order = |start| set.ring_order(start).collect::<Vec<_>>();
+        assert_eq!(order(0), [3, 64, 130, 250, 255]);
+        assert_eq!(order(200), [250, 255, 3, 64, 130]);
+        assert_eq!(order(255), [255, 3, 64, 130, 250]);
+        assert_eq!(order(64), [64, 130, 250, 255, 3]);
+        assert_eq!(order(65), [130, 250, 255, 3, 64]);
+
+        // A ring of fewer than 64 slots wraps inside one word.
+        let mut small = SlotSet::new(8);
+        small.insert(1);
+        small.insert(6);
+        assert_eq!(small.ring_order(6).collect::<Vec<_>>(), [6, 1]);
+        assert_eq!(small.ring_order(2).collect::<Vec<_>>(), [6, 1]);
+    }
+
+    #[test]
+    fn scheduler_picks_oldest_first_across_the_ring_wrap() {
+        // An FP divide at slot 251 of a 256-slot ROB feeds eight ALU ops
+        // in slots 252..=255 and 0..=3. They wake in the same cycle; a
+        // 4-wide scheduler must take the four before the wrap first.
+        let mut pipe = cpu(PipelineConfig::paper(), HierarchyConfig::paper());
+        pipe.base_seq = 251;
+        pipe.next_seq = 251;
+        let op = |i: u64, class, srcs, dest| MicroOp {
+            pc: 0x1000 + i * 4,
+            class,
+            srcs,
+            dest: Some(dest),
+            addr: None,
+            taken: None,
+        };
+        let mut ops = vec![op(0, OpClass::FpDiv, [Some(0), None], 8)];
+        ops.extend((1..=8).map(|i| op(i, OpClass::IntAlu, [Some(8), None], 8 + i as u8)));
+        let mut trace = ops.into_iter();
+        let mut exec_at = [None; 8];
+        while pipe.total_committed < 9 {
+            pipe.skip_idle_cycles();
+            pipe.step(&mut trace);
+            for (i, at) in exec_at.iter_mut().enumerate() {
+                if let Some(e) = pipe.entry(252 + i as u64) {
+                    if e.phase == Phase::Scheduled && at.is_none() {
+                        *at = Some(e.at);
+                    }
+                }
+            }
+        }
+        let first = exec_at[0].expect("scheduled");
+        assert_eq!(exec_at[..4], [Some(first); 4], "{exec_at:?}");
+        assert_eq!(exec_at[4..], [Some(first + 1); 4], "{exec_at:?}");
+    }
+
+    #[test]
+    fn cycle_ring_finds_the_next_event_across_the_horizon_wrap() {
+        let mut ring = CycleRing::new(64, 8);
+        let mut out = Vec::new();
+        assert_eq!(ring.next_busy(100), NEVER);
+        ring.push(125, 1); // bucket 61
+        ring.push(130, 2); // bucket 2, past the wrap
+        assert_eq!(ring.next_busy(120), 125);
+        assert_eq!(ring.next_busy(125), 125);
+        ring.drain_into(125, &mut out);
+        assert_eq!(out, [1]);
+        assert_eq!(ring.next_busy(126), 130);
+        assert_eq!(ring.next_busy(128), 130);
+        ring.drain_into(130, &mut out);
+        assert_eq!(out, [1, 2]);
+        assert_eq!(ring.next_busy(131), NEVER);
+
+        // The completion ring's horizon spans sixteen bitset words.
+        let mut ring = CycleRing::new(COMPLETION_HORIZON, 8);
+        ring.push(2_050, 3); // bucket 2
+        assert_eq!(ring.next_busy(2_040), 2_050);
+        assert_eq!(ring.next_busy(1_030), 2_050);
+    }
+
+    #[test]
+    fn entries_fill_one_cache_line_and_slots_stay_addressable() {
+        assert_eq!(std::mem::size_of::<Entry>(), 64);
+        let mem = || MemoryHierarchy::new(HierarchyConfig::paper()).unwrap();
+        let mut cfg = PipelineConfig::paper();
+        cfg.rob_size = MAX_SLOTS;
+        assert!(Pipeline::new(cfg.clone(), mem()).is_ok());
+        cfg.rob_size = MAX_SLOTS + 1;
+        assert_eq!(
+            Pipeline::new(cfg, mem()).err(),
+            Some(ConfigError::RobExceedsSlots)
+        );
     }
 
     #[test]
