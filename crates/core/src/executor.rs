@@ -167,6 +167,11 @@ impl ExecutorConfig {
 impl Default for ExecutorConfig {
     /// [`ExecutorConfig::with_workers`] at the machine's available
     /// parallelism.
+    ///
+    /// This probes the host: `std::thread::available_parallelism` reads
+    /// the cgroup CPU quota files on Linux, about 20 µs per call on a
+    /// containerised 2-core host. Build it once per run or service, never
+    /// per request.
     fn default() -> Self {
         let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         Self::with_workers(workers)

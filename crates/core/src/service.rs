@@ -9,8 +9,8 @@
 //!
 //! * **Bit-identical results.** A query key is the SplitMix64
 //!   fingerprint of the *single-cell sweep grid* the query denotes
-//!   ([`StudyQuery::fingerprint`] delegates to
-//!   [`SweepGrid::fingerprint`]), and the cached value is the canonical
+//!   ([`StudyQuery::fingerprint`] and [`SweepGrid::fingerprint`] share
+//!   one key fold), and the cached value is the canonical
 //!   [`render_result`] text — every `f64` an IEEE bit image. A cache hit
 //!   is therefore byte-identical to recomputation, and to the `S` record
 //!   a sweep journal would hold for the same cell; tests assert all
@@ -130,8 +130,8 @@ use crate::health::{HealthConfig, HeartbeatRegistry, StallEvent, StallSentinel};
 use crate::schemes::PowerDownKind;
 use crate::stealing::StealPool;
 use crate::sweep::{
-    parse_journal, parse_result, render_result, study_result_from_outcome, CpiOptions, StudySpec,
-    StudyStatus, SweepConfig, SweepGrid,
+    parse_journal, parse_result, render_result, results_key, study_result_from_outcome, CpiOptions,
+    StudySpec, StudyStatus, SweepConfig, SweepGrid,
 };
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
@@ -201,22 +201,19 @@ impl StudyQuery {
     }
 
     /// The query's cache key: the [`SweepGrid::fingerprint`] of the
-    /// single-cell grid this query denotes (same SplitMix64 fold, same
-    /// inputs), under a fault-free config. Not a new hash — the existing
-    /// one, applied to a one-cell sweep.
+    /// single-cell grid this query denotes under a fault-free config —
+    /// the same fold over one-element slices. Builds no grid and no
+    /// config, so keying a request never probes the host.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let grid = SweepGrid {
-            chips: self.chips,
-            seeds: vec![self.seed],
-            constraints: vec![self.constraint],
-            kinds: vec![self.kind],
-        };
-        let config = SweepConfig {
-            cpi: self.cpi,
-            ..SweepConfig::default()
-        };
-        grid.fingerprint(&config)
+        results_key(
+            self.chips,
+            &[self.seed],
+            &[self.constraint],
+            &[self.kind],
+            self.cpi,
+            None,
+        )
     }
 }
 
@@ -2527,6 +2524,31 @@ mod tests {
         ] {
             assert_ne!(changed.fingerprint(), q.fingerprint(), "{changed:?}");
         }
+    }
+
+    #[test]
+    fn query_keys_are_pinned() {
+        // Journals and cache files are keyed by these values, so a key
+        // that moves orphans every saved entry.
+        let plain = StudyQuery {
+            chips: 2000,
+            seed: 2006,
+            constraint: ConstraintSpec::NOMINAL,
+            kind: PowerDownKind::Vertical,
+            cpi: None,
+        };
+        assert_eq!(plain.fingerprint(), 0x67c7_a292_67c8_dd1c);
+        let with_cpi = StudyQuery {
+            chips: 96,
+            seed: 7,
+            constraint: ConstraintSpec::STRICT,
+            kind: PowerDownKind::Horizontal,
+            cpi: Some(CpiOptions {
+                warmup_uops: 200,
+                measure_uops: 800,
+            }),
+        };
+        assert_eq!(with_cpi.fingerprint(), 0x69fe_5365_d13a_0317);
     }
 
     #[test]

@@ -153,46 +153,67 @@ impl SweepGrid {
     /// so a sweep may be resumed under a different executor.
     #[must_use]
     pub fn fingerprint(&self, config: &SweepConfig) -> u64 {
-        let mut h = mix(0x59ac_5eed, self.chips as u64);
-        h = mix(h, self.seeds.len() as u64);
-        for &seed in &self.seeds {
-            h = mix(h, seed);
-        }
-        h = mix(h, self.constraints.len() as u64);
-        for c in &self.constraints {
-            for &b in c.name.as_bytes() {
-                h = mix(h, u64::from(b));
-            }
-            h = mix(h, c.delay_sigma_factor.to_bits());
-            h = mix(h, c.leakage_mean_factor.to_bits());
-        }
-        h = mix(h, self.kinds.len() as u64);
-        for &k in &self.kinds {
-            h = mix(h, matches!(k, PowerDownKind::Horizontal) as u64);
-        }
-        match &config.cpi {
-            None => h = mix(h, 0),
-            Some(c) => {
-                h = mix(h, 1);
-                h = mix(h, c.warmup_uops);
-                h = mix(h, c.measure_uops);
-            }
-        }
-        match &config.faults {
-            None => h = mix(h, 0),
-            Some(f) => {
-                h = mix(h, 1);
-                h = mix(h, f.rate().to_bits());
-                h = mix(h, f.salt());
-            }
-        }
-        h
+        results_key(
+            self.chips,
+            &self.seeds,
+            &self.constraints,
+            &self.kinds,
+            config.cpi,
+            config.faults,
+        )
     }
 }
 
-/// SplitMix64-style finalising fold used for the grid fingerprint (and
-/// the service's per-query fingerprint, which must mix identically).
-pub(crate) fn mix(h: u64, v: u64) -> u64 {
+/// The one key fold behind [`SweepGrid::fingerprint`] and the service's
+/// per-query key: a SplitMix64-style fold over the result-shaping inputs
+/// only. It reads no executor settings, so computing a key never probes
+/// the host. Journals and cache files are keyed by its values, so they
+/// must never change.
+pub(crate) fn results_key(
+    chips: usize,
+    seeds: &[u64],
+    constraints: &[ConstraintSpec],
+    kinds: &[PowerDownKind],
+    cpi: Option<CpiOptions>,
+    faults: Option<FaultPlan>,
+) -> u64 {
+    let mut h = mix(0x59ac_5eed, chips as u64);
+    h = mix(h, seeds.len() as u64);
+    for &seed in seeds {
+        h = mix(h, seed);
+    }
+    h = mix(h, constraints.len() as u64);
+    for c in constraints {
+        for &b in c.name.as_bytes() {
+            h = mix(h, u64::from(b));
+        }
+        h = mix(h, c.delay_sigma_factor.to_bits());
+        h = mix(h, c.leakage_mean_factor.to_bits());
+    }
+    h = mix(h, kinds.len() as u64);
+    for &k in kinds {
+        h = mix(h, matches!(k, PowerDownKind::Horizontal) as u64);
+    }
+    match cpi {
+        None => h = mix(h, 0),
+        Some(c) => {
+            h = mix(h, 1);
+            h = mix(h, c.warmup_uops);
+            h = mix(h, c.measure_uops);
+        }
+    }
+    match faults {
+        None => h = mix(h, 0),
+        Some(f) => {
+            h = mix(h, 1);
+            h = mix(h, f.rate().to_bits());
+            h = mix(h, f.salt());
+        }
+    }
+    h
+}
+
+fn mix(h: u64, v: u64) -> u64 {
     let mut z = h
         .wrapping_add(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(v.wrapping_mul(0xbf58_476d_1ce4_e5b9));
@@ -261,6 +282,11 @@ pub struct SweepConfig {
 impl Default for SweepConfig {
     /// One study at a time on the default executor, checkpoint every 4
     /// shards, no CPI, no cancellation, no faults.
+    ///
+    /// Builds [`ExecutorConfig::default`], which probes the host through
+    /// `available_parallelism` (cgroup file reads, about 20 µs), so it
+    /// must not be built per request. Keys come from
+    /// [`SweepGrid::fingerprint`], which reads no executor settings.
     fn default() -> Self {
         SweepConfig {
             exec: ExecutorConfig::default(),

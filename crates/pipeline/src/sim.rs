@@ -382,7 +382,9 @@ pub struct Pipeline {
     stats: SimStats,
     total_committed: u64,
     last_commit_cycle: u64,
-    /// Completion times of in-flight L1D misses (MSHR occupancy).
+    /// Completion times of in-flight L1D misses (MSHR occupancy);
+    /// recorded only when MSHRs are limited, so it stays empty at the
+    /// paper default `mshrs = 0`.
     outstanding_misses: Vec<u64>,
 }
 
@@ -925,7 +927,9 @@ impl Pipeline {
                         // access queues behind the oldest outstanding miss.
                         let start = self.acquire_mshr();
                         let done = start + u64::from(out.latency);
-                        self.outstanding_misses.push(done);
+                        if self.cfg.mshrs > 0 {
+                            self.outstanding_misses.push(done);
+                        }
                         if start > now {
                             self.stats.mshr_stall_cycles += start - now;
                         }
@@ -1376,6 +1380,16 @@ mod tests {
             throttled.cpi(),
             unlimited.cpi()
         );
+    }
+
+    #[test]
+    fn unlimited_mshrs_track_no_outstanding_misses() {
+        let mut pipe = cpu(PipelineConfig::paper(), HierarchyConfig::paper());
+        assert_eq!(pipe.config().mshrs, 0);
+        let trace = TraceGenerator::new(spec2000::profile("mcf").unwrap(), 7);
+        let stats = pipe.run(trace, 5_000, 40_000);
+        assert!(stats.l1d_load_hits < stats.loads, "mcf must miss in L1D");
+        assert!(pipe.outstanding_misses.is_empty());
     }
 
     #[test]
