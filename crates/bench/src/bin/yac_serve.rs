@@ -90,8 +90,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 use yac_core::client::{ClientConfig, ClientError, ResilientClient};
-use yac_core::service::{self, ServiceConfig, ServiceReply, ServiceRequest, StudyQuery};
+use yac_core::service::{self, ServiceConfig, StudyQuery};
 use yac_core::sweep::CpiOptions;
+use yac_core::wire::{ServiceReply, ServiceRequest};
 use yac_core::{
     chaos, ChaosPlan, ConstraintSpec, PowerDownKind, ResultCache, StudyError, SweepConfig,
     SweepGrid, SweepService,

@@ -1,17 +1,17 @@
 //! Checkpoint/resume for long population studies.
 //!
 //! The paper's studies evaluate 2000 chips; a killed run should not have
-//! to recompute the chips it already finished. [`run_checkpointed`]
-//! writes the completed chip evaluations (and the quarantine ledger) to a
-//! plain-text checkpoint file every `every` chips, and a later call with
-//! the same configuration and path resumes from the highest completed
-//! index.
+//! to recompute the chips it already finished.
+//! [`crate::executor::run_checkpointed_workers`] writes the completed
+//! shards' chip evaluations (and the quarantine ledger) to a plain-text
+//! checkpoint file every `every` shards, and a later call with the same
+//! configuration, shard layout and path resumes without recomputing
+//! them.
 //!
 //! The format stores every `f64` as the 16-hex-digit image of its IEEE
 //! bits, so a resumed run's population — and therefore every report
-//! rendered from it — is byte-identical to an uninterrupted run's.
-//! Chips are computed per-index from the same SplitMix64 stream as
-//! [`crate::Population::generate_with`], with the same fault isolation.
+//! rendered from it — is byte-identical to an uninterrupted run's and
+//! to [`crate::Population::generate_with`].
 //!
 //! # Format v3
 //!
@@ -25,23 +25,22 @@
 //! * `C index <results>` — one completed chip evaluation;
 //! * `Q index seed error` — one quarantined chip;
 //! * `S start len` / `D start len attempts error` — a completed or
-//!   degraded shard, so a killed *parallel* run
-//!   ([`crate::executor::run_checkpointed_workers`]) resumes at shard
-//!   granularity without recomputing finished shards. For shard-granular
-//!   checkpoints `done` counts the chips covered by recorded shards (not
-//!   necessarily a contiguous prefix).
+//!   degraded shard. `done` counts the chips covered by recorded shards
+//!   (not necessarily a contiguous prefix). A file with `done > 0` but
+//!   no shard records is chip-granular, written by the serial runner of
+//!   earlier versions, and is refused as [`StudyError::Mismatch`].
 //!
 //! A final `END` line marks the file complete, so a file cut exactly at
 //! a line boundary — every remaining line intact — is still refused.
 //! Files from earlier versions are refused as corrupt at line 1.
 
-use crate::chip::{evaluate_isolated, ChipSample, Population, PopulationConfig};
+use crate::chip::{ChipSample, PopulationConfig};
 use crate::crc_log::{self, crc_line, Policy};
 use crate::quarantine::QuarantineLedger;
 use std::fmt;
 use std::path::Path;
 use yac_circuit::{CacheCircuitResult, WayCircuitResult};
-use yac_variation::{ConfigError, MonteCarlo};
+use yac_variation::ConfigError;
 
 /// Format version tag; bump when the line layout changes.
 const MAGIC: &str = "YAC-CHECKPOINT v3";
@@ -145,16 +144,14 @@ pub struct CheckpointState {
     pub seed: u64,
     /// The total chip count the study was asked for.
     pub chips: usize,
-    /// Chips accounted for so far. Chip-granular (serial) checkpoints
-    /// have computed the contiguous prefix `0..done`; shard-granular ones
-    /// count the chips covered by [`CheckpointState::shards`].
+    /// Chips accounted for so far: those covered by
+    /// [`CheckpointState::shards`].
     pub done: usize,
     /// Completed chip evaluations, ascending by index.
     pub completed: Vec<ChipSample>,
     /// Chips quarantined so far.
     pub quarantine: QuarantineLedger,
-    /// Shard outcomes of a supervised parallel run, ascending by start
-    /// index. Empty for chip-granular (serial) checkpoints.
+    /// Shard outcomes of a supervised run, ascending by start index.
     pub shards: Vec<ShardRecord>,
 }
 
@@ -479,103 +476,15 @@ pub(crate) fn load_or_fresh(
     }
 }
 
-/// Advances `state` by at most `budget` chips, with the same per-chip
-/// fault isolation as [`Population::generate_with`].
-fn advance(state: &mut CheckpointState, config: &PopulationConfig, mc: &MonteCarlo, budget: usize) {
-    let end = state.chips.min(state.done + budget);
-    for index in state.done as u64..end as u64 {
-        match mc.sample_one_checked(config.seed, index, config.faults.as_ref()) {
-            Ok(die) => match evaluate_isolated(config, &die) {
-                Ok((regular, horizontal)) => state.completed.push(ChipSample {
-                    index,
-                    regular,
-                    horizontal,
-                }),
-                Err(error) => state.quarantine.record(index, config.seed, error),
-            },
-            Err(error) => state
-                .quarantine
-                .record(index, config.seed, error.to_string()),
-        }
-    }
-    state.done = end;
-}
-
-fn into_population(state: CheckpointState, config: &PopulationConfig) -> Population {
-    Population::from_parts(
-        state.completed,
-        state.quarantine,
-        *config.regular_model.calibration(),
-        state.seed,
-    )
-}
-
-/// Runs (or resumes) a checkpointed population study to completion,
-/// persisting progress to `path` every `every` chips.
-///
-/// # Errors
-///
-/// Returns a [`StudyError`] if the checkpoint cannot be read, parsed or
-/// written, belongs to a different study, or the variation configuration
-/// is invalid ([`StudyError::Config`]).
-pub fn run_checkpointed(
-    config: &PopulationConfig,
-    path: &Path,
-    every: usize,
-) -> Result<Population, StudyError> {
-    run_checkpointed_budget(config, path, every, None)
-        .map(|p| p.expect("unbounded run always completes"))
-}
-
-/// Like [`run_checkpointed`] but computing at most `max_new_chips` new
-/// chips in this call; returns `Ok(None)` if the study is still
-/// incomplete afterwards (the checkpoint holds the progress).
-///
-/// A bounded call is how tests simulate a killed run; driving it with
-/// `None` completes the study.
-///
-/// # Errors
-///
-/// Returns a [`StudyError`] if the checkpoint cannot be read, parsed or
-/// written, belongs to a different study (including a shard-granular
-/// checkpoint from a supervised parallel run, which must be resumed with
-/// [`crate::executor::run_checkpointed_workers`]), or the variation
-/// configuration is invalid ([`StudyError::Config`]).
-pub fn run_checkpointed_budget(
-    config: &PopulationConfig,
-    path: &Path,
-    every: usize,
-    max_new_chips: Option<usize>,
-) -> Result<Option<Population>, StudyError> {
-    let every = every.max(1);
-    let mc = MonteCarlo::try_new(config.variation).map_err(StudyError::Config)?;
-    let mut state = load_or_fresh(path, config)?;
-    if !state.shards.is_empty() {
-        return Err(StudyError::Mismatch(
-            "checkpoint is shard-granular (written by a supervised parallel \
-             run); resume it with run_checkpointed_workers"
-                .into(),
-        ));
-    }
-    let mut remaining = max_new_chips.unwrap_or(usize::MAX);
-    while !state.is_complete() && remaining > 0 {
-        let step = every.min(remaining);
-        advance(&mut state, config, &mc, step);
-        remaining -= step.min(remaining);
-        write_state(path, &state)?;
-    }
-    if state.is_complete() {
-        Ok(Some(into_population(state, config)))
-    } else {
-        Ok(None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::table2;
+    use crate::chip::Population;
     use crate::constraints::{ConstraintSpec, YieldConstraints};
+    use crate::executor::{
+        run_checkpointed_workers, run_checkpointed_workers_budget, ExecutorConfig,
+    };
     use crate::report::render_loss_table;
     use yac_variation::FaultPlan;
 
@@ -591,12 +500,28 @@ mod tests {
         cfg
     }
 
+    /// The complete state of a `chips`-chip study, computed serially.
+    fn computed_state(chips: usize, seed: u64) -> CheckpointState {
+        let pop = Population::generate_with(&small_config(chips, seed));
+        CheckpointState {
+            done: chips,
+            completed: pop.chips.clone(),
+            quarantine: pop.quarantine().clone(),
+            ..CheckpointState::fresh(seed, chips)
+        }
+    }
+
+    /// One worker over `shard_chips`-chip shards.
+    fn one_worker(shard_chips: usize) -> ExecutorConfig {
+        ExecutorConfig {
+            shard_chips,
+            ..ExecutorConfig::with_workers(1)
+        }
+    }
+
     #[test]
     fn checkpoint_text_roundtrips_exactly() {
-        let cfg = small_config(6, 11);
-        let mc = MonteCarlo::new(cfg.variation);
-        let mut state = CheckpointState::fresh(11, 6);
-        advance(&mut state, &cfg, &mc, 6);
+        let mut state = computed_state(6, 11);
         state.quarantine.record(99, 11, "synthetic entry".into());
         state.shards.push(ShardRecord {
             start: 0,
@@ -637,10 +562,7 @@ mod tests {
 
     #[test]
     fn a_file_cut_at_a_line_boundary_before_end_is_corrupt() {
-        let cfg = small_config(3, 23);
-        let mc = MonteCarlo::new(cfg.variation);
-        let mut state = CheckpointState::fresh(23, 3);
-        advance(&mut state, &cfg, &mc, 3);
+        let state = computed_state(3, 23);
         let good = render_checkpoint(&state);
         let lines: Vec<&str> = good.split_inclusive('\n').collect();
         // Every proper prefix of whole lines is refused, END or not.
@@ -668,10 +590,7 @@ mod tests {
 
     #[test]
     fn single_bit_rot_fails_the_crc() {
-        let cfg = small_config(3, 19);
-        let mc = MonteCarlo::new(cfg.variation);
-        let mut state = CheckpointState::fresh(19, 3);
-        advance(&mut state, &cfg, &mc, 3);
+        let state = computed_state(3, 19);
         let good = render_checkpoint(&state);
         assert!(parse_checkpoint(&good).is_ok());
         // Flip one hex digit inside a chip record. The line still parses
@@ -693,7 +612,9 @@ mod tests {
         let cfg = small_config(40, 5);
         let path = tmp_path("fresh.ckpt");
         let _ = std::fs::remove_file(&path);
-        let pop = run_checkpointed(&cfg, &path, 16).unwrap();
+        let pop = run_checkpointed_workers(&cfg, &one_worker(16), &path, 1)
+            .unwrap()
+            .population;
         let direct = Population::generate_with(&cfg);
         assert_eq!(pop.chips, direct.chips);
         assert_eq!(pop.quarantine(), direct.quarantine());
@@ -711,10 +632,13 @@ mod tests {
         // Uninterrupted reference run (no checkpoint file involved).
         let reference = Population::generate_with(&cfg);
 
-        // "Kill" the study after 35 chips, then resume it.
-        let partial = run_checkpointed_budget(&cfg, &path, 10, Some(35)).unwrap();
+        // "Kill" the study after 4 of its 9 shards, then resume it.
+        let exec = one_worker(10);
+        let partial = run_checkpointed_workers_budget(&cfg, &exec, &path, 1, Some(4)).unwrap();
         assert!(partial.is_none(), "study must not be complete yet");
-        let resumed = run_checkpointed(&cfg, &path, 10).unwrap();
+        let resumed = run_checkpointed_workers(&cfg, &exec, &path, 1)
+            .unwrap()
+            .population;
 
         assert_eq!(resumed.chips, reference.chips);
         assert_eq!(resumed.quarantine(), reference.quarantine());
@@ -730,15 +654,16 @@ mod tests {
         let cfg = small_config(12, 7);
         let path = tmp_path("mismatch.ckpt");
         let _ = std::fs::remove_file(&path);
-        let _ = run_checkpointed_budget(&cfg, &path, 4, Some(4)).unwrap();
+        let exec = one_worker(4);
+        let _ = run_checkpointed_workers_budget(&cfg, &exec, &path, 1, Some(1)).unwrap();
         let other_seed = small_config(12, 8);
         assert!(matches!(
-            run_checkpointed(&other_seed, &path, 4),
+            run_checkpointed_workers(&other_seed, &exec, &path, 1),
             Err(StudyError::Mismatch(_))
         ));
         let other_count = small_config(13, 7);
         assert!(matches!(
-            run_checkpointed(&other_count, &path, 4),
+            run_checkpointed_workers(&other_count, &exec, &path, 1),
             Err(StudyError::Mismatch(_))
         ));
         let _ = std::fs::remove_file(&path);
@@ -750,7 +675,7 @@ mod tests {
         cfg.variation.ways = 0;
         let path = tmp_path("invalid-config.ckpt");
         let _ = std::fs::remove_file(&path);
-        let err = run_checkpointed(&cfg, &path, 4).unwrap_err();
+        let err = run_checkpointed_workers(&cfg, &one_worker(4), &path, 1).unwrap_err();
         assert!(matches!(err, StudyError::Config(_)), "got {err}");
         assert!(!path.exists(), "no checkpoint may be written");
     }

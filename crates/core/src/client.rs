@@ -1,7 +1,7 @@
 //! The resilient service client: retries with jittered exponential
 //! backoff, an overall deadline, and a circuit breaker.
 //!
-//! [`crate::service::client_request`] is one shot: any transport hiccup
+//! [`crate::wire::client_request`] is one shot: any transport hiccup
 //! — a chaos-injected disconnect, a corrupt frame, a `Busy` refusal —
 //! surfaces directly to the caller. This module wraps it in the
 //! standard resilience trio so a client under wire chaos still ends
@@ -43,7 +43,7 @@
 //!
 //! ```no_run
 //! use yac_core::client::{ClientConfig, ResilientClient};
-//! use yac_core::service::ServiceRequest;
+//! use yac_core::wire::ServiceRequest;
 //!
 //! let mut client = ResilientClient::new("127.0.0.1:7070", ClientConfig::default());
 //! match client.request(&ServiceRequest::Stats) {
@@ -52,11 +52,9 @@
 //! }
 //! ```
 
-use crate::chaos::{ChaosStream, NetSite};
-use crate::service::{read_frame, write_frame, ServiceReply, ServiceRequest};
+use crate::wire::{exchange, ServiceReply, ServiceRequest, CRC_FAILURE};
 use std::fmt;
 use std::io;
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use yac_obs::{Metric, TraceCtx, TraceEventKind};
 use yac_variation::montecarlo::mix_seed;
@@ -410,65 +408,38 @@ impl ResilientClient {
         }
     }
 
-    /// One wire attempt: fresh connection, remaining-deadline socket
-    /// timeouts, chaos-wrapped stream, one frame each way.
+    /// One wire attempt: the shared exchange under the remaining overall
+    /// budget as its socket timeouts, so a stalled server cannot hang the
+    /// call past its deadline. Only terminal replies are returned.
     fn attempt(
         &self,
         request: &ServiceRequest,
         started: Instant,
     ) -> Result<(ServiceReply, String), AttemptFailure> {
-        let io = |e: io::Error| AttemptFailure::Transport(e);
-        let stream = TcpStream::connect(&self.addr).map_err(io)?;
-        stream.set_nodelay(true).ok();
-        // Push the remaining overall budget into the socket so a stalled
-        // server cannot hang the call past its deadline.
-        if let Some(deadline) = self.config.deadline {
-            let remaining = deadline
+        let timeout = self.config.deadline.map(|deadline| {
+            deadline
                 .saturating_sub(started.elapsed())
-                .max(Duration::from_millis(1));
-            stream.set_read_timeout(Some(remaining)).map_err(io)?;
-            stream.set_write_timeout(Some(remaining)).map_err(io)?;
-        }
-        let mut stream = ChaosStream::new(stream, NetSite::Client);
-        write_frame(&mut stream, request.to_json().as_bytes()).map_err(io)?;
-        let payload = read_frame(&mut stream).map_err(io)?.ok_or_else(|| {
-            AttemptFailure::Transport(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed without replying",
-            ))
-        })?;
-        let text = String::from_utf8(payload).map_err(|e| {
-            AttemptFailure::Transport(io::Error::new(io::ErrorKind::InvalidData, e))
-        })?;
-        let reply = ServiceReply::parse(&text).map_err(|e| {
-            AttemptFailure::Transport(io::Error::new(io::ErrorKind::InvalidData, e))
-        })?;
-        if let ServiceReply::Busy { retry_after_ms, .. } = reply {
-            return Err(AttemptFailure::Busy {
+                .max(Duration::from_millis(1))
+        });
+        let (reply, text) =
+            exchange(&self.addr, request, timeout).map_err(AttemptFailure::Transport)?;
+        match reply {
+            // `Retryable` is the server saying "I hit a fault and already
+            // healed it" (a mid-query pool rebuild): retry on the hinted
+            // schedule like `Busy` — the service is healthy, so it must
+            // not count against the breaker either.
+            ServiceReply::Busy { retry_after_ms, .. }
+            | ServiceReply::Retryable { retry_after_ms } => Err(AttemptFailure::Busy {
                 retry_after: Duration::from_millis(retry_after_ms),
-            });
+            }),
+            // A server-side CRC failure means the wire corrupted our
+            // request in flight — transient, so retry it like any other
+            // transport fault rather than surfacing it as terminal.
+            ServiceReply::Error { message } if message.contains(CRC_FAILURE) => Err(
+                AttemptFailure::Transport(io::Error::new(io::ErrorKind::InvalidData, message)),
+            ),
+            reply => Ok((reply, text)),
         }
-        // `Retryable` is the server saying "I hit a fault and already
-        // healed it" (a mid-query pool rebuild): retry on the hinted
-        // schedule like `Busy` — the service is healthy, so it must not
-        // count against the breaker either.
-        if let ServiceReply::Retryable { retry_after_ms } = reply {
-            return Err(AttemptFailure::Busy {
-                retry_after: Duration::from_millis(retry_after_ms),
-            });
-        }
-        // A server-side CRC failure means the wire corrupted our
-        // request in flight — transient, so retry it like any other
-        // transport fault rather than surfacing it as terminal.
-        if let ServiceReply::Error { message } = &reply {
-            if message.contains("fails its CRC") {
-                return Err(AttemptFailure::Transport(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    message.clone(),
-                )));
-            }
-        }
-        Ok((reply, text))
     }
 }
 
@@ -557,11 +528,10 @@ mod tests {
             for reply in replies {
                 let (mut stream, _) = listener.accept().unwrap();
                 // Consume the request frame so the client's write wins.
-                let _ = crate::service::read_frame(&mut stream);
+                let _ = crate::wire::read_frame(&mut stream);
                 match reply {
                     Some(reply) => {
-                        let _ =
-                            crate::service::write_frame(&mut stream, reply.to_json().as_bytes());
+                        let _ = crate::wire::write_frame(&mut stream, reply.to_json().as_bytes());
                     }
                     None => drop(stream), // mid-exchange disconnect
                 }
@@ -615,6 +585,34 @@ mod tests {
         let (reply, _) = client.request(&ServiceRequest::Shutdown).unwrap();
         assert_eq!(reply, ServiceReply::Bye);
         assert!(!client.breaker().is_open());
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_server_side_crc_failure_is_retried_once() {
+        // The exact text a server sends back for a request frame that
+        // failed its CRC in flight.
+        let mut wire = Vec::new();
+        crate::wire::write_frame(&mut wire, b"{\"op\":\"stats\"}").unwrap();
+        let last = wire.len() - 1;
+        wire[last] ^= 1;
+        let message = crate::wire::read_frame(&mut io::Cursor::new(wire))
+            .unwrap_err()
+            .to_string();
+        let result = ServiceReply::Result {
+            record: "R 1 2 3".into(),
+            key: 0xfeed,
+            cached: true,
+        };
+        let (addr, server) = scripted_server(vec![
+            Some(ServiceReply::Error { message }),
+            Some(result.clone()),
+        ]);
+        let mut config = quick_config();
+        config.max_attempts = 2;
+        let mut client = ResilientClient::new(addr, config);
+        let (reply, _) = client.request(&ServiceRequest::Stats).unwrap();
+        assert_eq!(reply, result);
         server.join().unwrap();
     }
 

@@ -706,8 +706,8 @@ pub fn run_checkpointed_workers_budget(
     let mut state = load_or_fresh(path, config)?;
     if state.shards.is_empty() && state.done > 0 {
         return Err(StudyError::Mismatch(
-            "checkpoint is chip-granular (written by a serial run); resume \
-             it with run_checkpointed"
+            "checkpoint is chip-granular (no shard records); only shard \
+             checkpoints can be resumed"
                 .into(),
         ));
     }

@@ -212,35 +212,6 @@ impl Drop for HeartbeatLease<'_> {
     }
 }
 
-/// Sentinel tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthConfig {
-    /// How long a busy lane may go without progress before escalation.
-    /// A zero budget escalates a busy lane on its second observation.
-    pub budget: Duration,
-    /// How often the sentinel polls the registry.
-    pub poll: Duration,
-}
-
-impl HealthConfig {
-    /// A config for `budget`, polling at a quarter of it (clamped to
-    /// 1–50 ms).
-    #[must_use]
-    pub fn with_budget(budget: Duration) -> Self {
-        HealthConfig {
-            budget,
-            poll: (budget / 4).clamp(Duration::from_millis(1), Duration::from_millis(50)),
-        }
-    }
-}
-
-impl Default for HealthConfig {
-    /// A 2-second stall budget, 50 ms polls.
-    fn default() -> Self {
-        Self::with_budget(Duration::from_secs(2))
-    }
-}
-
 /// What the detector reports about a lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallEvent {
@@ -373,65 +344,108 @@ impl StallDetector {
     }
 }
 
-/// The supervision thread: polls a [`HeartbeatRegistry`], cancels
-/// stalled leases, and hands escalation policy to the embedder's
-/// handler.
+/// A helper thread that runs `step` until the step returns `None` or
+/// the loop is halted, parking between steps for as long as the step
+/// asks. Halting (also done by drop) sets the stop flag, unparks the
+/// thread and joins it, so it never waits out a park. A failed spawn
+/// leaves no thread and `step` never runs.
 #[derive(Debug)]
-pub struct StallSentinel {
+pub(crate) struct ParkedLoop {
     stop: Arc<AtomicBool>,
-    stalled: Arc<AtomicU64>,
     handle: Option<JoinHandle<()>>,
 }
 
-impl StallSentinel {
-    /// Spawns the sentinel over `registry`. For every [`StallEvent`]:
-    /// the sentinel itself performs step one of the ladder on `Missed`
-    /// (cancels the lease, counts [`Metric::HeartbeatsMissed`], traces
-    /// `HeartbeatMissed`), then calls `handler` — which owns steps two
-    /// and three (reassign / degrade). A failed thread spawn degrades
-    /// gracefully: no supervision, never a panic.
-    #[must_use]
-    pub fn spawn(
-        registry: Arc<HeartbeatRegistry>,
-        config: HealthConfig,
-        mut handler: impl FnMut(StallEvent) + Send + 'static,
+impl ParkedLoop {
+    pub(crate) fn spawn(
+        name: &str,
+        mut step: impl FnMut() -> Option<Duration> + Send + 'static,
     ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
-        let stalled = Arc::new(AtomicU64::new(0));
         let handle = {
             let stop = Arc::clone(&stop);
-            let stalled = Arc::clone(&stalled);
             std::thread::Builder::new()
-                .name("svc-sentinel".into())
+                .name(name.into())
                 .spawn(move || {
-                    let mut detector = StallDetector::new(registry.lanes(), config.budget);
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(config.poll.max(Duration::from_micros(100)));
-                        let events = detector.observe(&registry.snapshot(), Instant::now());
-                        stalled.store(detector.stalled() as u64, Ordering::Relaxed);
-                        for event in events {
-                            if let StallEvent::Missed { lane, shard, gen } = event {
-                                registry.cancel(lane, gen);
-                                yac_obs::inc(Metric::HeartbeatsMissed);
-                                yac_obs::trace_instant(
-                                    TraceEventKind::HeartbeatMissed,
-                                    TraceCtx {
-                                        worker: Some(lane as u32),
-                                        shard: Some(shard as u32),
-                                        ..TraceCtx::default()
-                                    },
-                                );
-                            }
-                            handler(event);
+                    while !stop.load(Ordering::Acquire) {
+                        match step() {
+                            Some(wait) => std::thread::park_timeout(wait),
+                            None => return,
                         }
                     }
                 })
                 .ok()
         };
+        ParkedLoop { stop, handle }
+    }
+
+    pub(crate) fn halt(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(handle) = self.handle.take() {
+            handle.thread().unpark();
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for ParkedLoop {
+    fn drop(&mut self) {
+        self.halt();
+    }
+}
+
+/// The supervision thread: polls a [`HeartbeatRegistry`], cancels
+/// stalled leases, and hands escalation policy to the embedder's
+/// handler. It runs on a parked helper loop, so stopping (or dropping) it
+/// returns at once instead of waiting out a poll.
+#[derive(Debug)]
+pub struct StallSentinel {
+    stalled: Arc<AtomicU64>,
+    _poller: ParkedLoop,
+}
+
+impl StallSentinel {
+    /// Spawns the sentinel over `registry`, escalating a busy lane that
+    /// makes no progress for `budget` (a zero budget escalates it on its
+    /// second observation). It polls at a quarter of the budget, clamped
+    /// to 1–50 ms. For every [`StallEvent`]: the sentinel itself
+    /// performs step one of the ladder on `Missed` (cancels the lease,
+    /// counts [`Metric::HeartbeatsMissed`], traces `HeartbeatMissed`),
+    /// then calls `handler` — which owns steps two and three (reassign /
+    /// degrade). A failed thread spawn degrades gracefully: no
+    /// supervision, never a panic.
+    #[must_use]
+    pub fn spawn(
+        registry: Arc<HeartbeatRegistry>,
+        budget: Duration,
+        mut handler: impl FnMut(StallEvent) + Send + 'static,
+    ) -> Self {
+        let poll = (budget / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
+        let stalled = Arc::new(AtomicU64::new(0));
+        let published = Arc::clone(&stalled);
+        let mut detector = StallDetector::new(registry.lanes(), budget);
+        let poller = ParkedLoop::spawn("svc-sentinel", move || {
+            let events = detector.observe(&registry.snapshot(), Instant::now());
+            published.store(detector.stalled() as u64, Ordering::Relaxed);
+            for event in events {
+                if let StallEvent::Missed { lane, shard, gen } = event {
+                    registry.cancel(lane, gen);
+                    yac_obs::inc(Metric::HeartbeatsMissed);
+                    yac_obs::trace_instant(
+                        TraceEventKind::HeartbeatMissed,
+                        TraceCtx {
+                            worker: Some(lane as u32),
+                            shard: Some(shard as u32),
+                            ..TraceCtx::default()
+                        },
+                    );
+                }
+                handler(event);
+            }
+            Some(poll)
+        });
         StallSentinel {
-            stop,
             stalled,
-            handle,
+            _poller: poller,
         }
     }
 
@@ -442,23 +456,8 @@ impl StallSentinel {
         self.stalled.load(Ordering::Relaxed)
     }
 
-    /// Stops and joins the sentinel thread.
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for StallSentinel {
-    fn drop(&mut self) {
-        self.halt();
-    }
+    /// Stops and joins the sentinel thread (as dropping it does).
+    pub fn stop(self) {}
 }
 
 #[cfg(test)]
@@ -570,10 +569,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let sentinel = StallSentinel::spawn(
             Arc::clone(&registry),
-            HealthConfig {
-                budget: Duration::from_millis(20),
-                poll: Duration::from_millis(2),
-            },
+            Duration::from_millis(20),
             move |event| {
                 let _ = tx.send(event);
             },
@@ -593,5 +589,21 @@ mod tests {
         assert!(lease.is_cancelled(), "step one of the ladder ran");
         drop(lease);
         sentinel.stop();
+    }
+
+    #[test]
+    fn stopping_the_sentinel_does_not_wait_out_a_poll() {
+        // A 2 s budget polls every 50 ms; ten stops that each waited out
+        // a poll would take half a second.
+        let registry = Arc::new(HeartbeatRegistry::new(1));
+        let started = Instant::now();
+        for _ in 0..10 {
+            StallSentinel::spawn(Arc::clone(&registry), Duration::from_secs(2), |_| {}).stop();
+        }
+        assert!(
+            started.elapsed() < Duration::from_millis(250),
+            "ten stops took {:?}",
+            started.elapsed()
+        );
     }
 }

@@ -52,6 +52,7 @@ pub mod service;
 pub mod stealing;
 pub mod sweep;
 pub mod testing;
+pub mod wire;
 
 pub use analysis::{
     constraint_sweep, fig8_scatter, full_study, full_study_supervised, full_study_workers,
@@ -59,10 +60,7 @@ pub use analysis::{
     InvalidLossReason, LossBreakdown, LossTable, ScatterPoint, SchemeLosses,
 };
 pub use chaos::{ChaosPlan, ChaosStream, IoSite, MemPlan, NetPlan, NetSite};
-pub use checkpoint::{
-    run_checkpointed, run_checkpointed_budget, CheckpointState, ShardRecord, ShardStatus,
-    StudyError,
-};
+pub use checkpoint::{CheckpointState, ShardRecord, ShardStatus, StudyError};
 pub use chip::{ChipSample, Population, PopulationConfig};
 pub use classify::{classify, LossReason, WayCycleCensus};
 pub use client::{CircuitBreaker, ClientConfig, ClientError, ResilientClient};
@@ -74,8 +72,7 @@ pub use executor::{
     DegradedShard, ExecutorConfig, ShardFaultPlan, ShardSpec, StudyOutcome,
 };
 pub use health::{
-    HealthConfig, HeartbeatLease, HeartbeatRegistry, LaneState, StallDetector, StallEvent,
-    StallSentinel,
+    HeartbeatLease, HeartbeatRegistry, LaneState, StallDetector, StallEvent, StallSentinel,
 };
 pub use perf::{
     adaptive_comparison, render_degradation, render_table6, suite_cpis_isolated, suite_degradation,
@@ -88,8 +85,7 @@ pub use schemes::{
     SchemeOutcome, Vaca, Yapd,
 };
 pub use service::{
-    client_request, constraint_by_name, read_frame, serve, write_frame, HealthReport, ResultCache,
-    ServiceConfig, ServiceReply, ServiceRequest, ServiceStats, StudyQuery, SweepService,
+    constraint_by_name, serve, ResultCache, ServiceConfig, StudyQuery, SweepService,
 };
 pub use stealing::{PoolTask, StealPool, WorkDeque};
 pub use sweep::{
@@ -97,6 +93,10 @@ pub use sweep::{
     SweepOutcome,
 };
 pub use testing::{MeasurementError, TestOutcome};
+pub use wire::{
+    client_request, read_frame, write_frame, HealthReport, ServiceReply, ServiceRequest,
+    ServiceStats,
+};
 
 #[cfg(test)]
 mod tests {

@@ -37,17 +37,8 @@
 //!
 //! # Wire protocol
 //!
-//! Length-prefixed, CRC-checked JSON over TCP: each frame is a
-//! big-endian `u32` byte length, a big-endian `u32` CRC-32 of the
-//! payload, then the payload — a flat JSON object (no nesting, scalars
-//! only). The CRC turns wire corruption (including the chaos layer's
-//! injected bit flips) into a typed `InvalidData` error instead of a
-//! silently wrong record. Requests carry an `"op"` key (`query`,
-//! `stats`, `drain`, `shutdown`); replies a `"status"` key (`ok`,
-//! `busy`, `draining`, `deadline`, `cancelled`, `error`, `stats`,
-//! `bye`). Study records travel as the canonical [`render_result`]
-//! token text inside the `"record"` string, so the bytes a client
-//! receives are exactly the bytes the cache holds.
+//! Requests and replies travel in the CRC-checked frames of
+//! [`crate::wire`], which owns the frame format and the JSON codec.
 //!
 //! # Overload hardening
 //!
@@ -90,7 +81,8 @@
 //! # Examples
 //!
 //! ```
-//! use yac_core::service::{ServiceConfig, StudyQuery, SweepService, ServiceReply};
+//! use yac_core::service::{ServiceConfig, StudyQuery, SweepService};
+//! use yac_core::wire::ServiceReply;
 //! use std::sync::Arc;
 //! use std::sync::atomic::AtomicBool;
 //!
@@ -126,31 +118,32 @@ use crate::executor::{
     collect_shards, shards_for, submit_shard, Collected, ExecutorConfig, MergedShards, ShardJob,
     ShardMsg, ShardSpec,
 };
-use crate::health::{HealthConfig, HeartbeatRegistry, StallEvent, StallSentinel};
+use crate::health::{HeartbeatRegistry, ParkedLoop, StallEvent, StallSentinel};
 use crate::schemes::PowerDownKind;
 use crate::stealing::StealPool;
 use crate::sweep::{
     parse_journal, parse_result, render_result, results_key, study_result_from_outcome, CpiOptions,
     StudySpec, StudyStatus, SweepConfig, SweepGrid,
 };
+use crate::wire::{
+    frame_bytes, is_would_block, read_frame_with, FrameIn, HealthReport, ServiceReply,
+    ServiceRequest, ServiceStats, DEFAULT_RETRY_AFTER_MS,
+};
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use yac_obs::json::{json_string, FlatObject};
 use yac_obs::{Metric, Phase, TraceCtx, TraceEventKind};
 use yac_variation::MonteCarlo;
 
 /// Cache-file magic line content (before its CRC trailer).
 const CACHE_MAGIC: &str = "YAC-CACHE v1";
-
-/// Largest frame either side of the wire protocol will accept.
-pub const MAX_FRAME: usize = 16 << 20;
 
 /// Looks up one of the paper's constraint recipes by its stable name.
 #[must_use]
@@ -691,173 +684,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The `retry_after_ms` a client assumes when a `busy` reply omits the
-/// field (a pre-hint server); also the default hint servers send.
-pub const DEFAULT_RETRY_AFTER_MS: u64 = 200;
-
-/// A point-in-time snapshot of service counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Queries received (any outcome).
-    pub queries: u64,
-    /// Queries answered with a result (cached or computed).
-    pub served: u64,
-    /// Queries refused with [`ServiceReply::Busy`].
-    pub busy: u64,
-    /// Result-cache hits.
-    pub cache_hits: u64,
-    /// Result-cache misses.
-    pub cache_misses: u64,
-    /// Result-cache evictions.
-    pub cache_evictions: u64,
-    /// Entries currently cached.
-    pub cache_entries: usize,
-    /// Bytes currently charged against the cache budget.
-    pub cache_bytes: usize,
-    /// Tasks stolen between pool workers.
-    pub stolen: u64,
-    /// Queries computing right now.
-    pub inflight: usize,
-    /// The admission limit.
-    pub limit: usize,
-    /// Slow clients evicted for stalling mid-frame.
-    pub evicted: u64,
-    /// Connections refused at the connection cap.
-    pub rejected: u64,
-    /// Whether the service is draining (refusing new queries).
-    pub draining: bool,
-    /// Completed cache scrub passes.
-    pub scrub_passes: u64,
-    /// Cache entries quarantined after failing their CRC.
-    pub quarantined: u64,
-    /// Quarantined entries repaired by a fresh insert.
-    pub repaired: u64,
-    /// Stalled shards reassigned to a fresh worker.
-    pub reassigned: u64,
-    /// Times the worker pool was rebuilt after poisoning.
-    pub pool_restarts: u64,
-}
-
-/// A point-in-time liveness report, answering [`ServiceRequest::Health`].
-///
-/// Where [`ServiceStats`] counts *traffic*, this reports *self-healing*:
-/// lane liveness, the escalation ladder's counters, scrub activity and
-/// pool rebuilds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthReport {
-    /// Milliseconds since the service was built.
-    pub uptime_ms: u64,
-    /// Queries computing right now.
-    pub inflight: usize,
-    /// Heartbeat lanes (one per pool worker).
-    pub lanes: usize,
-    /// Lanes currently holding a shard lease.
-    pub lanes_busy: usize,
-    /// Lanes past a missed heartbeat without recovering (cancelled or
-    /// truly wedged), as of the sentinel's last poll.
-    pub lanes_stalled: u64,
-    /// Lease cancels issued for missed heartbeats.
-    pub heartbeats_missed: u64,
-    /// Stalled shards reassigned to a fresh worker.
-    pub shards_reassigned: u64,
-    /// Completed cache scrub passes.
-    pub scrub_passes: u64,
-    /// Cache entries quarantined after failing their CRC.
-    pub quarantined: u64,
-    /// Quarantined entries repaired by a fresh insert.
-    pub repaired: u64,
-    /// Queries answered with a degraded (shards-missing) result.
-    pub degraded: u64,
-    /// Times the worker pool was rebuilt after poisoning.
-    pub pool_restarts: u64,
-}
-
-/// A request a client can put on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServiceRequest {
-    /// Compute (or fetch from cache) one study.
-    Query {
-        /// The study to compute or fetch.
-        query: StudyQuery,
-        /// Give up after this many milliseconds: the server arms a
-        /// watchdog that raises the query's cancel flag and answers
-        /// [`ServiceReply::Deadline`]. Deliberately *not* part of
-        /// [`StudyQuery`] — it shapes scheduling, not the result, so it
-        /// must not move the cache key.
-        deadline_ms: Option<u64>,
-    },
-    /// Report service counters.
-    Stats,
-    /// Report liveness: uptime, lane health, scrub and self-healing
-    /// counters.
-    Health,
-    /// Finish in-flight queries, refuse new ones, then exit the serve
-    /// loop.
-    Drain,
-    /// Shut the service down cleanly.
-    Shutdown,
-}
-
-/// What the service answers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServiceReply {
-    /// The study's canonical record text.
-    Result {
-        /// Canonical [`render_result`] text — exactly the cached bytes.
-        record: String,
-        /// The query's fingerprint (the cache key).
-        key: u64,
-        /// Whether the record came from the cache.
-        cached: bool,
-    },
-    /// The service is saturated; retry later. Backpressure is typed,
-    /// never an unbounded queue.
-    Busy {
-        /// Queries computing when the refusal was made.
-        inflight: usize,
-        /// The admission limit.
-        limit: usize,
-        /// How long the server suggests waiting before retrying. Absent
-        /// on the wire from older servers; clients assume
-        /// [`DEFAULT_RETRY_AFTER_MS`].
-        retry_after_ms: u64,
-    },
-    /// The service is draining: in-flight queries finish, new ones are
-    /// refused, and the serve loop exits once the last completes.
-    Draining {
-        /// Queries still computing when the refusal was made.
-        inflight: usize,
-    },
-    /// The query's `deadline_ms` expired before it finished; its shards
-    /// were cancelled cooperatively.
-    Deadline {
-        /// Milliseconds the query ran before the deadline fired.
-        elapsed_ms: u64,
-    },
-    /// The query's client disconnected mid-computation.
-    Cancelled,
-    /// The query was lost to a fault the service has already healed
-    /// (worker-pool poisoning mid-computation): the same request will
-    /// succeed on a fresh attempt. Unlike [`ServiceReply::Error`] this
-    /// is explicitly *transient* — resilient clients retry it like
-    /// [`ServiceReply::Busy`], without a breaker penalty.
-    Retryable {
-        /// How long the server suggests waiting before retrying.
-        retry_after_ms: u64,
-    },
-    /// The query could not be answered.
-    Error {
-        /// One-line diagnostic.
-        message: String,
-    },
-    /// Service counters, answering [`ServiceRequest::Stats`].
-    Stats(ServiceStats),
-    /// Liveness report, answering [`ServiceRequest::Health`].
-    Health(HealthReport),
-    /// Acknowledges [`ServiceRequest::Shutdown`].
-    Bye,
-}
-
 /// A computing query, registered so the stall sentinel's handler can
 /// reassign (or degrade) its stalled shards from outside the collector.
 #[derive(Debug)]
@@ -980,52 +806,6 @@ fn handle_stall(
     );
 }
 
-/// A helper thread that runs `step` until the step returns `None` or
-/// the loop is halted, parking between steps for as long as the step
-/// asks. Halting (also done by drop) sets the stop flag, unparks the
-/// thread and joins it, so it never waits out a park. A failed spawn
-/// leaves no thread and `step` never runs.
-#[derive(Debug)]
-struct ParkedLoop {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl ParkedLoop {
-    fn spawn(name: &str, mut step: impl FnMut() -> Option<Duration> + Send + 'static) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name(name.into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        match step() {
-                            Some(wait) => std::thread::park_timeout(wait),
-                            None => return,
-                        }
-                    }
-                })
-                .ok()
-        };
-        ParkedLoop { stop, handle }
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ParkedLoop {
-    fn drop(&mut self) {
-        self.halt();
-    }
-}
-
 /// The background cache scrubber: a low-priority thread re-verifying
 /// entry CRCs every interval (plus the persisted cache file, when
 /// configured). Stops promptly on halt or drop.
@@ -1129,21 +909,17 @@ impl SweepService {
             let hb_missed = Arc::clone(&hb_missed);
             let reassigned = Arc::clone(&reassigned);
             let max_reassigns = config.max_reassigns;
-            StallSentinel::spawn(
-                Arc::clone(&registry),
-                HealthConfig::with_budget(budget),
-                move |event| {
-                    handle_stall(
-                        event,
-                        &jobs,
-                        &pool,
-                        &handler_registry,
-                        &hb_missed,
-                        &reassigned,
-                        max_reassigns,
-                    );
-                },
-            )
+            StallSentinel::spawn(Arc::clone(&registry), budget, move |event| {
+                handle_stall(
+                    event,
+                    &jobs,
+                    &pool,
+                    &handler_registry,
+                    &hb_missed,
+                    &reassigned,
+                    max_reassigns,
+                );
+            })
         });
         let scrubber = config.scrub_interval.map(|interval| {
             spawn_scrubber(Arc::clone(&cache), interval, config.scrub_file.clone())
@@ -1577,482 +1353,14 @@ impl SweepService {
 }
 
 // ---------------------------------------------------------------------
-// Wire JSON: flat objects of scalars, written and read with
-// `yac_obs::json`.
+// The TCP serve loop
 // ---------------------------------------------------------------------
-
-impl ServiceRequest {
-    /// Renders the request as its wire JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        match self {
-            ServiceRequest::Query {
-                query: q,
-                deadline_ms,
-            } => {
-                let kind = match q.kind {
-                    PowerDownKind::Vertical => "vertical",
-                    PowerDownKind::Horizontal => "horizontal",
-                };
-                let mut out = format!(
-                    "{{\"op\":\"query\",\"chips\":{},\"seed\":{},\"constraint\":\"{}\",\"kind\":\"{kind}\"",
-                    q.chips, q.seed, q.constraint.name
-                );
-                if let Some(cpi) = &q.cpi {
-                    let _ = std::fmt::Write::write_fmt(
-                        &mut out,
-                        format_args!(
-                            ",\"warmup\":{},\"measure\":{}",
-                            cpi.warmup_uops, cpi.measure_uops
-                        ),
-                    );
-                }
-                if let Some(ms) = deadline_ms {
-                    let _ =
-                        std::fmt::Write::write_fmt(&mut out, format_args!(",\"deadline_ms\":{ms}"));
-                }
-                out.push('}');
-                out
-            }
-            ServiceRequest::Stats => "{\"op\":\"stats\"}".to_owned(),
-            ServiceRequest::Health => "{\"op\":\"health\"}".to_owned(),
-            ServiceRequest::Drain => "{\"op\":\"drain\"}".to_owned(),
-            ServiceRequest::Shutdown => "{\"op\":\"shutdown\"}".to_owned(),
-        }
-    }
-
-    /// Parses a wire request.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line diagnostic naming the malformed field; the
-    /// server sends it back as [`ServiceReply::Error`].
-    pub fn parse(text: &str) -> Result<ServiceRequest, String> {
-        let obj = FlatObject::parse(text)?;
-        match obj.str("op")? {
-            "stats" => Ok(ServiceRequest::Stats),
-            "health" => Ok(ServiceRequest::Health),
-            "drain" => Ok(ServiceRequest::Drain),
-            "shutdown" => Ok(ServiceRequest::Shutdown),
-            "query" => {
-                let name = obj.str("constraint")?;
-                let constraint = constraint_by_name(name)
-                    .ok_or_else(|| format!("unknown constraint {name:?}"))?;
-                let kind = match obj.str("kind")? {
-                    "vertical" => PowerDownKind::Vertical,
-                    "horizontal" => PowerDownKind::Horizontal,
-                    other => return Err(format!("unknown kind {other:?}")),
-                };
-                let cpi = match (obj.opt_u64("warmup")?, obj.opt_u64("measure")?) {
-                    (Some(warmup_uops), Some(measure_uops)) => Some(CpiOptions {
-                        warmup_uops,
-                        measure_uops,
-                    }),
-                    (None, None) => None,
-                    _ => return Err("warmup and measure must be given together".into()),
-                };
-                Ok(ServiceRequest::Query {
-                    query: StudyQuery {
-                        chips: obj.usize("chips")?,
-                        seed: obj.u64("seed")?,
-                        constraint,
-                        kind,
-                        cpi,
-                    },
-                    deadline_ms: obj.opt_u64("deadline_ms")?,
-                })
-            }
-            other => Err(format!("unknown op {other:?}")),
-        }
-    }
-}
-
-impl ServiceReply {
-    /// Renders the reply as its wire JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        match self {
-            ServiceReply::Result {
-                record,
-                key,
-                cached,
-            } => format!(
-                "{{\"status\":\"ok\",\"cached\":{cached},\"key\":\"{key:016x}\",\"record\":{}}}",
-                json_string(record)
-            ),
-            ServiceReply::Busy {
-                inflight,
-                limit,
-                retry_after_ms,
-            } => format!(
-                "{{\"status\":\"busy\",\"inflight\":{inflight},\"limit\":{limit},\
-                 \"retry_after_ms\":{retry_after_ms}}}"
-            ),
-            ServiceReply::Draining { inflight } => {
-                format!("{{\"status\":\"draining\",\"inflight\":{inflight}}}")
-            }
-            ServiceReply::Deadline { elapsed_ms } => {
-                format!("{{\"status\":\"deadline\",\"elapsed_ms\":{elapsed_ms}}}")
-            }
-            ServiceReply::Cancelled => "{\"status\":\"cancelled\"}".to_owned(),
-            ServiceReply::Retryable { retry_after_ms } => {
-                format!("{{\"status\":\"retryable\",\"retry_after_ms\":{retry_after_ms}}}")
-            }
-            ServiceReply::Error { message } => {
-                format!(
-                    "{{\"status\":\"error\",\"message\":{}}}",
-                    json_string(message)
-                )
-            }
-            ServiceReply::Stats(s) => format!(
-                "{{\"status\":\"stats\",\"queries\":{},\"served\":{},\"busy\":{},\
-                 \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\
-                 \"cache_entries\":{},\"cache_bytes\":{},\"stolen\":{},\
-                 \"inflight\":{},\"limit\":{},\"evicted\":{},\"rejected\":{},\
-                 \"draining\":{},\"scrub_passes\":{},\"quarantined\":{},\
-                 \"repaired\":{},\"reassigned\":{},\"pool_restarts\":{}}}",
-                s.queries,
-                s.served,
-                s.busy,
-                s.cache_hits,
-                s.cache_misses,
-                s.cache_evictions,
-                s.cache_entries,
-                s.cache_bytes,
-                s.stolen,
-                s.inflight,
-                s.limit,
-                s.evicted,
-                s.rejected,
-                s.draining,
-                s.scrub_passes,
-                s.quarantined,
-                s.repaired,
-                s.reassigned,
-                s.pool_restarts
-            ),
-            ServiceReply::Health(h) => format!(
-                "{{\"status\":\"health\",\"uptime_ms\":{},\"inflight\":{},\
-                 \"lanes\":{},\"lanes_busy\":{},\"lanes_stalled\":{},\
-                 \"heartbeats_missed\":{},\"shards_reassigned\":{},\
-                 \"scrub_passes\":{},\"quarantined\":{},\"repaired\":{},\
-                 \"degraded\":{},\"pool_restarts\":{}}}",
-                h.uptime_ms,
-                h.inflight,
-                h.lanes,
-                h.lanes_busy,
-                h.lanes_stalled,
-                h.heartbeats_missed,
-                h.shards_reassigned,
-                h.scrub_passes,
-                h.quarantined,
-                h.repaired,
-                h.degraded,
-                h.pool_restarts
-            ),
-            ServiceReply::Bye => "{\"status\":\"bye\"}".to_owned(),
-        }
-    }
-
-    /// Parses a wire reply.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line diagnostic naming the malformed field.
-    pub fn parse(text: &str) -> Result<ServiceReply, String> {
-        let obj = FlatObject::parse(text)?;
-        match obj.str("status")? {
-            "ok" => {
-                let key_hex = obj.str("key")?;
-                let key =
-                    u64::from_str_radix(key_hex, 16).map_err(|_| format!("bad key {key_hex:?}"))?;
-                Ok(ServiceReply::Result {
-                    record: obj.str("record")?.to_owned(),
-                    key,
-                    cached: obj.bool("cached")?,
-                })
-            }
-            "busy" => Ok(ServiceReply::Busy {
-                inflight: obj.usize("inflight")?,
-                limit: obj.usize("limit")?,
-                // Absent from pre-hint servers: assume the default.
-                retry_after_ms: obj
-                    .opt_u64("retry_after_ms")?
-                    .unwrap_or(DEFAULT_RETRY_AFTER_MS),
-            }),
-            "draining" => Ok(ServiceReply::Draining {
-                inflight: obj.usize("inflight")?,
-            }),
-            "deadline" => Ok(ServiceReply::Deadline {
-                elapsed_ms: obj.u64("elapsed_ms")?,
-            }),
-            "cancelled" => Ok(ServiceReply::Cancelled),
-            "retryable" => Ok(ServiceReply::Retryable {
-                retry_after_ms: obj
-                    .opt_u64("retry_after_ms")?
-                    .unwrap_or(DEFAULT_RETRY_AFTER_MS),
-            }),
-            "error" => Ok(ServiceReply::Error {
-                message: obj.str("message")?.to_owned(),
-            }),
-            "stats" => Ok(ServiceReply::Stats(ServiceStats {
-                queries: obj.u64("queries")?,
-                served: obj.u64("served")?,
-                busy: obj.u64("busy")?,
-                cache_hits: obj.u64("cache_hits")?,
-                cache_misses: obj.u64("cache_misses")?,
-                cache_evictions: obj.u64("cache_evictions")?,
-                cache_entries: obj.usize("cache_entries")?,
-                cache_bytes: obj.usize("cache_bytes")?,
-                stolen: obj.u64("stolen")?,
-                inflight: obj.usize("inflight")?,
-                limit: obj.usize("limit")?,
-                // Hardening-era fields; absent from older servers.
-                evicted: obj.opt_u64("evicted")?.unwrap_or(0),
-                rejected: obj.opt_u64("rejected")?.unwrap_or(0),
-                draining: obj.opt_bool("draining")?.unwrap_or(false),
-                // Self-healing-era fields; absent from older servers.
-                scrub_passes: obj.opt_u64("scrub_passes")?.unwrap_or(0),
-                quarantined: obj.opt_u64("quarantined")?.unwrap_or(0),
-                repaired: obj.opt_u64("repaired")?.unwrap_or(0),
-                reassigned: obj.opt_u64("reassigned")?.unwrap_or(0),
-                pool_restarts: obj.opt_u64("pool_restarts")?.unwrap_or(0),
-            })),
-            "health" => Ok(ServiceReply::Health(HealthReport {
-                uptime_ms: obj.u64("uptime_ms")?,
-                inflight: obj.usize("inflight")?,
-                lanes: obj.usize("lanes")?,
-                lanes_busy: obj.usize("lanes_busy")?,
-                lanes_stalled: obj.u64("lanes_stalled")?,
-                heartbeats_missed: obj.u64("heartbeats_missed")?,
-                shards_reassigned: obj.u64("shards_reassigned")?,
-                scrub_passes: obj.u64("scrub_passes")?,
-                quarantined: obj.u64("quarantined")?,
-                repaired: obj.u64("repaired")?,
-                degraded: obj.u64("degraded")?,
-                pool_restarts: obj.u64("pool_restarts")?,
-            })),
-            "bye" => Ok(ServiceReply::Bye),
-            other => Err(format!("unknown status {other:?}")),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Framing and the TCP serve loop
-// ---------------------------------------------------------------------
-
-/// Renders the wire image of one frame: big-endian `u32` length,
-/// big-endian `u32` CRC-32 of the payload, then the payload.
-fn frame_bytes(payload: &[u8]) -> io::Result<Vec<u8>> {
-    if payload.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
-        ));
-    }
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&crc32(payload).to_be_bytes());
-    frame.extend_from_slice(payload);
-    Ok(frame)
-}
-
-/// Writes one CRC-checked, length-prefixed frame (big-endian `u32`
-/// length, big-endian `u32` payload CRC-32, then the payload) and
-/// flushes.
-///
-/// # Errors
-///
-/// Propagates the underlying write error; refuses payloads over
-/// [`MAX_FRAME`] as [`io::ErrorKind::InvalidData`].
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&frame_bytes(payload)?)?;
-    w.flush()
-}
-
-/// Reads `buf.len()` bytes from a *blocking* reader. `Ok(false)` means
-/// clean EOF before the first byte (only honoured when `at_start`).
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8], at_start: bool) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 && at_start => return Ok(false),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Diagnoses a frame whose payload fails its CRC.
-fn crc_mismatch(want: u32, got: u32) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("frame payload fails its CRC (header {want:08x}, payload {got:08x})"),
-    )
-}
-
-/// Reads one CRC-checked, length-prefixed frame from a *blocking*
-/// reader. `Ok(None)` means the peer closed the connection cleanly
-/// before a frame started.
-///
-/// The payload buffer grows as bytes actually arrive (in steps of at
-/// most 64 KiB), so a hostile header claiming [`MAX_FRAME`] bytes on a
-/// connection that then stalls or closes never costs a 16 MiB
-/// allocation up front.
-///
-/// # Errors
-///
-/// [`io::ErrorKind::UnexpectedEof`] when the peer closes mid-frame;
-/// [`io::ErrorKind::InvalidData`] for frames over [`MAX_FRAME`] or
-/// payloads failing their CRC.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    if !read_exact_or_eof(r, &mut len_bytes, true)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds MAX_FRAME"),
-        ));
-    }
-    let mut crc_bytes = [0u8; 4];
-    read_exact_or_eof(r, &mut crc_bytes, false)?;
-    let want = u32::from_be_bytes(crc_bytes);
-    let mut payload = Vec::with_capacity(len.min(64 << 10));
-    let mut chunk = [0u8; 4096];
-    while payload.len() < len {
-        let step = (len - payload.len()).min(chunk.len());
-        match r.read(&mut chunk[..step]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => payload.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let got = crc32(&payload);
-    if got != want {
-        return Err(crc_mismatch(want, got));
-    }
-    Ok(Some(payload))
-}
-
-/// Whether an error is the "no data within the socket timeout" signal.
-/// `set_read_timeout` surfaces as either kind depending on platform.
-fn is_would_block(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
 
 /// How long connection sockets block per read/write attempt. The kernel
 /// parks the thread for up to one tick (`SO_RCVTIMEO`/`SO_SNDTIMEO`),
 /// so idling costs no CPU; shutdown and frame deadlines are checked
 /// once per tick.
 const IO_TICK: Duration = Duration::from_millis(20);
-
-/// One read attempt from a frame loop.
-enum FrameIn {
-    /// A whole frame arrived.
-    Frame(Vec<u8>),
-    /// Clean EOF before a frame, or shutdown was requested while idle.
-    Closed,
-    /// The peer stalled mid-frame past the read deadline: evict it.
-    Evicted,
-}
-
-/// Reads one frame from a connection socket whose read timeout is
-/// [`IO_TICK`]. Idle ticks *between* frames are free — a connected
-/// client may stay silent forever — but once the first byte of a frame
-/// arrives the rest must follow within `deadline` or the peer is
-/// reported as [`FrameIn::Evicted`].
-fn read_frame_conn(
-    stream: &mut ChaosStream<TcpStream>,
-    service: &SweepService,
-    deadline: Duration,
-) -> io::Result<FrameIn> {
-    let mut header = [0u8; 8];
-    let mut filled = 0;
-    let mut started: Option<Instant> = None;
-    // Header: length then CRC. The eviction clock arms at byte one.
-    while filled < 8 {
-        match stream.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(FrameIn::Closed),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => {
-                started.get_or_insert_with(Instant::now);
-                filled += n;
-            }
-            Err(e) if is_would_block(&e) => {
-                if filled == 0 {
-                    if service.shutdown_requested() {
-                        return Ok(FrameIn::Closed);
-                    }
-                } else if started.is_some_and(|t| t.elapsed() >= deadline) {
-                    return Ok(FrameIn::Evicted);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds MAX_FRAME"),
-        ));
-    }
-    let want = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
-    let armed = started.unwrap_or_else(Instant::now);
-    let mut payload = Vec::with_capacity(len.min(64 << 10));
-    let mut chunk = [0u8; 4096];
-    while payload.len() < len {
-        let step = (len - payload.len()).min(chunk.len());
-        match stream.read(&mut chunk[..step]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => payload.extend_from_slice(&chunk[..n]),
-            Err(e) if is_would_block(&e) => {
-                if armed.elapsed() >= deadline {
-                    return Ok(FrameIn::Evicted);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let got = crc32(&payload);
-    if got != want {
-        return Err(crc_mismatch(want, got));
-    }
-    Ok(FrameIn::Frame(payload))
-}
 
 /// Writes all of `bytes` to a connection socket whose write timeout is
 /// [`IO_TICK`], giving up (`TimedOut`) when the peer accepts nothing
@@ -2201,7 +1509,15 @@ fn handle_connection(stream: TcpStream, service: &Arc<SweepService>) {
     let mut stream = ChaosStream::new(stream, NetSite::Server);
     let read_deadline = service.config().read_deadline;
     loop {
-        let payload = match read_frame_conn(&mut stream, service, read_deadline) {
+        // Idle ticks between frames are free (a connected client may stay
+        // silent forever); once a frame's first byte arrives, the rest
+        // must follow within the read deadline or the peer is evicted.
+        let idle = |_, started: Option<Instant>| match started {
+            None if service.shutdown_requested() => ControlFlow::Break(Ok(FrameIn::Closed)),
+            Some(at) if at.elapsed() >= read_deadline => ControlFlow::Break(Ok(FrameIn::Evicted)),
+            _ => ControlFlow::Continue(()),
+        };
+        let payload = match read_frame_with(&mut stream, idle) {
             Ok(FrameIn::Frame(payload)) => payload,
             Ok(FrameIn::Closed) => return,
             Ok(FrameIn::Evicted) => {
@@ -2441,38 +1757,11 @@ pub fn serve(listener: &TcpListener, service: &Arc<SweepService>) -> io::Result<
     Ok(())
 }
 
-/// Sends one request over a fresh blocking connection and returns the
-/// typed reply plus the raw reply JSON (callers print or persist the
-/// raw text so nothing is re-rendered on the client side).
-///
-/// # Errors
-///
-/// Propagates connect/read/write failures; a malformed reply surfaces
-/// as [`io::ErrorKind::InvalidData`].
-pub fn client_request(addr: &str, request: &ServiceRequest) -> io::Result<(ServiceReply, String)> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
-    // Client bytes flow through the chaos layer too, so a torture run
-    // exercises both directions of the wire.
-    let mut stream = ChaosStream::new(stream, NetSite::Client);
-    write_frame(&mut stream, request.to_json().as_bytes())?;
-    let payload = read_frame(&mut stream)?.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed without replying",
-        )
-    })?;
-    let text = String::from_utf8(payload)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let reply =
-        ServiceReply::parse(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    Ok((reply, text))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::cell::Cell;
+    use std::io::Read;
 
     fn query() -> StudyQuery {
         StudyQuery {
@@ -2956,197 +2245,6 @@ mod tests {
         assert_eq!(report.quarantined, 0);
         assert_eq!(report.degraded, 0);
         service.shutdown();
-    }
-
-    #[test]
-    fn requests_round_trip_through_wire_json() {
-        for request in [
-            ServiceRequest::Query {
-                query: query(),
-                deadline_ms: None,
-            },
-            ServiceRequest::Query {
-                query: StudyQuery {
-                    cpi: None,
-                    ..query()
-                },
-                deadline_ms: Some(1500),
-            },
-            ServiceRequest::Stats,
-            ServiceRequest::Health,
-            ServiceRequest::Drain,
-            ServiceRequest::Shutdown,
-        ] {
-            let json = request.to_json();
-            assert_eq!(ServiceRequest::parse(&json).unwrap(), request, "{json}");
-        }
-    }
-
-    #[test]
-    fn replies_round_trip_through_wire_json() {
-        for reply in [
-            ServiceReply::Result {
-                record: "total 4 quarantined 0 \"quoted\\path\"\n".into(),
-                key: 0xdead_beef_0bad_cafe,
-                cached: true,
-            },
-            ServiceReply::Busy {
-                inflight: 2,
-                limit: 2,
-                retry_after_ms: 350,
-            },
-            ServiceReply::Draining { inflight: 1 },
-            ServiceReply::Deadline { elapsed_ms: 420 },
-            ServiceReply::Cancelled,
-            ServiceReply::Error {
-                message: "shard 3 panicked: \"boom\"".into(),
-            },
-            ServiceReply::Stats(ServiceStats {
-                queries: 9,
-                served: 7,
-                busy: 1,
-                cache_hits: 4,
-                cache_misses: 3,
-                cache_evictions: 2,
-                cache_entries: 1,
-                cache_bytes: 812,
-                stolen: 5,
-                inflight: 1,
-                limit: 2,
-                evicted: 3,
-                rejected: 6,
-                draining: true,
-                scrub_passes: 11,
-                quarantined: 2,
-                repaired: 1,
-                reassigned: 4,
-                pool_restarts: 1,
-            }),
-            ServiceReply::Retryable { retry_after_ms: 75 },
-            ServiceReply::Health(HealthReport {
-                uptime_ms: 120_500,
-                inflight: 1,
-                lanes: 4,
-                lanes_busy: 2,
-                lanes_stalled: 1,
-                heartbeats_missed: 3,
-                shards_reassigned: 2,
-                scrub_passes: 9,
-                quarantined: 1,
-                repaired: 1,
-                degraded: 0,
-                pool_restarts: 0,
-            }),
-            ServiceReply::Bye,
-        ] {
-            let json = reply.to_json();
-            assert_eq!(ServiceReply::parse(&json).unwrap(), reply, "{json}");
-        }
-    }
-
-    #[test]
-    fn string_carrying_replies_keep_their_wire_bytes() {
-        let ok = ServiceReply::Result {
-            record: "total 8 \"q\"\n".into(),
-            key: 0xab,
-            cached: true,
-        };
-        assert_eq!(
-            ok.to_json(),
-            "{\"status\":\"ok\",\"cached\":true,\"key\":\"00000000000000ab\",\
-             \"record\":\"total 8 \\\"q\\\"\\n\"}"
-        );
-        let err = ServiceReply::Error {
-            message: "bad\tfield".into(),
-        };
-        assert_eq!(
-            err.to_json(),
-            "{\"status\":\"error\",\"message\":\"bad\\tfield\"}"
-        );
-    }
-
-    #[test]
-    fn busy_without_a_hint_assumes_the_default() {
-        let reply =
-            ServiceReply::parse("{\"status\":\"busy\",\"inflight\":2,\"limit\":2}").unwrap();
-        assert_eq!(
-            reply,
-            ServiceReply::Busy {
-                inflight: 2,
-                limit: 2,
-                retry_after_ms: DEFAULT_RETRY_AFTER_MS,
-            }
-        );
-    }
-
-    #[test]
-    fn malformed_requests_are_diagnosed_not_panicked() {
-        for bad in [
-            "",
-            "{",
-            "not json",
-            "{\"op\":\"query\"}",
-            "{\"op\":\"mystery\"}",
-            "{\"op\":\"query\",\"chips\":8,\"seed\":1,\"constraint\":\"bogus\",\"kind\":\"vertical\"}",
-            "{\"op\":\"query\",\"chips\":8,\"seed\":1,\"constraint\":\"nominal\",\"kind\":\"diagonal\"}",
-            "{\"op\":\"query\",\"chips\":8,\"seed\":1,\"constraint\":\"nominal\",\"kind\":\"vertical\",\"warmup\":5}",
-            "{\"op\":\"query\",\"chips\":-3,\"seed\":1,\"constraint\":\"nominal\",\"kind\":\"vertical\"}",
-            "{\"op\":\"query\",\"chips\":{},\"seed\":1,\"constraint\":\"nominal\",\"kind\":\"vertical\"}",
-            "{\"op\":\"stats\"} trailing",
-        ] {
-            assert!(ServiceRequest::parse(bad).is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn frames_round_trip_and_enforce_the_cap() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"hello").unwrap();
-        write_frame(&mut wire, b"").unwrap();
-        let mut r = io::Cursor::new(wire);
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
-
-        // A frame length over the cap is refused before allocation.
-        let mut huge = io::Cursor::new(((MAX_FRAME + 1) as u32).to_be_bytes().to_vec());
-        assert_eq!(
-            read_frame(&mut huge).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-        // A torn frame is an UnexpectedEof, not a silent truncation.
-        let mut torn = Vec::new();
-        write_frame(&mut torn, b"full payload").unwrap();
-        torn.truncate(torn.len() - 3);
-        let mut r = io::Cursor::new(torn);
-        assert_eq!(
-            read_frame(&mut r).unwrap_err().kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-    }
-
-    #[test]
-    fn corrupted_frames_fail_their_crc() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"precious payload").unwrap();
-        // Flip one payload bit: CRC-32 detects every single-bit error.
-        for bit in 0..8 {
-            let mut rotted = wire.clone();
-            let last = rotted.len() - 1;
-            rotted[last] ^= 1 << bit;
-            let mut r = io::Cursor::new(rotted);
-            let err = read_frame(&mut r).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "bit {bit}");
-            assert!(err.to_string().contains("CRC"), "bit {bit}: {err}");
-        }
-        // A header CRC flip is caught too.
-        let mut rotted = wire.clone();
-        rotted[5] ^= 0x10;
-        let mut r = io::Cursor::new(rotted);
-        assert_eq!(
-            read_frame(&mut r).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
     }
 
     /// The watcher's clone shares the socket's non-blocking flag, so a

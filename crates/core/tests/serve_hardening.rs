@@ -117,6 +117,29 @@ fn slow_clients_are_evicted_within_the_read_deadline() {
         other => panic!("expected stats, got {other:?}"),
     }
     drop(idle);
+
+    // A peer that stalls in the payload instead: a whole header claiming
+    // 64 bytes, 10 of them, then silence. The deadline still fires.
+    let mut stream = TcpStream::connect(&harness.addr).unwrap();
+    let mut partial = 64u32.to_be_bytes().to_vec();
+    partial.extend_from_slice(&[0u8; 4 + 10]);
+    stream.write_all(&partial).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let started = Instant::now();
+    let evicted = matches!(stream.read(&mut byte), Ok(0) | Err(_));
+    assert!(evicted, "the payload-stalled connection was serviced");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "payload eviction took {:?}",
+        started.elapsed()
+    );
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while harness.service.stats().evicted < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(harness.service.stats().evicted, 2, "eviction not counted");
     harness.finish();
 }
 

@@ -194,7 +194,7 @@ fn saturated_service_answers_typed_busy_but_still_serves_hits() {
         } => {
             assert_eq!(inflight, 1);
             assert_eq!(limit, 1);
-            assert_eq!(retry_after_ms, yac_core::service::DEFAULT_RETRY_AFTER_MS);
+            assert_eq!(retry_after_ms, yac_core::wire::DEFAULT_RETRY_AFTER_MS);
         }
         other => panic!("saturated service should refuse with Busy, got {other:?}"),
     }

@@ -3,9 +3,10 @@
 //! degraded path with widened intervals, and shard-granular resume.
 
 use std::time::Duration;
+use yac_core::checkpoint::render_checkpoint;
 use yac_core::{
-    full_study, full_study_supervised, full_study_workers, render_loss_table, run_checkpointed,
-    run_supervised, table2, yield_interval, ConstraintSpec, ExecutorConfig, Population,
+    full_study, full_study_supervised, full_study_workers, render_loss_table, run_supervised,
+    table2, yield_interval, CheckpointState, ConstraintSpec, ExecutorConfig, Population,
     PopulationConfig, ShardFaultPlan, StudyError, YieldConstraints,
 };
 use yac_obs::Metric;
@@ -242,25 +243,27 @@ fn serial_and_shard_checkpoints_refuse_each_other() {
     std::fs::create_dir_all(&dir).unwrap();
     let cfg = config(None);
 
-    // A partial serial (chip-granular) checkpoint...
+    // A partial serial (chip-granular) checkpoint: the first 16 chips as
+    // `C` records, `done 16`, no shard records...
     let serial_path = dir.join("serial.ckpt");
-    let _ = std::fs::remove_file(&serial_path);
-    let partial = yac_core::run_checkpointed_budget(&cfg, &serial_path, 8, Some(16)).unwrap();
-    assert!(partial.is_none());
-    // ... cannot be resumed by the parallel runner...
+    let reference = Population::generate_with(&cfg);
+    let serial = CheckpointState {
+        done: 16,
+        completed: reference.chips[..16].to_vec(),
+        ..CheckpointState::fresh(SEED, CHIPS)
+    };
+    std::fs::write(&serial_path, render_checkpoint(&serial)).unwrap();
+    // ... cannot be resumed by the parallel runner.
     let err = yac_core::run_checkpointed_workers(&cfg, &exec(2), &serial_path, 1).unwrap_err();
     assert!(matches!(err, StudyError::Mismatch(_)), "got {err}");
 
-    // ... and a shard-granular one cannot be resumed by the serial one.
+    // A shard-granular checkpoint under a different shard layout is
+    // refused too.
     let shard_path = dir.join("shards.ckpt");
     let _ = std::fs::remove_file(&shard_path);
     let partial =
         yac_core::run_checkpointed_workers_budget(&cfg, &exec(2), &shard_path, 1, Some(2)).unwrap();
     assert!(partial.is_none());
-    let err = run_checkpointed(&cfg, &shard_path, 8).unwrap_err();
-    assert!(matches!(err, StudyError::Mismatch(_)), "got {err}");
-
-    // A different shard layout is refused too.
     let mut other = exec(2);
     other.shard_chips = 10;
     let err = yac_core::run_checkpointed_workers(&cfg, &other, &shard_path, 1).unwrap_err();

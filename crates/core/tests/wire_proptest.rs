@@ -9,7 +9,7 @@
 //! and rerunning reproduces it exactly.
 
 use std::io::{Cursor, ErrorKind};
-use yac_core::service::MAX_FRAME;
+use yac_core::wire::MAX_FRAME;
 use yac_core::{read_frame, write_frame, ServiceReply, ServiceRequest};
 use yac_variation::montecarlo::mix_seed;
 

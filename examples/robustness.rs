@@ -1,8 +1,10 @@
 //! The robustness layer end to end: deterministic fault injection, the
-//! quarantine ledger, and checkpoint/resume of a killed study.
+//! quarantine ledger, and typed errors, among them a checkpoint refused
+//! for belonging to another study.
 //!
 //! Usage: `cargo run --release --example robustness [checkpoint_path]`
 
+use yield_aware_cache::core::executor::run_checkpointed_workers_budget;
 use yield_aware_cache::prelude::*;
 
 fn main() {
@@ -34,36 +36,21 @@ fn main() {
     let constraints = YieldConstraints::derive(&population, ConstraintSpec::NOMINAL);
     println!("{}", render_loss_table(&table2(&population, &constraints)));
 
-    // Checkpoint/resume: simulate a kill after 150 chips, then resume.
-    // The resumed population is identical to the uninterrupted one.
+    // Typed errors: the taxonomy reports *what* was violated.
+    println!("\ntyped errors:");
+    println!("  {}", FaultPlan::new(1.5, 0).unwrap_err());
+    // A checkpoint belongs to one study: resuming it under another seed
+    // is refused. (The `robust_study` example kills and resumes one.)
     let path = std::env::args()
         .nth(1)
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::env::temp_dir().join("robustness-example.ckpt"));
     let _ = std::fs::remove_file(&path);
-    let killed =
-        yield_aware_cache::core::checkpoint::run_checkpointed_budget(&cfg, &path, 50, Some(150))
-            .expect("checkpointing works");
-    println!(
-        "killed after 150 chips: complete = {} (checkpoint at {})",
-        killed.is_some(),
-        path.display()
-    );
-    match run_checkpointed(&cfg, &path, 50) {
-        Ok(resumed) => {
-            let same = resumed.chips == population.chips
-                && resumed.quarantine() == population.quarantine();
-            println!("resumed to completion: identical to uninterrupted run = {same}");
-        }
-        Err(e) => println!("resume failed: {e}"),
-    }
-
-    // Typed errors: the taxonomy reports *what* was violated.
-    println!("\ntyped errors:");
-    println!("  {}", FaultPlan::new(1.5, 0).unwrap_err());
+    let exec = ExecutorConfig::with_workers(2);
+    run_checkpointed_workers_budget(&cfg, &exec, &path, 1, Some(1)).expect("checkpointing works");
     let mut other = cfg.clone();
     other.seed = 9;
-    match run_checkpointed(&other, &path, 50) {
+    match run_checkpointed_workers(&other, &exec, &path, 1) {
         Ok(_) => println!("  (unexpected: mismatched checkpoint accepted)"),
         Err(e) => println!("  {e}"),
     }

@@ -63,13 +63,13 @@ pub mod prelude {
     };
     pub use yac_core::{
         classify, constraint_sweep, fig8_scatter, full_study, full_study_supervised,
-        full_study_workers, render_constraint_sweep, render_loss_table, run_checkpointed,
-        run_checkpointed_workers, run_supervised, run_sweep, table2, table3, yield_interval,
-        ChaosPlan, ChipSample, ConstraintSpec, DegradedShard, DisabledUnit, ExecutorConfig,
-        FullStudy, HYapd, Hybrid, HybridPolicy, LossReason, MeasurementError, NaiveBinning,
-        Population, PopulationConfig, PowerDownKind, QuarantineLedger, RepairedCache, Scheme,
-        SchemeOutcome, ShardFaultPlan, StudyError, StudyOutcome, SweepConfig, SweepGrid,
-        SweepOutcome, Vaca, WayCycleCensus, Yapd, YieldConstraints, YieldInterval,
+        full_study_workers, render_constraint_sweep, render_loss_table, run_checkpointed_workers,
+        run_supervised, run_sweep, table2, table3, yield_interval, ChaosPlan, ChipSample,
+        ConstraintSpec, DegradedShard, DisabledUnit, ExecutorConfig, FullStudy, HYapd, Hybrid,
+        HybridPolicy, LossReason, MeasurementError, NaiveBinning, Population, PopulationConfig,
+        PowerDownKind, QuarantineLedger, RepairedCache, Scheme, SchemeOutcome, ShardFaultPlan,
+        StudyError, StudyOutcome, SweepConfig, SweepGrid, SweepOutcome, Vaca, WayCycleCensus, Yapd,
+        YieldConstraints, YieldInterval,
     };
     pub use yac_obs::{Metric, Phase, Registry, RunManifest};
     pub use yac_pipeline::{Pipeline, PipelineConfig, SimStats};
