@@ -201,6 +201,20 @@ impl CacheCircuitModel {
     /// Panics if the way has no regions.
     #[must_use]
     pub fn evaluate_way(&self, way: &WayVariation) -> WayCircuitResult {
+        self.way_result(way, self.delay_mult(self.variant))
+    }
+
+    /// The factor every region delay of `variant` carries: 1 for the
+    /// regular organisation, `1 + hyapd_delay_overhead` for H-YAPD.
+    fn delay_mult(&self, variant: CacheVariant) -> f64 {
+        match variant {
+            CacheVariant::Regular => 1.0,
+            CacheVariant::Horizontal => 1.0 + self.calibration.hyapd_delay_overhead,
+        }
+    }
+
+    /// One way's result with every region delay scaled by `variant_mult`.
+    fn way_result(&self, way: &WayVariation, variant_mult: f64) -> WayCircuitResult {
         assert!(
             !way.regions.is_empty(),
             "way must carry at least one region sample"
@@ -208,10 +222,6 @@ impl CacheCircuitModel {
         let t = &self.tech;
         let cal = &self.calibration;
         let regions = way.regions.len();
-        let variant_mult = match self.variant {
-            CacheVariant::Regular => 1.0,
-            CacheVariant::Horizontal => 1.0 + cal.hyapd_delay_overhead,
-        };
 
         let logic = logic_delay_factor(t, &way.structures);
         let mut region_delay = Vec::with_capacity(regions);
@@ -268,8 +278,66 @@ impl CacheCircuitModel {
     pub fn evaluate(&self, die: &CacheVariation) -> CacheCircuitResult {
         let _timer = yac_obs::phase(yac_obs::Phase::CircuitEval);
         yac_obs::inc(yac_obs::Metric::CircuitEvals);
+        self.die_result(die, self.delay_mult(self.variant))
+    }
+
+    /// Evaluates a die under both organisations in one circuit pass,
+    /// returning `(regular, horizontal)` for this model's technology,
+    /// calibration and geometry whatever its own variant.
+    ///
+    /// Every field equals, bit for bit, what [`Self::evaluate`] returns
+    /// for the same model with the [`CacheVariant::Regular`] and the
+    /// [`CacheVariant::Horizontal`] variant: the H-YAPD result is the
+    /// regular one with each region delay multiplied by the same
+    /// `1 + hyapd_delay_overhead` and the way and cache maxima re-folded
+    /// from the scaled values, and leakage never depends on the variant.
+    /// Counts as two circuit evaluations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the die has no ways.
+    #[must_use]
+    pub fn evaluate_both(&self, die: &CacheVariation) -> (CacheCircuitResult, CacheCircuitResult) {
+        let _timer = yac_obs::phase(yac_obs::Phase::CircuitEval);
+        yac_obs::add(yac_obs::Metric::CircuitEvals, 2);
+        let regular = self.die_result(die, self.delay_mult(CacheVariant::Regular));
+        let mult = self.delay_mult(CacheVariant::Horizontal);
+        // The regular pass multiplied each region sum by 1.0, which is
+        // exact, so `mult * d` is the product the H-YAPD pass computes.
+        // The maxima are re-folded rather than scaled: a fold over NaNs
+        // leaves `f64::MIN`, which scaling would move.
+        let ways: Vec<WayCircuitResult> = regular
+            .ways
+            .iter()
+            .map(|w| {
+                let region_delay: Vec<f64> = w.region_delay.iter().map(|d| mult * d).collect();
+                WayCircuitResult {
+                    delay: region_delay.iter().copied().fold(f64::MIN, f64::max),
+                    region_delay,
+                    region_cell_leakage: w.region_cell_leakage.clone(),
+                    peripheral_leakage: w.peripheral_leakage,
+                    leakage: w.leakage,
+                }
+            })
+            .collect();
+        let horizontal = CacheCircuitResult {
+            delay: ways.iter().map(|w| w.delay).fold(f64::MIN, f64::max),
+            ways,
+            heat: regular.heat,
+            leakage: regular.leakage,
+        };
+        (regular, horizontal)
+    }
+
+    /// The whole-die result with every region delay scaled by
+    /// `variant_mult`, without observability hooks.
+    fn die_result(&self, die: &CacheVariation, variant_mult: f64) -> CacheCircuitResult {
         assert!(!die.ways.is_empty(), "die must carry at least one way");
-        let ways: Vec<WayCircuitResult> = die.ways.iter().map(|w| self.evaluate_way(w)).collect();
+        let ways: Vec<WayCircuitResult> = die
+            .ways
+            .iter()
+            .map(|w| self.way_result(w, variant_mult))
+            .collect();
         let delay = ways.iter().map(|w| w.delay).fold(f64::MIN, f64::max);
 
         let raw: f64 = ways.iter().map(|w| w.leakage).sum();

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use yac_circuit::network::RcNetwork;
-use yac_circuit::{CacheCircuitModel, Technology};
+use yac_circuit::{CacheCircuitModel, CacheCircuitResult, Technology, WayCircuitResult};
 use yac_variation::{CacheVariation, Parameter, ParameterSet, VariationConfig};
 
 fn die(seed: u64) -> CacheVariation {
@@ -12,6 +12,55 @@ fn die(seed: u64) -> CacheVariation {
         &VariationConfig::default(),
         &mut SmallRng::seed_from_u64(seed),
     )
+}
+
+/// Every field of a result as raw bit patterns in a fixed order, so NaN
+/// payloads and the sign of zero count (`PartialEq` hides both). The
+/// destructuring is exhaustive: a new field fails to compile here.
+fn bits(result: &CacheCircuitResult) -> Vec<u64> {
+    let CacheCircuitResult {
+        ways,
+        delay,
+        heat,
+        leakage,
+    } = result;
+    let mut out = vec![delay.to_bits(), heat.to_bits(), leakage.to_bits()];
+    for way in ways {
+        let WayCircuitResult {
+            region_delay,
+            delay,
+            region_cell_leakage,
+            peripheral_leakage,
+            leakage,
+        } = way;
+        out.push(region_delay.len() as u64);
+        out.extend(region_delay.iter().map(|d| d.to_bits()));
+        out.push(delay.to_bits());
+        out.push(region_cell_leakage.len() as u64);
+        out.extend(region_cell_leakage.iter().map(|l| l.to_bits()));
+        out.push(peripheral_leakage.to_bits());
+        out.push(leakage.to_bits());
+    }
+    out
+}
+
+/// Asserts that the single-pass pair equals both direct evaluations bit
+/// for bit, from either variant's model.
+fn assert_pair_matches_direct_calls(d: &CacheVariation) {
+    let regular = CacheCircuitModel::regular().evaluate(d);
+    let horizontal = CacheCircuitModel::horizontal().evaluate(d);
+    for model in [
+        CacheCircuitModel::regular(),
+        CacheCircuitModel::horizontal(),
+    ] {
+        let (pair_regular, pair_horizontal) = model.evaluate_both(d);
+        assert_eq!(bits(&pair_regular), bits(&regular), "regular result");
+        assert_eq!(
+            bits(&pair_horizontal),
+            bits(&horizontal),
+            "horizontal result"
+        );
+    }
 }
 
 proptest! {
@@ -45,6 +94,11 @@ proptest! {
         }
         // Leakage is organisation-independent.
         prop_assert!((reg.leakage - hor.leakage).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_pass_pair_is_bit_identical_to_both_evaluations(seed in any::<u64>()) {
+        assert_pair_matches_direct_calls(&die(seed));
     }
 
     #[test]
@@ -127,4 +181,31 @@ fn technology_sensitivities_have_the_documented_signs() {
             assert!(drive_factor(&t, &lg, t.vdd_v) > 1.0);
         }
     }
+}
+
+/// Non-finite region delays: a way whose every region is NaN (its fold
+/// leaves `f64::MIN`, which scaling would move), a way with one NaN
+/// region, and a way with an infinitely long cell gate.
+#[test]
+fn one_pass_pair_is_bit_identical_on_non_finite_region_delays() {
+    let mut d = die(2006);
+    for region in &mut d.ways[0].regions {
+        region.interconnect.metal_width_um = f64::NAN;
+    }
+    d.ways[1].regions[2].interconnect.metal_width_um = f64::NAN;
+    d.ways[2].regions[0].cell_array.l_gate_nm = f64::INFINITY;
+    let regular = CacheCircuitModel::regular().evaluate(&d);
+    assert_eq!(regular.ways[0].delay, f64::MIN);
+    assert!(regular.ways[1].region_delay[2].is_nan());
+    assert_eq!(regular.ways[2].region_delay[0], f64::INFINITY);
+    assert_pair_matches_direct_calls(&d);
+
+    // Every region of every way NaN: the cache delay is the fold's seed.
+    for way in &mut d.ways {
+        for region in &mut way.regions {
+            region.interconnect.metal_width_um = f64::NAN;
+        }
+    }
+    assert_eq!(CacheCircuitModel::regular().evaluate(&d).delay, f64::MIN);
+    assert_pair_matches_direct_calls(&d);
 }

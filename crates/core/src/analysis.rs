@@ -322,23 +322,58 @@ pub fn full_study(chips: usize, seed: u64) -> FullStudy {
 }
 
 /// Builds the complete yield study (Tables 2–5) from an
-/// already-generated population — the shared tail of [`full_study`] and
-/// [`full_study_workers`].
+/// already-generated population on the calling thread — the tail of
+/// [`full_study`]. [`full_study_supervised`] builds the same tables on
+/// up to two threads.
 ///
 /// # Panics
 ///
 /// Panics if the population is empty (no constraints can be derived).
 #[must_use]
 pub fn study_from_population(population: &Population, seed: u64) -> FullStudy {
+    assemble_study(population, seed, 1)
+}
+
+/// Builds Tables 2–5 from a population. The six tables are independent;
+/// with `workers > 1` the horizontal group (Table 3 and the Table 5
+/// sweep, about twice the work of the other) runs on a scoped thread
+/// while the calling thread builds Table 2 and the Table 4 sweep. Each
+/// table is computed by the same code either way, so the study is
+/// identical for every worker count.
+fn assemble_study(population: &Population, seed: u64, workers: usize) -> FullStudy {
     let constraints = YieldConstraints::derive(population, ConstraintSpec::NOMINAL);
     let sweep_specs = [ConstraintSpec::RELAXED, ConstraintSpec::STRICT];
+    let vertical = || {
+        (
+            table2(population, &constraints),
+            constraint_sweep(population, PowerDownKind::Vertical, &sweep_specs),
+        )
+    };
+    let horizontal = || {
+        (
+            table3(population, &constraints),
+            constraint_sweep(population, PowerDownKind::Horizontal, &sweep_specs),
+        )
+    };
+    let ((table2, table4), (table3, table5)) = if workers > 1 {
+        std::thread::scope(|scope| {
+            let horizontal = scope.spawn(horizontal);
+            let vertical = vertical();
+            let horizontal = horizontal
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            (vertical, horizontal)
+        })
+    } else {
+        (vertical(), horizontal())
+    };
     FullStudy {
         seed,
         constraints,
-        table2: table2(population, &constraints),
-        table3: table3(population, &constraints),
-        table4: constraint_sweep(population, PowerDownKind::Vertical, &sweep_specs),
-        table5: constraint_sweep(population, PowerDownKind::Horizontal, &sweep_specs),
+        table2,
+        table3,
+        table4,
+        table5,
     }
 }
 
@@ -371,7 +406,9 @@ pub fn full_study_workers(
 
 /// [`full_study_workers`] with an explicit configuration and executor —
 /// the underlying entry point, exposed so retry budgets, shard sizes and
-/// deadlines (and, in tests, fault plans) can be tuned.
+/// deadlines (and, in tests, fault plans) can be tuned. With
+/// `exec.workers > 1` the loss tables are built on two threads, one per
+/// power-down kind; `workers = 1` builds them inline.
 ///
 /// # Errors
 ///
@@ -395,7 +432,11 @@ pub fn full_study_supervised(
             "population is empty: no constraints can be derived".into(),
         ));
     }
-    Ok(study_from_population(&outcome.population, config.seed))
+    Ok(assemble_study(
+        &outcome.population,
+        config.seed,
+        exec.workers,
+    ))
 }
 
 /// One point of the Figure 8 scatter: a chip's access latency and

@@ -1,10 +1,15 @@
 //! Chip samples and populations: the bridge from Monte Carlo variation
 //! sampling through the circuit model to the yield analysis.
 //!
-//! The paper simulates every die twice — once with the regular cache
-//! organisation and once with the H-YAPD organisation, applying "the same
-//! process variation parameters used in the previous simulations" (§5.1).
-//! [`ChipSample`] therefore carries both circuit evaluations of one die.
+//! The paper simulates every die under both organisations — the regular
+//! cache and H-YAPD — applying "the same process variation parameters
+//! used in the previous simulations" (§5.1). [`ChipSample`] therefore
+//! carries both circuit evaluations of one die. H-YAPD differs only by
+//! its decoder delay overhead, so one circuit pass yields both results
+//! ([`CacheCircuitModel::evaluate_both`]): on a 2-core x86-64 host that
+//! pair costs 2.2 µs per chip against 3.9 µs for two full evaluations,
+//! beside ~14 µs of variation sampling (single-threaded, best of
+//! 60 × 2,000 dies).
 
 use crate::executor::panic_message;
 use crate::quarantine::QuarantineLedger;
@@ -229,18 +234,37 @@ impl Population {
     }
 }
 
+/// Whether the two models are one circuit in its two organisations, so
+/// [`CacheCircuitModel::evaluate_both`] reproduces both direct calls.
+fn one_circuit(config: &PopulationConfig) -> bool {
+    let (regular, horizontal) = (&config.regular_model, &config.horizontal_model);
+    regular.variant() == CacheVariant::Regular
+        && horizontal.variant() == CacheVariant::Horizontal
+        && regular.technology() == horizontal.technology()
+        && regular.calibration() == horizontal.calibration()
+        && regular.geometry() == horizontal.geometry()
+}
+
 /// Evaluates one die under both circuit models with panic isolation and a
 /// finiteness check on the results, so one pathological die cannot tear
 /// down the generation or smuggle NaNs into the yield analysis.
+///
+/// Models that are one circuit in its two organisations (every config
+/// built from [`PopulationConfig::paper`]) share a single circuit pass;
+/// any other pair is evaluated by two direct calls.
 pub(crate) fn evaluate_isolated(
     config: &PopulationConfig,
     die: &CacheVariation,
 ) -> Result<(CacheCircuitResult, CacheCircuitResult), String> {
     let results = catch_unwind(AssertUnwindSafe(|| {
-        (
-            config.regular_model.evaluate(die),
-            config.horizontal_model.evaluate(die),
-        )
+        if one_circuit(config) {
+            config.regular_model.evaluate_both(die)
+        } else {
+            (
+                config.regular_model.evaluate(die),
+                config.horizontal_model.evaluate(die),
+            )
+        }
     }))
     .map_err(|payload| format!("circuit evaluation panicked: {}", panic_message(&*payload)))?;
     for (variant, result) in [("regular", &results.0), ("horizontal", &results.1)] {
@@ -351,6 +375,68 @@ mod tests {
         let restricted = clean.restricted_to(&survivors);
         assert_eq!(injected.chips, restricted.chips);
         assert!(restricted.quarantine().is_empty());
+    }
+
+    /// Every field of a result as raw bit patterns (NaN payloads and the
+    /// sign of zero count).
+    fn bits(result: &CacheCircuitResult) -> Vec<u64> {
+        let mut out = vec![
+            result.delay.to_bits(),
+            result.heat.to_bits(),
+            result.leakage.to_bits(),
+        ];
+        for way in &result.ways {
+            out.extend(way.region_delay.iter().map(|d| d.to_bits()));
+            out.extend(way.region_cell_leakage.iter().map(|l| l.to_bits()));
+            out.extend([
+                way.delay.to_bits(),
+                way.peripheral_leakage.to_bits(),
+                way.leakage.to_bits(),
+            ]);
+        }
+        out
+    }
+
+    /// A population from `cfg` must hold, bit for bit, what the two
+    /// models return when called directly on the same dies.
+    fn assert_matches_direct_calls(cfg: &PopulationConfig) {
+        let pop = Population::generate_with(cfg);
+        let dies = MonteCarlo::new(cfg.variation).generate_checked(cfg.chips, cfg.seed, None);
+        assert_eq!(pop.len(), dies.dies.len());
+        for (chip, (index, die)) in pop.chips.iter().zip(&dies.dies) {
+            assert_eq!(chip.index, *index);
+            assert_eq!(bits(&chip.regular), bits(&cfg.regular_model.evaluate(die)));
+            assert_eq!(
+                bits(&chip.horizontal),
+                bits(&cfg.horizontal_model.evaluate(die))
+            );
+        }
+    }
+
+    #[test]
+    fn paper_configs_share_one_circuit_pass() {
+        let mut cfg = PopulationConfig::paper(31);
+        cfg.chips = 12;
+        assert!(one_circuit(&cfg));
+        assert_matches_direct_calls(&cfg);
+    }
+
+    #[test]
+    fn models_with_different_calibrations_are_evaluated_separately() {
+        let mut cal = Calibration::calibrated();
+        cal.hyapd_delay_overhead *= 2.0;
+        let mut cfg = PopulationConfig::paper(31);
+        cfg.chips = 12;
+        cfg.horizontal_model = CacheCircuitModel::new(
+            *cfg.regular_model.technology(),
+            cal,
+            *cfg.regular_model.geometry(),
+            CacheVariant::Horizontal,
+        )
+        .unwrap();
+        assert!(!one_circuit(&cfg));
+        // A single pass would scale by the regular model's overhead.
+        assert_matches_direct_calls(&cfg);
     }
 
     #[test]

@@ -209,7 +209,7 @@ fn deadline_watchdog_cancels_overlong_shards() {
 #[test]
 fn full_study_workers_matches_full_study() {
     let serial = full_study(CHIPS, SEED);
-    for workers in [1, 3] {
+    for workers in [1, 2, 3, 8] {
         let parallel = full_study_workers(CHIPS, SEED, workers).unwrap();
         assert_eq!(parallel, serial, "workers={workers}");
     }

@@ -21,10 +21,11 @@ use rand::Rng;
 /// ```
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Box–Muller with a guard against log(0). Sampling is most of a
-    // chip's cost (~16–18 µs of ~23 µs per chip, single-threaded), yet
-    // the second variate of each pair is still discarded: keeping it
-    // would change every random stream, so it belongs to the `rand` port
-    // item in ROADMAP.md.
+    // chip's cost (~14 µs of ~16 µs per chip single-threaded, the rest
+    // being one circuit pass for both organisations), yet the second
+    // variate of each pair is still discarded: keeping it would change
+    // every random stream, so it belongs to the `rand` port item in
+    // ROADMAP.md.
     loop {
         let u1: f64 = rng.gen::<f64>();
         let u2: f64 = rng.gen::<f64>();
