@@ -374,10 +374,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "perf_report: traced {} event(s) on {} thread(s) ({} dropped) -> {} + {}",
+            "perf_report: traced {} event(s) on {} thread(s) ({} dropped, {} lost) -> {} + {}",
             snapshot.total_events(),
             snapshot.threads.len(),
             snapshot.dropped_events,
+            snapshot.lost_events(),
             trace_path.display(),
             ndjson_path.display(),
         );

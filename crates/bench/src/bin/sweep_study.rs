@@ -337,10 +337,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "sweep_study: traced {} event(s) on {} thread(s) ({} dropped) -> {} + {}",
+            "sweep_study: traced {} event(s) on {} thread(s) ({} dropped, {} lost) -> {} + {}",
             snapshot.total_events(),
             snapshot.threads.len(),
             snapshot.dropped_events,
+            snapshot.lost_events(),
             trace_path.display(),
             ndjson_path.display(),
         );

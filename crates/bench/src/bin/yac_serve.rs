@@ -55,7 +55,7 @@
 //!
 //! `health` asks for the liveness report: uptime, in-flight queries,
 //! lane occupancy/stalls, heartbeat misses, reassignments, scrub and
-//! quarantine/repair counters, degraded results and pool restarts.
+//! quarantine/repair counters and degraded results.
 //!
 //! Query mode uses the resilient client: transport faults and `busy`
 //! refusals are retried with jittered exponential backoff (honouring
@@ -78,7 +78,7 @@
 //! |------|---------|
 //! | 0    | success (result, stats, health, bye, or a drain acknowledged) |
 //! | 1    | error: bad flags, transport failure, server `error` reply, torture invariant violation |
-//! | 3    | the service answered `busy` or `retryable` after all retries (typed backpressure — retry later) |
+//! | 3    | the service answered `busy` after all retries (typed backpressure — retry later) |
 //! | 4    | warm-journal grid-fingerprint mismatch |
 //! | 5    | the service is draining and refused the query |
 //! | 6    | the query's deadline expired server-side (shards cancelled cooperatively) |
@@ -429,10 +429,11 @@ fn write_traces(trace_path: &str) -> Result<(), String> {
     yac_obs::ndjson::write_ndjson(&ndjson_path, &snapshot)
         .map_err(|e| format!("writing {}: {e}", ndjson_path.display()))?;
     eprintln!(
-        "yac-serve: traced {} event(s) on {} thread(s) ({} dropped) -> {} + {}",
+        "yac-serve: traced {} event(s) on {} thread(s) ({} dropped, {} lost) -> {} + {}",
         snapshot.total_events(),
         snapshot.threads.len(),
         snapshot.dropped_events,
+        snapshot.lost_events(),
         trace_path.display(),
         ndjson_path.display(),
     );
@@ -562,7 +563,7 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
     let stats = service.stats();
     eprintln!(
         "yac-serve: shutting down: {} queries ({} served, {} busy), \
-         cache {} hit(s) / {} miss(es) / {} eviction(s), {} task(s) stolen, \
+         cache {} hit(s) / {} miss(es) / {} eviction(s), \
          {} slow client(s) evicted, {} connection(s) rejected",
         stats.queries,
         stats.served,
@@ -570,18 +571,13 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
         stats.cache_hits,
         stats.cache_misses,
         stats.cache_evictions,
-        stats.stolen,
         stats.evicted,
         stats.rejected,
     );
     eprintln!(
         "yac-serve: self-healing: {} scrub pass(es), {} entr(ies) quarantined, \
-         {} repaired, {} shard(s) reassigned, {} pool restart(s)",
-        stats.scrub_passes,
-        stats.quarantined,
-        stats.repaired,
-        stats.reassigned,
-        stats.pool_restarts,
+         {} repaired, {} shard(s) reassigned",
+        stats.scrub_passes, stats.quarantined, stats.repaired, stats.reassigned,
     );
     if let Some(path) = &args.cache_file {
         let saved = service.with_cache(|cache| cache.save(Path::new(path)));
@@ -626,7 +622,7 @@ fn reply_exit(reply: &ServiceReply, drain_mode: bool) -> ExitCode {
             eprintln!(
                 "yac-serve: health: up {} ms, {} inflight, lanes {}/{} busy ({} stalled), \
                  {} heartbeat(s) missed, {} reassigned, {} scrub pass(es), \
-                 {} quarantined / {} repaired, {} degraded, {} pool restart(s)",
+                 {} quarantined / {} repaired, {} degraded",
                 report.uptime_ms,
                 report.inflight,
                 report.lanes_busy,
@@ -638,15 +634,8 @@ fn reply_exit(reply: &ServiceReply, drain_mode: bool) -> ExitCode {
                 report.quarantined,
                 report.repaired,
                 report.degraded,
-                report.pool_restarts,
             );
             ExitCode::SUCCESS
-        }
-        ServiceReply::Retryable { retry_after_ms } => {
-            // The same typed-backpressure exit as `busy`: the failure
-            // was transient (a healed pool); retrying will succeed.
-            eprintln!("yac-serve: transient server fault — retry in {retry_after_ms} ms");
-            ExitCode::from(BUSY_EXIT)
         }
         ServiceReply::Busy {
             inflight,

@@ -10,10 +10,7 @@
 //! * **Retry with jittered exponential backoff.** Transport errors
 //!   (connect/read/write failures, CRC-corrupt frames, mid-frame
 //!   disconnects) and [`ServiceReply::Busy`] refusals are retried up to
-//!   [`ClientConfig::max_attempts`] times — as is
-//!   [`ServiceReply::Retryable`], the self-healing server's "I hit a
-//!   fault and already fixed it, come back" reply, which like `Busy`
-//!   never counts against the breaker. The backoff doubles per
+//!   [`ClientConfig::max_attempts`] times. The backoff doubles per
 //!   attempt from [`ClientConfig::base_backoff`], capped at
 //!   [`ClientConfig::max_backoff`], with deterministic SplitMix64
 //!   "equal jitter" (half fixed, half drawn) so synchronized clients
@@ -424,12 +421,7 @@ impl ResilientClient {
         let (reply, text) =
             exchange(&self.addr, request, timeout).map_err(AttemptFailure::Transport)?;
         match reply {
-            // `Retryable` is the server saying "I hit a fault and already
-            // healed it" (a mid-query pool rebuild): retry on the hinted
-            // schedule like `Busy` — the service is healthy, so it must
-            // not count against the breaker either.
-            ServiceReply::Busy { retry_after_ms, .. }
-            | ServiceReply::Retryable { retry_after_ms } => Err(AttemptFailure::Busy {
+            ServiceReply::Busy { retry_after_ms, .. } => Err(AttemptFailure::Busy {
                 retry_after: Duration::from_millis(retry_after_ms),
             }),
             // A server-side CRC failure means the wire corrupted our
@@ -553,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn busy_refusals_are_retried_until_the_terminal_reply() {
+    fn busy_refusals_are_retried_without_breaker_penalty() {
         let busy = ServiceReply::Busy {
             inflight: 2,
             limit: 2,
@@ -564,22 +556,9 @@ mod tests {
             Some(busy),
             Some(ServiceReply::Bye),
         ]);
-        let mut client = ResilientClient::new(addr, quick_config());
-        let (reply, _) = client.request(&ServiceRequest::Shutdown).unwrap();
-        assert_eq!(reply, ServiceReply::Bye);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn retryable_replies_are_retried_like_busy_without_breaker_penalty() {
-        let (addr, server) = scripted_server(vec![
-            Some(ServiceReply::Retryable { retry_after_ms: 1 }),
-            Some(ServiceReply::Retryable { retry_after_ms: 1 }),
-            Some(ServiceReply::Bye),
-        ]);
         let mut config = quick_config();
-        // A breaker that opens on the first failure: if Retryable hit
-        // the breaker, the second attempt would be refused outright.
+        // A breaker that opens on the first failure: if Busy hit the
+        // breaker, the second attempt would be refused outright.
         config.breaker_threshold = 1;
         let mut client = ResilientClient::new(addr, config);
         let (reply, _) = client.request(&ServiceRequest::Shutdown).unwrap();

@@ -1,11 +1,11 @@
 //! The supervised shard engine behind every population study.
 //!
 //! Splits a population study into contiguous chip shards and runs them on
-//! a work-stealing [`StealPool`] under a supervisor: each shard attempt
-//! runs behind `catch_unwind` with a bounded retry budget and exponential
-//! backoff, an attempt that exceeds the per-shard time budget is
-//! cancelled (the worker checks its own elapsed time between chips, so
-//! even a deadline shorter than one chip is enforced deterministically),
+//! a [`WorkerPool`] under a supervisor: each shard attempt runs behind
+//! `catch_unwind` with a bounded retry budget and exponential backoff,
+//! an attempt that exceeds the per-shard time budget is cancelled (the
+//! worker checks its own elapsed time between chips, so even a deadline
+//! shorter than one chip is enforced deterministically),
 //! and a shard that exhausts its retries is recorded as **degraded**
 //! rather than aborting the study. The run still completes, returning a
 //! [`StudyOutcome`] that carries the merged [`Population`], the
@@ -19,7 +19,7 @@
 //! the same submission (a heartbeat lease per shard task), the same
 //! shard loop, one per-job cancel flag and the same first-report-wins
 //! collector. A batch call builds a pool for its own duration; the
-//! service keeps one alive and adds stall reassignment and pool healing.
+//! service keeps one alive and adds stall reassignment.
 //!
 //! # Determinism
 //!
@@ -49,8 +49,8 @@ use crate::classify::classify;
 use crate::confidence::{yield_interval, YieldInterval};
 use crate::constraints::{ConstraintSpec, YieldConstraints};
 use crate::health::{HeartbeatLease, HeartbeatRegistry};
+use crate::pool::WorkerPool;
 use crate::quarantine::QuarantineLedger;
-use crate::stealing::StealPool;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -435,7 +435,7 @@ fn run_shard(job: &ShardJob, spec: ShardSpec, lease: &HeartbeatLease<'_>) -> Opt
 /// reports nothing — it has been resubmitted, and the reassigned attempt
 /// owns it now.
 pub(crate) fn submit_shard(
-    pool: &StealPool,
+    pool: &WorkerPool,
     registry: &Arc<HeartbeatRegistry>,
     job: Arc<ShardJob>,
     tag: u64,
@@ -461,7 +461,7 @@ pub(crate) enum Collected {
     Complete,
     /// The job's cancel flag went up first.
     Cancelled,
-    /// Shards went unreported: `lost` said so, or every sender vanished.
+    /// Shards went unreported: every sender vanished.
     Lost,
 }
 
@@ -469,14 +469,12 @@ pub(crate) enum Collected {
 /// `sink` (a reassigned shard and its cancelled original may both
 /// complete; the dedup keeps the result exactly-once) until every shard
 /// in `shards` has reported. On each idle 50 ms tick it checks the
-/// job's `cancel` flag, then asks `lost` whether in-flight shards are
-/// gone for good. A `sink` error raises `cancel`, so queued shards are
-/// skipped and running ones stop between chips, and is returned.
+/// job's `cancel` flag. A `sink` error raises `cancel`, so queued shards
+/// are skipped and running ones stop between chips, and is returned.
 pub(crate) fn collect_shards<E>(
     rx: &mpsc::Receiver<Option<ShardMsg>>,
     shards: &[ShardSpec],
     cancel: &AtomicBool,
-    mut lost: impl FnMut() -> bool,
     mut sink: impl FnMut(ShardMsg) -> Result<(), E>,
 ) -> Result<Collected, E> {
     let mut remaining: HashSet<usize> = shards.iter().map(|s| s.index).collect();
@@ -495,9 +493,6 @@ pub(crate) fn collect_shards<E>(
                 if cancel.load(Ordering::Relaxed) {
                     return Ok(Collected::Cancelled);
                 }
-                if lost() {
-                    return Ok(Collected::Lost);
-                }
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(Collected::Lost),
         }
@@ -505,7 +500,7 @@ pub(crate) fn collect_shards<E>(
     Ok(Collected::Complete)
 }
 
-/// Runs `tasks` of `config`'s study on a [`StealPool`] created for the
+/// Runs `tasks` of `config`'s study on a [`WorkerPool`] created for the
 /// call, with `exec.workers` clamped to the shard count, and feeds every
 /// shard's outcome to `sink` in completion order. A `sink` error cancels
 /// the job and is returned.
@@ -525,7 +520,7 @@ fn run_on_pool(
         exec: exec.clone(),
         cancel: Arc::default(),
     });
-    let pool = StealPool::new(exec.workers.clamp(1, tasks.len()));
+    let pool = WorkerPool::new(exec.workers.clamp(1, tasks.len()));
     let registry = Arc::new(HeartbeatRegistry::new(pool.workers()));
     let (tx, rx) = mpsc::channel();
     for spec in tasks {
@@ -533,14 +528,14 @@ fn run_on_pool(
         submit_shard(&pool, &registry, Arc::clone(&job), tag, *spec, tx.clone());
     }
     drop(tx);
-    let collected = collect_shards(&rx, tasks, &job.cancel, || false, sink);
+    let collected = collect_shards(&rx, tasks, &job.cancel, sink);
     pool.shutdown();
     match collected? {
         Collected::Complete => Ok(()),
         // Only a sink error cancels a batch job, and every attempt runs
         // under `catch_unwind`: a shard goes unreported only when its
-        // pool task itself panicked, which propagates like any worker
-        // thread's panic.
+        // pool task itself panicked, dropping its sender, and the study
+        // fails with it.
         Collected::Cancelled | Collected::Lost => panic!("a shard task died before reporting"),
     }
 }

@@ -44,12 +44,12 @@ pub mod economics;
 pub mod executor;
 pub mod health;
 pub mod perf;
+pub mod pool;
 pub mod quarantine;
 pub mod report;
 pub mod schemes;
 pub mod sensitivity;
 pub mod service;
-pub mod stealing;
 pub mod sweep;
 pub mod testing;
 pub mod wire;
@@ -78,6 +78,7 @@ pub use perf::{
     adaptive_comparison, render_degradation, render_table6, suite_cpis_isolated, suite_degradation,
     table6, AdaptiveComparison, BenchmarkFailure, PerfOptions, SuiteDegradation, Table6, Table6Row,
 };
+pub use pool::{PoolTask, WorkerPool};
 pub use quarantine::{QuarantineEntry, QuarantineLedger};
 pub use report::{render_constraint_sweep, render_loss_table};
 pub use schemes::{
@@ -87,7 +88,6 @@ pub use schemes::{
 pub use service::{
     constraint_by_name, serve, ResultCache, ServiceConfig, StudyQuery, SweepService,
 };
-pub use stealing::{PoolTask, StealPool, WorkDeque};
 pub use sweep::{
     run_sweep, CpiOptions, StudyResult, StudySpec, StudyStatus, SweepConfig, SweepGrid,
     SweepOutcome,

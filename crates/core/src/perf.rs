@@ -7,8 +7,8 @@ use crate::chip::Population;
 use crate::classify::WayCycleCensus;
 use crate::constraints::YieldConstraints;
 use crate::executor::panic_message;
+use crate::pool::WorkerPool;
 use crate::schemes::{Hybrid, PowerDownKind, Vaca, Yapd};
-use crate::stealing::StealPool;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -136,7 +136,7 @@ fn cpi_on(
 }
 
 /// CPI of every SPEC2000-like benchmark on the given L1D, in suite order.
-/// Benchmarks run as tasks on a work-stealing pool with one worker per
+/// Benchmarks run as tasks on a worker pool with one worker per
 /// available core.
 ///
 /// # Panics
@@ -216,11 +216,11 @@ fn simulation_key(l1d: &CacheConfig) -> CacheConfig {
 /// [`SuiteRun`] per L1D, in input order.
 ///
 /// L1Ds with the same [`simulation_key`] are simulated once. Each
-/// benchmark is one task on a [`StealPool`] built for the call with one
+/// benchmark is one task on a [`WorkerPool`] built for the call with one
 /// worker per available core (at most one per task): the task generates
 /// the benchmark's trace once and runs every distinct L1D over it. Each
 /// (benchmark, L1D) cell runs under its own `catch_unwind`, so a failure
-/// stays in its cell and never kills a pool worker.
+/// stays in its cell and the pool never sees it.
 fn suite_batch(
     l1ds: &[CacheConfig],
     pipeline: &PipelineConfig,
@@ -243,7 +243,7 @@ fn suite_batch(
     let profiles = spec2000::all_profiles();
     let job = Arc::new((distinct, pipeline.clone(), *opts));
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let pool = StealPool::new(cores.min(profiles.len()));
+    let pool = WorkerPool::new(cores.min(profiles.len()));
     let (tx, rx) = mpsc::channel();
     for (b, profile) in profiles.iter().cloned().enumerate() {
         let (job, tx) = (Arc::clone(&job), tx.clone());

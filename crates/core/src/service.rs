@@ -1,5 +1,5 @@
 //! The interactive sweep service: study queries over a content-addressed
-//! result cache, computed on a work-stealing shard pool.
+//! result cache, computed on a shared shard pool.
 //!
 //! Batch sweeps ([`crate::sweep::run_sweep`]) run a fixed grid to a
 //! journal and exit. The service inverts the workload: it stays up,
@@ -15,14 +15,13 @@
 //!   is therefore byte-identical to recomputation, and to the `S` record
 //!   a sweep journal would hold for the same cell; tests assert all
 //!   three ways.
-//! * **Supervised execution.** Misses run on a long-lived [`StealPool`]
-//!   of work-stealing workers ([`crate::stealing`]), each shard under
-//!   the same retry/backoff/deadline/degrade loop and result collector
-//!   as batch studies ([`crate::executor`]); the service adds heartbeat
-//!   leases watched by a stall sentinel, shard reassignment and pool
-//!   healing. Degraded results are returned honestly — but
-//!   **not cached**, because they depend on which shards happened to
-//!   fail.
+//! * **Supervised execution.** Misses run on a long-lived
+//!   [`WorkerPool`] ([`crate::pool`]), each shard under the same
+//!   retry/backoff/deadline/degrade loop and result collector as batch
+//!   studies ([`crate::executor`]); the service adds heartbeat leases
+//!   watched by a stall sentinel and shard reassignment. Degraded
+//!   results are returned honestly — but **not cached**, because they
+//!   depend on which shards happened to fail.
 //! * **Bounded admission.** At most [`ServiceConfig::max_inflight`]
 //!   queries compute at once; the next miss gets a typed
 //!   [`ServiceReply::Busy`], never an unbounded queue. Cache hits are
@@ -119,8 +118,8 @@ use crate::executor::{
     ShardMsg, ShardSpec,
 };
 use crate::health::{HeartbeatRegistry, ParkedLoop, StallEvent, StallSentinel};
+use crate::pool::WorkerPool;
 use crate::schemes::PowerDownKind;
-use crate::stealing::StealPool;
 use crate::sweep::{
     parse_journal, parse_result, render_result, results_key, study_result_from_outcome, CpiOptions,
     StudySpec, StudyStatus, SweepConfig, SweepGrid,
@@ -136,7 +135,7 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use yac_obs::{Metric, Phase, TraceCtx, TraceEventKind};
@@ -624,7 +623,7 @@ impl ResultCache {
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Executor tuning for query computation. `exec.workers` sizes the
-    /// work-stealing pool; the retry/backoff/deadline/fault knobs apply
+    /// worker pool; the retry/backoff/deadline/fault knobs apply
     /// to every query's shards.
     pub exec: ExecutorConfig,
     /// Queries computing at once; the next miss is refused with
@@ -642,8 +641,7 @@ pub struct ServiceConfig {
     /// A reply frame must drain to the peer within this window or the
     /// peer is evicted.
     pub write_deadline: Duration,
-    /// The backoff hint carried by every [`ServiceReply::Busy`] (and
-    /// [`ServiceReply::Retryable`]).
+    /// The backoff hint carried by every [`ServiceReply::Busy`].
     pub retry_after_ms: u64,
     /// How long a pool lane may hold a shard without one heartbeat
     /// before the stall sentinel escalates (cancel → reassign →
@@ -726,11 +724,6 @@ fn lock_jobs(jobs: &JobTable) -> std::sync::MutexGuard<'_, HashMap<u64, ActiveJo
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn read_pool(pool: &RwLock<StealPool>) -> std::sync::RwLockReadGuard<'_, StealPool> {
-    pool.read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 fn lock_opt<T>(slot: &Mutex<Option<T>>) -> std::sync::MutexGuard<'_, Option<T>> {
     slot.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -743,7 +736,7 @@ fn lock_opt<T>(slot: &Mutex<Option<T>>) -> std::sync::MutexGuard<'_, Option<T>> 
 fn handle_stall(
     event: StallEvent,
     jobs: &JobTable,
-    pool: &RwLock<StealPool>,
+    pool: &WorkerPool,
     registry: &Arc<HeartbeatRegistry>,
     hb_missed: &AtomicU64,
     reassigned: &AtomicU64,
@@ -796,14 +789,7 @@ fn handle_stall(
             ..TraceCtx::default()
         },
     );
-    submit_shard(
-        &read_pool(pool),
-        registry,
-        job,
-        shard_tag(job_id, spec.index),
-        spec,
-        tx,
-    );
+    submit_shard(pool, registry, job, shard_tag(job_id, spec.index), spec, tx);
 }
 
 /// The background cache scrubber: a low-priority thread re-verifying
@@ -855,15 +841,14 @@ impl Drop for InflightSlot<'_> {
     }
 }
 
-/// The long-lived sweep service: a work-stealing pool, a result cache
+/// The long-lived sweep service: a worker pool, a result cache
 /// and bounded admission. See the module docs for the architecture.
 #[derive(Debug)]
 pub struct SweepService {
     config: ServiceConfig,
-    /// The worker pool, behind a lock so a poisoned pool can be rebuilt
-    /// in place ([`SweepService::heal_pool`]) while queries keep
-    /// submitting through read guards.
-    pool: Arc<RwLock<StealPool>>,
+    /// The worker pool, shared with the stall sentinel's handler, which
+    /// resubmits stalled shards.
+    pool: Arc<WorkerPool>,
     registry: Arc<HeartbeatRegistry>,
     sentinel: Mutex<Option<StallSentinel>>,
     scrubber: Mutex<Option<ParkedLoop>>,
@@ -880,7 +865,6 @@ pub struct SweepService {
     hb_missed: Arc<AtomicU64>,
     reassigned: Arc<AtomicU64>,
     degraded: AtomicU64,
-    pool_restarts: AtomicU64,
     draining: AtomicBool,
     shutdown: AtomicBool,
     /// Where [`SweepService::wake`] connects: the address of the
@@ -897,7 +881,7 @@ impl SweepService {
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
         let cache = Arc::new(Mutex::new(ResultCache::new(config.cache_bytes)));
-        let pool = Arc::new(RwLock::new(StealPool::new(config.exec.workers)));
+        let pool = Arc::new(WorkerPool::new(config.exec.workers));
         let registry = Arc::new(HeartbeatRegistry::new(config.exec.workers.max(1)));
         let jobs: JobTable = Arc::new(Mutex::new(HashMap::new()));
         let hb_missed = Arc::new(AtomicU64::new(0));
@@ -943,7 +927,6 @@ impl SweepService {
             hb_missed,
             reassigned,
             degraded: AtomicU64::new(0),
-            pool_restarts: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             wake_addr: Mutex::new(None),
@@ -1044,9 +1027,7 @@ impl SweepService {
             scrubber.halt();
         }
         if let Ok(pool) = Arc::try_unwrap(self.pool) {
-            pool.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .shutdown();
+            pool.shutdown();
         }
     }
 
@@ -1057,41 +1038,9 @@ impl SweepService {
         scrub_pass(&self.cache, self.config.scrub_file.as_deref());
     }
 
-    /// Rebuilds the worker pool in place when a panicking task has
-    /// killed one of its workers. Queued tasks of *other* queries drain
-    /// onto the old pool's surviving workers before it is torn down;
-    /// tasks lost with the dead worker surface as
-    /// [`ServiceReply::Retryable`] through their collectors. Returns
-    /// whether a rebuild happened (counted in [`Metric::PoolRestarts`],
-    /// traced as [`TraceEventKind::PoolRestarted`]).
-    pub fn heal_pool(&self) -> bool {
-        let dead = read_pool(&self.pool).dead_workers();
-        if dead == 0 {
-            return false;
-        }
-        let old = {
-            let mut guard = self
-                .pool
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if guard.dead_workers() == 0 {
-                return false; // Another query healed it first.
-            }
-            std::mem::replace(&mut *guard, StealPool::new(self.config.exec.workers))
-        };
-        // Joined outside the lock so fresh submissions are never blocked
-        // on the old pool draining.
-        old.shutdown();
-        self.pool_restarts.fetch_add(1, Ordering::Relaxed);
-        yac_obs::inc(Metric::PoolRestarts);
-        yac_obs::trace_instant(TraceEventKind::PoolRestarted, TraceCtx::default());
-        true
-    }
-
     /// A snapshot of the service counters.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        let stolen = read_pool(&self.pool).stolen();
         self.with_cache(|cache| ServiceStats {
             queries: self.queries.load(Ordering::Relaxed),
             served: self.served.load(Ordering::Relaxed),
@@ -1101,7 +1050,6 @@ impl SweepService {
             cache_evictions: cache.evictions(),
             cache_entries: cache.len(),
             cache_bytes: cache.bytes(),
-            stolen,
             inflight: self.inflight.load(Ordering::Acquire),
             limit: self.config.max_inflight.max(1),
             evicted: self.evicted.load(Ordering::Relaxed),
@@ -1111,7 +1059,6 @@ impl SweepService {
             quarantined: cache.quarantined(),
             repaired: cache.repaired(),
             reassigned: self.reassigned.load(Ordering::Relaxed),
-            pool_restarts: self.pool_restarts.load(Ordering::Relaxed),
         })
     }
 
@@ -1133,12 +1080,11 @@ impl SweepService {
             quarantined: cache.quarantined(),
             repaired: cache.repaired(),
             degraded: self.degraded.load(Ordering::Relaxed),
-            pool_restarts: self.pool_restarts.load(Ordering::Relaxed),
         })
     }
 
     /// Answers one query: cache first, then bounded admission, then
-    /// supervised computation on the stealing pool. `cancel` is the
+    /// supervised computation on the worker pool. `cancel` is the
     /// query's cooperative abort flag — raise it (the connection handler
     /// does, on client disconnect) and the computation stops between
     /// chips and answers [`ServiceReply::Cancelled`].
@@ -1214,9 +1160,6 @@ impl SweepService {
         let _slot = InflightSlot(self);
         let _watch = watch();
         let _span = yac_obs::phase_ctx(Phase::QueryExec, TraceCtx::default());
-        // A pool poisoned by an earlier query is rebuilt before this one
-        // fans out, so the damage never outlives the query that saw it.
-        self.heal_pool();
         let reply = self.compute(query, key, cancel);
         match reply {
             ServiceReply::Result { .. } => self.served(reply),
@@ -1249,7 +1192,7 @@ impl SweepService {
         }
     }
 
-    /// Computes a missed query on the stealing pool and caches the
+    /// Computes a missed query on the worker pool and caches the
     /// record if (and only if) every chip was observed — degraded
     /// results depend on which shards failed, so they are returned but
     /// never cached.
@@ -1282,11 +1225,10 @@ impl SweepService {
                 reassigns: 0,
             },
         );
-        let pool = read_pool(&self.pool);
         for spec in &shards {
             let tag = shard_tag(job_id, spec.index);
             submit_shard(
-                &pool,
+                &self.pool,
                 &self.registry,
                 Arc::clone(&job),
                 tag,
@@ -1294,35 +1236,19 @@ impl SweepService {
                 tx.clone(),
             );
         }
-        // Healing the pool below takes its write lock.
-        drop((pool, tx));
+        drop(tx);
 
         // The sentinel's reassignments keep the channel open (the job
         // table holds a sender clone) until the job is deregistered
-        // below. A receive timeout heals a poisoned pool: shards queued
-        // on (or running in) the dead worker are gone, but the pool is
-        // healthy again, so the same request will succeed.
+        // below, so the collection ends complete or cancelled.
         let mut merged = MergedShards::with_capacity(query.chips);
-        let Ok(collected) = collect_shards::<Infallible>(
-            &rx,
-            &shards,
-            cancel,
-            || self.heal_pool(),
-            |msg| {
-                merged.accept(msg);
-                Ok(())
-            },
-        );
+        let Ok(collected) = collect_shards::<Infallible>(&rx, &shards, cancel, |msg| {
+            merged.accept(msg);
+            Ok(())
+        });
         lock_jobs(&self.jobs).remove(&job_id);
-        match collected {
-            Collected::Complete if !cancel.load(Ordering::Relaxed) => {}
-            Collected::Lost if !cancel.load(Ordering::Relaxed) => {
-                yac_obs::inc(Metric::QueriesRetryable);
-                return ServiceReply::Retryable {
-                    retry_after_ms: self.config.retry_after_ms,
-                };
-            }
-            _ => return ServiceReply::Cancelled,
+        if !matches!(collected, Collected::Complete) || cancel.load(Ordering::Relaxed) {
+            return ServiceReply::Cancelled;
         }
         let outcome = merged.finish(&job.pop);
         match study_result_from_outcome(
@@ -2076,27 +2002,22 @@ mod tests {
         let mut config = ServiceConfig::default();
         config.exec.workers = 2;
         config.exec.shard_chips = 8;
-        // Unit tests drive scrubbing and healing synchronously.
+        // Unit tests drive scrubbing synchronously.
         config.heartbeat_budget = None;
         config.scrub_interval = None;
         SweepService::new(config)
     }
 
     #[test]
-    fn a_poisoned_pool_is_healed_before_the_next_query_fans_out() {
+    fn a_panicking_pool_task_leaves_the_next_query_computing_normally() {
         let service = tiny_service();
-        service
-            .pool
-            .read()
-            .unwrap()
-            .submit_to(0, Box::new(|_| panic!("poison the pool")));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while service.pool.read().unwrap().dead_workers() == 0 {
-            assert!(Instant::now() < deadline, "worker death never observed");
-            std::thread::sleep(Duration::from_millis(5));
+        // One panic per worker: were tasks not isolated, each would take
+        // a lane with it and the query's shards would never run.
+        for _ in 0..service.pool.workers() {
+            service
+                .pool
+                .submit(Box::new(|_| panic!("injected pool task panic")));
         }
-
-        // The next query heals in place and then computes normally.
         let q = StudyQuery {
             chips: 16,
             seed: 3,
@@ -2104,18 +2025,19 @@ mod tests {
             kind: PowerDownKind::Horizontal,
             cpi: None,
         };
-        let reply = service.query(&q, &Arc::new(AtomicBool::new(false)));
-        assert!(
-            matches!(reply, ServiceReply::Result { cached: false, .. }),
-            "{reply:?}"
-        );
-        let stats = service.stats();
-        assert_eq!(stats.pool_restarts, 1);
-        assert_eq!(service.pool.read().unwrap().dead_workers(), 0);
-
-        // Healing is idempotent: a healthy pool is left alone.
-        assert!(!service.heal_pool());
-        assert_eq!(service.stats().pool_restarts, 1);
+        let cancel = Arc::new(AtomicBool::new(false));
+        let record = |reply| match reply {
+            ServiceReply::Result {
+                record,
+                cached: false,
+                ..
+            } => record,
+            other => panic!("expected a computed result, got {other:?}"),
+        };
+        let after_panics = record(service.query(&q, &cancel));
+        let fresh = tiny_service();
+        assert_eq!(after_panics, record(fresh.query(&q, &cancel)));
+        fresh.shutdown();
         service.shutdown();
     }
 

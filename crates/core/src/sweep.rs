@@ -683,7 +683,7 @@ fn study_checkpoint(journal: &Path, index: usize) -> PathBuf {
 
 /// Turns a supervised-executor outcome into a [`StudyResult`]:
 /// classification, loss table, interval, optional CPI. Shared verbatim
-/// by the sweep orchestrator and the service's work-stealing path, so a
+/// by the sweep orchestrator and the service's query path, so a
 /// service-computed result is bit-identical to the sweep's for the same
 /// grid cell by construction.
 pub(crate) fn study_result_from_outcome(

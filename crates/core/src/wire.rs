@@ -11,8 +11,8 @@
 //! injected bit flips) into a typed `InvalidData` error instead of a
 //! silently wrong record. Requests carry an `"op"` key (`query`,
 //! `stats`, `health`, `drain`, `shutdown`); replies a `"status"` key
-//! (`ok`, `busy`, `draining`, `deadline`, `cancelled`, `retryable`,
-//! `error`, `stats`, `health`, `bye`). Study records travel as the
+//! (`ok`, `busy`, `draining`, `deadline`, `cancelled`, `error`,
+//! `stats`, `health`, `bye`). Study records travel as the
 //! canonical [`crate::sweep::render_result`] token text inside the
 //! `"record"` string, so the bytes a client receives are exactly the
 //! bytes the cache holds.
@@ -60,8 +60,6 @@ pub struct ServiceStats {
     pub cache_entries: usize,
     /// Bytes currently charged against the cache budget.
     pub cache_bytes: usize,
-    /// Tasks stolen between pool workers.
-    pub stolen: u64,
     /// Queries computing right now.
     pub inflight: usize,
     /// The admission limit.
@@ -80,15 +78,13 @@ pub struct ServiceStats {
     pub repaired: u64,
     /// Stalled shards reassigned to a fresh worker.
     pub reassigned: u64,
-    /// Times the worker pool was rebuilt after poisoning.
-    pub pool_restarts: u64,
 }
 
 /// A point-in-time liveness report, answering [`ServiceRequest::Health`].
 ///
 /// Where [`ServiceStats`] counts *traffic*, this reports *self-healing*:
 /// lane liveness, the escalation ladder's counters, scrub activity and
-/// pool rebuilds.
+/// degraded results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthReport {
     /// Milliseconds since the service was built.
@@ -114,8 +110,6 @@ pub struct HealthReport {
     pub repaired: u64,
     /// Queries answered with a degraded (shards-missing) result.
     pub degraded: u64,
-    /// Times the worker pool was rebuilt after poisoning.
-    pub pool_restarts: u64,
 }
 
 /// A request a client can put on the wire.
@@ -182,15 +176,6 @@ pub enum ServiceReply {
     },
     /// The query's client disconnected mid-computation.
     Cancelled,
-    /// The query was lost to a fault the service has already healed
-    /// (worker-pool poisoning mid-computation): the same request will
-    /// succeed on a fresh attempt. Unlike [`ServiceReply::Error`] this
-    /// is explicitly *transient* — resilient clients retry it like
-    /// [`ServiceReply::Busy`], without a breaker penalty.
-    Retryable {
-        /// How long the server suggests waiting before retrying.
-        retry_after_ms: u64,
-    },
     /// The query could not be answered.
     Error {
         /// One-line diagnostic.
@@ -323,9 +308,6 @@ impl ServiceReply {
                 format!("{{\"status\":\"deadline\",\"elapsed_ms\":{elapsed_ms}}}")
             }
             ServiceReply::Cancelled => "{\"status\":\"cancelled\"}".to_owned(),
-            ServiceReply::Retryable { retry_after_ms } => {
-                format!("{{\"status\":\"retryable\",\"retry_after_ms\":{retry_after_ms}}}")
-            }
             ServiceReply::Error { message } => {
                 format!(
                     "{{\"status\":\"error\",\"message\":{}}}",
@@ -335,10 +317,10 @@ impl ServiceReply {
             ServiceReply::Stats(s) => format!(
                 "{{\"status\":\"stats\",\"queries\":{},\"served\":{},\"busy\":{},\
                  \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\
-                 \"cache_entries\":{},\"cache_bytes\":{},\"stolen\":{},\
+                 \"cache_entries\":{},\"cache_bytes\":{},\
                  \"inflight\":{},\"limit\":{},\"evicted\":{},\"rejected\":{},\
                  \"draining\":{},\"scrub_passes\":{},\"quarantined\":{},\
-                 \"repaired\":{},\"reassigned\":{},\"pool_restarts\":{}}}",
+                 \"repaired\":{},\"reassigned\":{}}}",
                 s.queries,
                 s.served,
                 s.busy,
@@ -347,7 +329,6 @@ impl ServiceReply {
                 s.cache_evictions,
                 s.cache_entries,
                 s.cache_bytes,
-                s.stolen,
                 s.inflight,
                 s.limit,
                 s.evicted,
@@ -356,15 +337,14 @@ impl ServiceReply {
                 s.scrub_passes,
                 s.quarantined,
                 s.repaired,
-                s.reassigned,
-                s.pool_restarts
+                s.reassigned
             ),
             ServiceReply::Health(h) => format!(
                 "{{\"status\":\"health\",\"uptime_ms\":{},\"inflight\":{},\
                  \"lanes\":{},\"lanes_busy\":{},\"lanes_stalled\":{},\
                  \"heartbeats_missed\":{},\"shards_reassigned\":{},\
                  \"scrub_passes\":{},\"quarantined\":{},\"repaired\":{},\
-                 \"degraded\":{},\"pool_restarts\":{}}}",
+                 \"degraded\":{}}}",
                 h.uptime_ms,
                 h.inflight,
                 h.lanes,
@@ -375,8 +355,7 @@ impl ServiceReply {
                 h.scrub_passes,
                 h.quarantined,
                 h.repaired,
-                h.degraded,
-                h.pool_restarts
+                h.degraded
             ),
             ServiceReply::Bye => "{\"status\":\"bye\"}".to_owned(),
         }
@@ -415,11 +394,6 @@ impl ServiceReply {
                 elapsed_ms: obj.u64("elapsed_ms")?,
             }),
             "cancelled" => Ok(ServiceReply::Cancelled),
-            "retryable" => Ok(ServiceReply::Retryable {
-                retry_after_ms: obj
-                    .opt_u64("retry_after_ms")?
-                    .unwrap_or(DEFAULT_RETRY_AFTER_MS),
-            }),
             "error" => Ok(ServiceReply::Error {
                 message: obj.str("message")?.to_owned(),
             }),
@@ -432,7 +406,6 @@ impl ServiceReply {
                 cache_evictions: obj.u64("cache_evictions")?,
                 cache_entries: obj.usize("cache_entries")?,
                 cache_bytes: obj.usize("cache_bytes")?,
-                stolen: obj.u64("stolen")?,
                 inflight: obj.usize("inflight")?,
                 limit: obj.usize("limit")?,
                 // Hardening-era fields; absent from older servers.
@@ -444,7 +417,6 @@ impl ServiceReply {
                 quarantined: obj.opt_u64("quarantined")?.unwrap_or(0),
                 repaired: obj.opt_u64("repaired")?.unwrap_or(0),
                 reassigned: obj.opt_u64("reassigned")?.unwrap_or(0),
-                pool_restarts: obj.opt_u64("pool_restarts")?.unwrap_or(0),
             })),
             "health" => Ok(ServiceReply::Health(HealthReport {
                 uptime_ms: obj.u64("uptime_ms")?,
@@ -458,7 +430,6 @@ impl ServiceReply {
                 quarantined: obj.u64("quarantined")?,
                 repaired: obj.u64("repaired")?,
                 degraded: obj.u64("degraded")?,
-                pool_restarts: obj.u64("pool_restarts")?,
             })),
             "bye" => Ok(ServiceReply::Bye),
             other => Err(format!("unknown status {other:?}")),
@@ -716,7 +687,6 @@ mod tests {
                 cache_evictions: 2,
                 cache_entries: 1,
                 cache_bytes: 812,
-                stolen: 5,
                 inflight: 1,
                 limit: 2,
                 evicted: 3,
@@ -726,9 +696,7 @@ mod tests {
                 quarantined: 2,
                 repaired: 1,
                 reassigned: 4,
-                pool_restarts: 1,
             }),
-            ServiceReply::Retryable { retry_after_ms: 75 },
             ServiceReply::Health(HealthReport {
                 uptime_ms: 120_500,
                 inflight: 1,
@@ -741,7 +709,6 @@ mod tests {
                 quarantined: 1,
                 repaired: 1,
                 degraded: 0,
-                pool_restarts: 0,
             }),
             ServiceReply::Bye,
         ] {
@@ -783,6 +750,31 @@ mod tests {
                 retry_after_ms: DEFAULT_RETRY_AFTER_MS,
             }
         );
+    }
+
+    #[test]
+    fn older_servers_stats_and_health_replies_still_decode() {
+        // Older servers also sent `stolen` and `pool_restarts`; unknown
+        // keys are ignored, so their replies decode unchanged.
+        let stats = "{\"status\":\"stats\",\"queries\":3,\"served\":2,\"busy\":1,\
+            \"cache_hits\":1,\"cache_misses\":1,\"cache_evictions\":0,\
+            \"cache_entries\":1,\"cache_bytes\":90,\"stolen\":4,\
+            \"inflight\":0,\"limit\":2,\"pool_restarts\":1}";
+        match ServiceReply::parse(stats).unwrap() {
+            ServiceReply::Stats(s) => assert_eq!((s.queries, s.cache_bytes, s.limit), (3, 90, 2)),
+            other => panic!("{other:?}"),
+        }
+        let health = "{\"status\":\"health\",\"uptime_ms\":5,\"inflight\":0,\
+            \"lanes\":2,\"lanes_busy\":0,\"lanes_stalled\":0,\
+            \"heartbeats_missed\":1,\"shards_reassigned\":1,\
+            \"scrub_passes\":4,\"quarantined\":1,\"repaired\":1,\
+            \"degraded\":0,\"pool_restarts\":0}";
+        match ServiceReply::parse(health).unwrap() {
+            ServiceReply::Health(h) => assert_eq!((h.lanes, h.scrub_passes), (2, 4)),
+            other => panic!("{other:?}"),
+        }
+        // `retryable` is no longer a reply status.
+        assert!(ServiceReply::parse("{\"status\":\"retryable\",\"retry_after_ms\":75}").is_err());
     }
 
     #[test]

@@ -5,13 +5,19 @@
 //! Line 1 is a header object; every following line is one event:
 //!
 //! ```json
-//! {"schema":"yac-trace/1","dropped_events":0,"threads":2}
+//! {"schema":"yac-trace/1","dropped_events":0,"lost_events":0,"threads":2}
 //! {"slot":3,"thread":"worker-0","t_ns":1000,"dur_ns":5000,"kind":"PhaseSpan","phase":"shard_exec","worker":0,"shard":2,"attempt":1}
 //! {"slot":3,"thread":"worker-0","t_ns":9000,"dur_ns":0,"kind":"ShardRetried","worker":0,"shard":2,"attempt":1}
 //! ```
 //!
+//! The header's `dropped_events` counts events of threads past the
+//! journal's slot limit; `lost_events` counts events overwritten (or
+//! skipped as torn) inside recorded threads' rings. Either nonzero means
+//! the file is not the whole story.
+//!
 //! Field names are append-only: `schema`, `slot`, `thread`, `t_ns`,
-//! `dur_ns` and `kind` are always present; `phase` appears on
+//! `dur_ns` and `kind` are always present (`lost_events` is absent from
+//! files written before it existed and parses as 0); `phase` appears on
 //! `PhaseSpan` lines; `worker`/`shard`/`attempt`/`chip`/`scheme`/`study`
 //! appear when the event carried that context. [`parse_ndjson`] reads the
 //! format back, one [`FlatObject`] per line, which is also what the CI
@@ -34,8 +40,10 @@ pub fn to_ndjson(snapshot: &TraceSnapshot) -> String {
     let mut out = String::with_capacity(128 + snapshot.total_events() * 128);
     let _ = writeln!(
         out,
-        "{{\"schema\":\"{NDJSON_SCHEMA}\",\"dropped_events\":{},\"threads\":{}}}",
+        "{{\"schema\":\"{NDJSON_SCHEMA}\",\"dropped_events\":{},\"lost_events\":{},\
+         \"threads\":{}}}",
         snapshot.dropped_events,
+        snapshot.lost_events(),
         snapshot.threads.len()
     );
     for thread in &snapshot.threads {
@@ -104,6 +112,9 @@ pub struct NdjsonEvent {
 pub struct ParsedTrace {
     /// Events dropped by the journal (from the header line).
     pub dropped_events: u64,
+    /// Events lost inside thread rings (from the header line; 0 when the
+    /// header predates the field).
+    pub lost_events: u64,
     /// Thread count declared in the header line.
     pub threads: usize,
     /// Every event line, in file order.
@@ -140,6 +151,10 @@ pub fn parse_ndjson(text: &str) -> Result<ParsedTrace, String> {
         ));
     }
     let dropped_events = header.u64("dropped_events").map_err(in_header)?;
+    let lost_events = header
+        .opt_u64("lost_events")
+        .map_err(in_header)?
+        .unwrap_or(0);
     let threads = header.usize("threads").map_err(in_header)?;
     let mut events = Vec::new();
     for (idx, line) in lines {
@@ -181,6 +196,7 @@ pub fn parse_ndjson(text: &str) -> Result<ParsedTrace, String> {
     }
     Ok(ParsedTrace {
         dropped_events,
+        lost_events,
         threads,
         events,
     })
@@ -211,6 +227,7 @@ mod tests {
         let parsed = parse_ndjson(&to_ndjson(&snap)).expect("round trip parses");
         assert_eq!(parsed.threads, 1);
         assert_eq!(parsed.dropped_events, 0);
+        assert_eq!(parsed.lost_events, 0);
         assert_eq!(parsed.events.len(), TraceEventKind::ALL.len());
         for (parsed, (i, kind)) in parsed
             .events
@@ -254,6 +271,30 @@ mod tests {
         let no_phase = "{\"schema\":\"yac-trace/1\",\"dropped_events\":0,\"threads\":1}\n\
                         {\"slot\":0,\"thread\":\"t\",\"t_ns\":1,\"dur_ns\":0,\"kind\":\"PhaseSpan\"}\n";
         assert!(parse_ndjson(no_phase).is_err(), "PhaseSpan needs a phase");
+    }
+
+    #[test]
+    fn the_header_reports_ring_losses() {
+        let j = Journal::new();
+        j.set_capacity(16);
+        j.enable();
+        for i in 0..100u64 {
+            j.record_at(TraceEventKind::ShardCompleted, TraceCtx::chip(i), i, 0);
+        }
+        let text = to_ndjson(&j.snapshot());
+        let header = text.lines().next().unwrap();
+        assert!(header.contains("\"lost_events\":84"), "{header}");
+        let parsed = parse_ndjson(&text).unwrap();
+        assert_eq!((parsed.lost_events, parsed.events.len()), (84, 16));
+    }
+
+    #[test]
+    fn headers_without_lost_events_still_parse() {
+        let old = "{\"schema\":\"yac-trace/1\",\"dropped_events\":2,\"threads\":1}\n\
+                   {\"slot\":0,\"thread\":\"t\",\"t_ns\":1,\"dur_ns\":0,\"kind\":\"CacheHit\"}\n";
+        let parsed = parse_ndjson(old).unwrap();
+        assert_eq!((parsed.dropped_events, parsed.lost_events), (2, 0));
+        assert_eq!(parsed.events.len(), 1);
     }
 
     #[test]

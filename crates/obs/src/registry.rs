@@ -126,8 +126,6 @@ registry_enum! {
         ResultCacheMisses => "result_cache_misses",
         /// Service result-cache entries evicted to honour the byte budget.
         ResultCacheEvictions => "result_cache_evictions",
-        /// Tasks moved between work-stealing worker deques by steal-half.
-        TasksStolen => "tasks_stolen",
         /// Connections refused by the serve loop's connection cap.
         ConnsRejected => "conns_rejected",
         /// Connections evicted for blowing a per-frame read/write deadline.
@@ -155,11 +153,6 @@ registry_enum! {
         EntriesQuarantined => "entries_quarantined",
         /// Quarantined cache entries overwritten by a fresh recompute.
         EntriesRepaired => "entries_repaired",
-        /// Worker pools rebuilt in place after losing worker threads.
-        PoolRestarts => "pool_restarts",
-        /// Queries answered with a typed `Retryable` because the pool
-        /// was rebuilt underneath them.
-        QueriesRetryable => "queries_retryable",
     }
 }
 

@@ -101,8 +101,6 @@ pub enum TraceEventKind {
     CacheHit,
     /// A study query missed the result cache and forced a compute.
     CacheMiss,
-    /// A work-stealing worker stole tasks from another worker's deque.
-    TaskStolen,
     /// The serve loop refused a connection over the connection cap.
     ConnRejected,
     /// A connection was evicted for blowing a per-frame read/write
@@ -132,14 +130,12 @@ pub enum TraceEventKind {
     /// The sentinel abandoned a stalled shard attempt and resubmitted
     /// the shard to a fresh worker.
     ShardReassigned,
-    /// A worker pool lost threads to panics and was rebuilt in place.
-    PoolRestarted,
 }
 
 impl TraceEventKind {
     /// Every kind, with `PhaseSpan` represented once (by `Sample`).
     /// Useful for exhaustive schema tests.
-    pub const ALL: [TraceEventKind; 28] = [
+    pub const ALL: [TraceEventKind; 26] = [
         TraceEventKind::PhaseSpan(Phase::Sample),
         TraceEventKind::ShardDispatched,
         TraceEventKind::ShardCompleted,
@@ -156,7 +152,6 @@ impl TraceEventKind {
         TraceEventKind::QueryServed,
         TraceEventKind::CacheHit,
         TraceEventKind::CacheMiss,
-        TraceEventKind::TaskStolen,
         TraceEventKind::ConnRejected,
         TraceEventKind::SlowClientEvicted,
         TraceEventKind::RetryAttempted,
@@ -167,7 +162,6 @@ impl TraceEventKind {
         TraceEventKind::EntryRepaired,
         TraceEventKind::HeartbeatMissed,
         TraceEventKind::ShardReassigned,
-        TraceEventKind::PoolRestarted,
     ];
 
     /// The stable CamelCase name used in the NDJSON schema.
@@ -190,7 +184,6 @@ impl TraceEventKind {
             TraceEventKind::QueryServed => "QueryServed",
             TraceEventKind::CacheHit => "CacheHit",
             TraceEventKind::CacheMiss => "CacheMiss",
-            TraceEventKind::TaskStolen => "TaskStolen",
             TraceEventKind::ConnRejected => "ConnRejected",
             TraceEventKind::SlowClientEvicted => "SlowClientEvicted",
             TraceEventKind::RetryAttempted => "RetryAttempted",
@@ -201,7 +194,6 @@ impl TraceEventKind {
             TraceEventKind::EntryRepaired => "EntryRepaired",
             TraceEventKind::HeartbeatMissed => "HeartbeatMissed",
             TraceEventKind::ShardReassigned => "ShardReassigned",
-            TraceEventKind::PoolRestarted => "PoolRestarted",
         }
     }
 
@@ -226,7 +218,6 @@ impl TraceEventKind {
             "QueryServed" => TraceEventKind::QueryServed,
             "CacheHit" => TraceEventKind::CacheHit,
             "CacheMiss" => TraceEventKind::CacheMiss,
-            "TaskStolen" => TraceEventKind::TaskStolen,
             "ConnRejected" => TraceEventKind::ConnRejected,
             "SlowClientEvicted" => TraceEventKind::SlowClientEvicted,
             "RetryAttempted" => TraceEventKind::RetryAttempted,
@@ -237,7 +228,6 @@ impl TraceEventKind {
             "EntryRepaired" => TraceEventKind::EntryRepaired,
             "HeartbeatMissed" => TraceEventKind::HeartbeatMissed,
             "ShardReassigned" => TraceEventKind::ShardReassigned,
-            "PoolRestarted" => TraceEventKind::PoolRestarted,
             _ => return None,
         })
     }
@@ -260,18 +250,16 @@ impl TraceEventKind {
             TraceEventKind::QueryServed => 14,
             TraceEventKind::CacheHit => 15,
             TraceEventKind::CacheMiss => 16,
-            TraceEventKind::TaskStolen => 17,
-            TraceEventKind::ConnRejected => 18,
-            TraceEventKind::SlowClientEvicted => 19,
-            TraceEventKind::RetryAttempted => 20,
-            TraceEventKind::BreakerOpened => 21,
-            TraceEventKind::BreakerHalfOpen => 22,
-            TraceEventKind::ScrubPass => 23,
-            TraceEventKind::EntryQuarantined => 24,
-            TraceEventKind::EntryRepaired => 25,
-            TraceEventKind::HeartbeatMissed => 26,
-            TraceEventKind::ShardReassigned => 27,
-            TraceEventKind::PoolRestarted => 28,
+            TraceEventKind::ConnRejected => 17,
+            TraceEventKind::SlowClientEvicted => 18,
+            TraceEventKind::RetryAttempted => 19,
+            TraceEventKind::BreakerOpened => 20,
+            TraceEventKind::BreakerHalfOpen => 21,
+            TraceEventKind::ScrubPass => 22,
+            TraceEventKind::EntryQuarantined => 23,
+            TraceEventKind::EntryRepaired => 24,
+            TraceEventKind::HeartbeatMissed => 25,
+            TraceEventKind::ShardReassigned => 26,
         }
     }
 
@@ -300,18 +288,16 @@ impl TraceEventKind {
             14 => TraceEventKind::QueryServed,
             15 => TraceEventKind::CacheHit,
             16 => TraceEventKind::CacheMiss,
-            17 => TraceEventKind::TaskStolen,
-            18 => TraceEventKind::ConnRejected,
-            19 => TraceEventKind::SlowClientEvicted,
-            20 => TraceEventKind::RetryAttempted,
-            21 => TraceEventKind::BreakerOpened,
-            22 => TraceEventKind::BreakerHalfOpen,
-            23 => TraceEventKind::ScrubPass,
-            24 => TraceEventKind::EntryQuarantined,
-            25 => TraceEventKind::EntryRepaired,
-            26 => TraceEventKind::HeartbeatMissed,
-            27 => TraceEventKind::ShardReassigned,
-            28 => TraceEventKind::PoolRestarted,
+            17 => TraceEventKind::ConnRejected,
+            18 => TraceEventKind::SlowClientEvicted,
+            19 => TraceEventKind::RetryAttempted,
+            20 => TraceEventKind::BreakerOpened,
+            21 => TraceEventKind::BreakerHalfOpen,
+            22 => TraceEventKind::ScrubPass,
+            23 => TraceEventKind::EntryQuarantined,
+            24 => TraceEventKind::EntryRepaired,
+            25 => TraceEventKind::HeartbeatMissed,
+            26 => TraceEventKind::ShardReassigned,
             _ => return None,
         })
     }
@@ -494,6 +480,13 @@ impl TraceSnapshot {
     #[must_use]
     pub fn total_events(&self) -> usize {
         self.threads.iter().map(|t| t.events.len()).sum()
+    }
+
+    /// Events lost inside recorded threads' rings: the sum of every
+    /// [`ThreadTrace::lost`].
+    #[must_use]
+    pub fn lost_events(&self) -> u64 {
+        self.threads.iter().map(|t| t.lost).sum()
     }
 
     /// Whether no thread recorded anything.

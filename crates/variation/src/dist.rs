@@ -23,9 +23,10 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Box–Muller with a guard against log(0). Sampling is most of a
     // chip's cost (~14 µs of ~16 µs per chip single-threaded, the rest
     // being one circuit pass for both organisations), yet the second
-    // variate of each pair is still discarded: keeping it would change
-    // every random stream, so it belongs to the `rand` port item in
-    // ROADMAP.md.
+    // variate of each pair is discarded, and must stay discarded: the
+    // seed commit's sampler, which wrote `results/`, discards it too, so
+    // reusing it would change every random stream and break that oracle
+    // (porting upstream `rand` does not change this).
     loop {
         let u1: f64 = rng.gen::<f64>();
         let u2: f64 = rng.gen::<f64>();
