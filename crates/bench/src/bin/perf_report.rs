@@ -5,7 +5,7 @@
 //! enabled — Monte Carlo sampling, circuit evaluation, classification,
 //! scheme rescue, and a pipeline-simulation stage over the full
 //! SPEC2000-like suite on a healthy and a repaired L1D — then writes a
-//! `yac-perf-report/2` JSON manifest (see `yac_obs::manifest`) with
+//! `yac-perf-report/3` JSON manifest (see `yac_obs::manifest`) with
 //! total wall time, chips/sec and the per-phase breakdown.
 //!
 //! ```text

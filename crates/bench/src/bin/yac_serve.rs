@@ -60,9 +60,10 @@
 //! Query mode uses the resilient client: transport faults and `busy`
 //! refusals are retried with jittered exponential backoff (honouring
 //! the server's `retry_after_ms` hint) under a circuit breaker;
-//! `--retries` caps the attempts and `--deadline-ms` both bounds the
-//! whole call client-side and rides the wire so the server cancels the
-//! query cooperatively when it expires.
+//! `--retries` caps the attempts. `--deadline-ms` rides the wire: the
+//! server cancels the query cooperatively when it expires and answers
+//! `deadline` (exit code 6). It does not bound the call client-side,
+//! which keeps the resilient client's default 30 s deadline.
 //!
 //! Torture mode runs a seeded client/server chaos campaign in one
 //! process and checks the resilience invariants (see `run_torture`):

@@ -7,9 +7,12 @@
 //! carries both circuit evaluations of one die. H-YAPD differs only by
 //! its decoder delay overhead, so one circuit pass yields both results
 //! ([`CacheCircuitModel::evaluate_both`]): on a 2-core x86-64 host that
-//! pair costs 2.2 µs per chip against 3.9 µs for two full evaluations,
-//! beside ~14 µs of variation sampling (single-threaded, best of
-//! 60 × 2,000 dies).
+//! pair costs 2.2 µs per chip against 3.9 µs for two full evaluations
+//! (single-threaded, best of 60 × 2,000 dies), beside ~15 µs of
+//! variation sampling (median of 30 × 2,000 dies). Sampling's cost is
+//! its libm calls, not its bookkeeping: the `cos` of its 284 Box–Muller
+//! normals alone takes 7.7–8.9 µs per die (see
+//! `yac_variation::dist::standard_normal`).
 
 use crate::executor::panic_message;
 use crate::quarantine::QuarantineLedger;

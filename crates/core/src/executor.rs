@@ -468,18 +468,29 @@ pub(crate) enum Collected {
 /// The shard-result collector. Feeds each shard's *first* report to
 /// `sink` (a reassigned shard and its cancelled original may both
 /// complete; the dedup keeps the result exactly-once) until every shard
-/// in `shards` has reported. On each idle 50 ms tick it checks the
-/// job's `cancel` flag. A `sink` error raises `cancel`, so queued shards
-/// are skipped and running ones stop between chips, and is returned.
+/// in `shards` has reported. Before each wait it asks `watch` how long
+/// to wait for the next report (`None`: until one arrives), and it stops
+/// as `Cancelled` once the job's `cancel` flag is up — `watch` may raise
+/// it. A `sink` error raises `cancel`, so queued shards are skipped and
+/// running ones stop between chips, and is returned.
 pub(crate) fn collect_shards<E>(
     rx: &mpsc::Receiver<Option<ShardMsg>>,
     shards: &[ShardSpec],
     cancel: &AtomicBool,
+    mut watch: impl FnMut() -> Option<Duration>,
     mut sink: impl FnMut(ShardMsg) -> Result<(), E>,
 ) -> Result<Collected, E> {
     let mut remaining: HashSet<usize> = shards.iter().map(|s| s.index).collect();
     while !remaining.is_empty() {
-        match rx.recv_timeout(Duration::from_millis(50)) {
+        let wait = watch();
+        if cancel.load(Ordering::Relaxed) {
+            return Ok(Collected::Cancelled);
+        }
+        let report = match wait {
+            Some(wait) => rx.recv_timeout(wait),
+            None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+        };
+        match report {
             Ok(Some(msg)) => {
                 if remaining.remove(&msg.spec().index) {
                     if let Err(e) = sink(msg) {
@@ -489,11 +500,7 @@ pub(crate) fn collect_shards<E>(
                 }
             }
             Ok(None) => return Ok(Collected::Cancelled),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if cancel.load(Ordering::Relaxed) {
-                    return Ok(Collected::Cancelled);
-                }
-            }
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(Collected::Lost),
         }
     }
@@ -528,7 +535,9 @@ fn run_on_pool(
         submit_shard(&pool, &registry, Arc::clone(&job), tag, *spec, tx.clone());
     }
     drop(tx);
-    let collected = collect_shards(&rx, tasks, &job.cancel, sink);
+    // Only `sink` raises a batch job's cancel, and it returns at once, so
+    // the collection blocks until each report arrives.
+    let collected = collect_shards(&rx, tasks, &job.cancel, || None, sink);
     pool.shutdown();
     match collected? {
         Collected::Complete => Ok(()),

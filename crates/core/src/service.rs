@@ -30,9 +30,10 @@
 //!   exists to make cheap.
 //!
 //! Cancellation is cooperative and per query: while a query computes,
-//! the connection handler watches for client disconnect and raises the
-//! query's cancel flag, which stops its shards between chips without
-//! burning retries. A cache hit answers at once and is not watched.
+//! the connection thread that waits for its shards also watches its
+//! client, and raises the query's cancel flag on a disconnect, which
+//! stops the shards between chips without burning retries. No thread is
+//! spawned for it. A cache hit answers at once and is not watched.
 //!
 //! # Wire protocol
 //!
@@ -55,10 +56,11 @@
 //!   across connections and never outnumber the cap.
 //! * **Typed backpressure with a hint** — [`ServiceReply::Busy`] carries
 //!   `retry_after_ms` so clients back off without guessing.
-//! * **Client deadlines** — a query's `deadline_ms` arms a server-side
-//!   watchdog that raises the query's cooperative-cancel flag and
-//!   answers [`ServiceReply::Deadline`]; abandoned work stops between
-//!   chips instead of burning the pool.
+//! * **Client deadlines** — a query's `deadline_ms`, counted from the
+//!   request's receipt, bounds how long the connection thread waits for
+//!   the query's shards: when it passes, the thread raises the query's
+//!   cooperative-cancel flag and answers [`ServiceReply::Deadline`];
+//!   abandoned work stops between chips instead of burning the pool.
 //! * **Graceful drain** — the `drain` op finishes in-flight queries,
 //!   answers new ones with [`ServiceReply::Draining`], and exits the
 //!   serve loop once the last in-flight query completes.
@@ -1085,25 +1087,27 @@ impl SweepService {
 
     /// Answers one query: cache first, then bounded admission, then
     /// supervised computation on the worker pool. `cancel` is the
-    /// query's cooperative abort flag — raise it (the connection handler
-    /// does, on client disconnect) and the computation stops between
-    /// chips and answers [`ServiceReply::Cancelled`].
+    /// query's cooperative abort flag — raise it from any thread and the
+    /// computation stops between chips and answers
+    /// [`ServiceReply::Cancelled`].
     ///
     /// Cache hits bypass admission by design: a saturated service keeps
     /// answering the cheap queries.
     pub fn query(&self, query: &StudyQuery, cancel: &Arc<AtomicBool>) -> ServiceReply {
-        self.query_watched(query, cancel, || ())
+        self.query_watched(query, cancel, None, None)
     }
 
-    /// [`SweepService::query`], calling `watch` only for a query that
-    /// will compute — after the cache misses and admission succeeds —
-    /// and holding its guard until the computation ends. Hits, refusals
-    /// and invalid queries never call it, so they pay for no watcher.
-    pub(crate) fn query_watched<G>(
+    /// [`SweepService::query`] for a connection thread, which watches
+    /// its own client while the query's shards run: the computation is
+    /// also cancelled once `deadline` passes or a peek finds `client`
+    /// gone (see [`SweepService::compute`]). Hits, refusals and invalid
+    /// queries answer before either is looked at.
+    pub(crate) fn query_watched(
         &self,
         query: &StudyQuery,
         cancel: &Arc<AtomicBool>,
-        watch: impl FnOnce() -> G,
+        client: Option<&TcpStream>,
+        deadline: Option<Instant>,
     ) -> ServiceReply {
         self.queries.fetch_add(1, Ordering::Relaxed);
         yac_obs::inc(Metric::QueriesReceived);
@@ -1158,9 +1162,8 @@ impl SweepService {
             };
         }
         let _slot = InflightSlot(self);
-        let _watch = watch();
         let _span = yac_obs::phase_ctx(Phase::QueryExec, TraceCtx::default());
-        let reply = self.compute(query, key, cancel);
+        let reply = self.compute(query, key, cancel, client, deadline);
         match reply {
             ServiceReply::Result { .. } => self.served(reply),
             other => other,
@@ -1196,7 +1199,24 @@ impl SweepService {
     /// record if (and only if) every chip was observed — degraded
     /// results depend on which shards failed, so they are returned but
     /// never cached.
-    fn compute(&self, query: &StudyQuery, key: u64, cancel: &Arc<AtomicBool>) -> ServiceReply {
+    ///
+    /// While the shards run, the calling thread waits for their reports
+    /// at most [`IO_TICK`] or until `deadline`, whichever is sooner. Each
+    /// time it wakes it raises `cancel` if the deadline has passed or a
+    /// non-blocking peek finds `client` gone (an orderly close, a reset or
+    /// a hard error); a raised `cancel` ends the collection. The client
+    /// socket is non-blocking only for the collection: one that cannot
+    /// be switched still gets its deadline but no disconnect cancel, and
+    /// one that cannot be switched back is shut down. The CPI phase
+    /// after the collection is not watched.
+    fn compute(
+        &self,
+        query: &StudyQuery,
+        key: u64,
+        cancel: &Arc<AtomicBool>,
+        client: Option<&TcpStream>,
+        deadline: Option<Instant>,
+    ) -> ServiceReply {
         let mut pop = PopulationConfig::paper(query.seed);
         pop.chips = query.chips;
         let mc = match MonteCarlo::try_new(pop.variation) {
@@ -1238,14 +1258,31 @@ impl SweepService {
         }
         drop(tx);
 
+        // A socket that cannot be made non-blocking is never peeked: the
+        // query keeps its deadline but not its disconnect cancel.
+        let client = client.filter(|client| client.set_nonblocking(true).is_ok());
+        let watch = || {
+            let left = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) || client.is_some_and(client_gone) {
+                cancel.store(true, Ordering::Relaxed);
+            }
+            Some(left.map_or(IO_TICK, |left| left.min(IO_TICK)))
+        };
         // The sentinel's reassignments keep the channel open (the job
         // table holds a sender clone) until the job is deregistered
         // below, so the collection ends complete or cancelled.
         let mut merged = MergedShards::with_capacity(query.chips);
-        let Ok(collected) = collect_shards::<Infallible>(&rx, &shards, cancel, |msg| {
+        let Ok(collected) = collect_shards::<Infallible>(&rx, &shards, cancel, watch, |msg| {
             merged.accept(msg);
             Ok(())
         });
+        if let Some(client) = client {
+            // Left non-blocking, the frame loop would spin, so failing to
+            // switch the socket back closes the connection.
+            if client.set_nonblocking(false).is_err() {
+                let _ = client.shutdown(std::net::Shutdown::Both);
+            }
+        }
         lock_jobs(&self.jobs).remove(&job_id);
         if !matches!(collected, Collected::Complete) || cancel.load(Ordering::Relaxed) {
             return ServiceReply::Cancelled;
@@ -1340,83 +1377,15 @@ fn send_reply(
     }
 }
 
-/// Watches a query's connection while it computes: raises the query's
-/// cancel flag on client disconnect (peeking a non-blocking
-/// shared-description clone of the socket, so it consumes nothing the
-/// handler will later read) and, when the query carried a
-/// `deadline_ms`, when the deadline expires — recording which of the
-/// two fired. Between peeks the watcher parks for [`IO_TICK`] or until
-/// the deadline, whichever is sooner; dropping the monitor unparks and
-/// joins it at once, then puts the socket back into blocking mode.
-///
-/// The handler starts one only for a query that computes (through
-/// [`SweepService::query_watched`]): a cache hit, a refusal or an
-/// invalid query answers at once and never checks its cancel flag, so
-/// it spawns no watcher thread. `deadline` is what is left of the
-/// client's budget when the monitor starts.
-///
-/// A failed clone or spawn degrades gracefully: the query runs
-/// unwatched (no cancel-on-disconnect, no deadline) instead of killing
-/// the connection handler.
-struct ConnMonitor<'a> {
-    stream: &'a TcpStream,
-    deadline_hit: Arc<AtomicBool>,
-    watcher: ParkedLoop,
-}
-
-impl<'a> ConnMonitor<'a> {
-    fn spawn(stream: &'a TcpStream, cancel: Arc<AtomicBool>, deadline: Option<Duration>) -> Self {
-        let deadline_hit = Arc::new(AtomicBool::new(false));
-        // The clone is optional: without it the watcher still enforces
-        // the deadline, it just cannot see disconnects.
-        let peek_stream = stream
-            .try_clone()
-            .ok()
-            .and_then(|s| s.set_nonblocking(true).ok().map(|()| s));
-        let hit = Arc::clone(&deadline_hit);
-        let started = Instant::now();
-        let mut byte = [0u8; 1];
-        let watcher = ParkedLoop::spawn("svc-conn-watch", move || {
-            let left = deadline.map(|limit| limit.saturating_sub(started.elapsed()));
-            if left == Some(Duration::ZERO) {
-                hit.store(true, Ordering::Relaxed);
-                cancel.store(true, Ordering::Relaxed);
-                return None;
-            }
-            match peek_stream.as_ref().map(|s| s.peek(&mut byte)) {
-                // No clone (deadline-only watching), pipelined bytes (the
-                // client is alive), or nothing to read yet.
-                None | Some(Ok(1..)) => {}
-                Some(Err(e)) if is_would_block(&e) => {}
-                // A signal interrupted the peek: the peer is not gone,
-                // retry. Folding this into the arm below would cancel
-                // live queries spuriously.
-                Some(Err(e)) if e.kind() == io::ErrorKind::Interrupted => {}
-                // Orderly shutdown by the peer, a reset or any hard
-                // error: treat as gone.
-                Some(Ok(0) | Err(_)) => {
-                    cancel.store(true, Ordering::Relaxed);
-                    return None;
-                }
-            }
-            Some(left.map_or(IO_TICK, |left| left.min(IO_TICK)))
-        });
-        ConnMonitor {
-            stream,
-            deadline_hit,
-            watcher,
-        }
-    }
-}
-
-impl Drop for ConnMonitor<'_> {
-    fn drop(&mut self) {
-        self.watcher.halt();
-        // The clone shared its non-blocking flag with the socket; left
-        // set, the frame loop would spin, so failing to clear it closes.
-        if self.stream.set_nonblocking(false).is_err() {
-            let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        }
+/// Whether a non-blocking peek finds the client gone: an orderly
+/// close, a reset or any hard error. Pipelined bytes, nothing to read
+/// yet and an interrupted peek all mean the client is still there, so
+/// nothing the frame loop will read is consumed.
+fn client_gone(client: &TcpStream) -> bool {
+    match client.peek(&mut [0u8; 1]) {
+        Ok(1..) => false,
+        Err(e) if is_would_block(&e) || e.kind() == io::ErrorKind::Interrupted => false,
+        Ok(0) | Err(_) => true,
     }
 }
 
@@ -1472,26 +1441,21 @@ fn handle_connection(stream: TcpStream, service: &Arc<SweepService>) {
         let reply = match request {
             Err(message) => ServiceReply::Error { message },
             Ok(ServiceRequest::Query { query, deadline_ms }) => {
-                let cancel = Arc::new(AtomicBool::new(false));
+                // The deadline counts from receipt; one past the clock's
+                // range is no deadline.
                 let received = Instant::now();
-                // Set only if the query computed under a watcher: the
-                // flag records whether its deadline fired.
-                let mut deadline_hit = None;
-                let reply = service.query_watched(&query, &cancel, || {
-                    // The deadline counts from receipt, not from here.
-                    let left = deadline_ms
-                        .map(|ms| Duration::from_millis(ms).saturating_sub(received.elapsed()));
-                    let monitor = ConnMonitor::spawn(stream.get_ref(), Arc::clone(&cancel), left);
-                    deadline_hit = Some(Arc::clone(&monitor.deadline_hit));
-                    monitor
-                });
-                let deadline_hit = deadline_hit.is_some_and(|hit| hit.load(Ordering::Relaxed));
-                if deadline_hit && reply == ServiceReply::Cancelled {
-                    ServiceReply::Deadline {
-                        elapsed_ms: received.elapsed().as_millis() as u64,
+                let deadline =
+                    deadline_ms.and_then(|ms| received.checked_add(Duration::from_millis(ms)));
+                let cancel = Arc::new(AtomicBool::new(false));
+                match service.query_watched(&query, &cancel, Some(stream.get_ref()), deadline) {
+                    // Only this thread raises `cancel`: for the deadline,
+                    // or for a client that is gone and reads no reply.
+                    ServiceReply::Cancelled if deadline.is_some_and(|at| Instant::now() >= at) => {
+                        ServiceReply::Deadline {
+                            elapsed_ms: received.elapsed().as_millis() as u64,
+                        }
                     }
-                } else {
-                    reply
+                    reply => reply,
                 }
             }
             Ok(ServiceRequest::Stats) => ServiceReply::Stats(service.stats()),
@@ -1593,7 +1557,9 @@ fn spawn_handler(
 /// behind a busy one) over one shared channel; a `svc-conn` thread is
 /// spawned only when none is idle. A handler counts itself idle before
 /// it frees its connection slot, so there are never more handlers than
-/// `max_conns`. On exit the loop waits for every connection to finish,
+/// `max_conns`. A query that computes spawns no thread either: its
+/// handler watches the client's socket and deadline while it waits for
+/// the shards. On exit the loop waits for every connection to finish,
 /// then drops the channel and joins every handler: a clean return means
 /// no request is still in flight and no handler thread is left.
 ///
@@ -1686,7 +1652,6 @@ pub fn serve(listener: &TcpListener, service: &Arc<SweepService>) -> io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
     use std::io::Read;
 
     fn query() -> StudyQuery {
@@ -2072,83 +2037,6 @@ mod tests {
         service.shutdown();
     }
 
-    /// Only a query that computes starts a connection watcher, and the
-    /// watcher's guard lives until the computed record is cached.
-    #[test]
-    fn only_computed_queries_call_the_watcher() {
-        let service = tiny_service();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let q = StudyQuery {
-            chips: 16,
-            cpi: None,
-            ..query()
-        };
-
-        /// Records, when dropped, whether the query's record was
-        /// already cached — i.e. whether it was held across `compute`.
-        struct Guard<'a>(&'a SweepService, u64, &'a Cell<Option<bool>>);
-        impl Drop for Guard<'_> {
-            fn drop(&mut self) {
-                let (service, key) = (self.0, self.1);
-                self.2.set(Some(
-                    service.with_cache(|cache| cache.entries.contains_key(&key)),
-                ));
-            }
-        }
-        let calls = Cell::new(0);
-        let cached_at_drop = Cell::new(None);
-        let reply = service.query_watched(&q, &cancel, || {
-            calls.set(calls.get() + 1);
-            assert_eq!(service.inflight(), 1, "watcher started before admission");
-            Guard(&service, q.fingerprint(), &cached_at_drop)
-        });
-        assert!(
-            matches!(reply, ServiceReply::Result { cached: false, .. }),
-            "{reply:?}"
-        );
-        assert_eq!(calls.get(), 1, "a computed query is watched once");
-        assert_eq!(cached_at_drop.get(), Some(true), "guard dropped early");
-
-        let unwatched = |query: &StudyQuery| {
-            service.query_watched(query, &cancel, || calls.set(calls.get() + 1))
-        };
-        let hit = unwatched(&q);
-        assert!(
-            matches!(hit, ServiceReply::Result { cached: true, .. }),
-            "{hit:?}"
-        );
-        for invalid in [0, MAX_QUERY_CHIPS + 1] {
-            let reply = unwatched(&StudyQuery {
-                chips: invalid,
-                ..q
-            });
-            assert!(matches!(reply, ServiceReply::Error { .. }), "{reply:?}");
-        }
-        // Every admission slot taken: the new cell is refused as busy.
-        let limit = service.config().max_inflight;
-        let slots: Vec<_> = (0..limit)
-            .map(|_| {
-                assert!(service.try_admit(limit));
-                InflightSlot(&service)
-            })
-            .collect();
-        let busy = unwatched(&StudyQuery { seed: 12, ..q });
-        assert!(matches!(busy, ServiceReply::Busy { .. }), "{busy:?}");
-        drop(slots);
-        service.request_drain();
-        let draining = unwatched(&StudyQuery { seed: 13, ..q });
-        assert!(
-            matches!(draining, ServiceReply::Draining { .. }),
-            "{draining:?}"
-        );
-        assert_eq!(
-            calls.get(),
-            1,
-            "an answer that computed nothing was watched"
-        );
-        service.shutdown();
-    }
-
     #[test]
     fn health_report_tracks_lanes_scrubs_and_inflight() {
         let service = tiny_service();
@@ -2169,25 +2057,34 @@ mod tests {
         service.shutdown();
     }
 
-    /// The watcher's clone shares the socket's non-blocking flag, so a
-    /// dropped monitor must clear it: the frame loop's next idle read
-    /// waits out its IO_TICK timeout instead of failing at once.
+    /// The collection peeks the client in non-blocking mode, so it must
+    /// switch the socket back: the frame loop's next idle read waits out
+    /// its IO_TICK timeout instead of failing at once.
     #[test]
-    fn a_dropped_conn_monitor_leaves_the_socket_blocking() {
+    fn a_watched_collection_leaves_the_socket_blocking() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
         stream.set_read_timeout(Some(IO_TICK)).unwrap();
+        let service = tiny_service();
         let cancel = Arc::new(AtomicBool::new(false));
-        let monitor = ConnMonitor::spawn(&stream, Arc::clone(&cancel), None);
-        std::thread::sleep(Duration::from_millis(30)); // the watcher peeks
-        drop(monitor);
+        let q = StudyQuery {
+            chips: 16,
+            cpi: None,
+            ..query()
+        };
+        let reply = service.query_watched(&q, &cancel, Some(&stream), None);
+        assert!(
+            matches!(reply, ServiceReply::Result { cached: false, .. }),
+            "{reply:?}"
+        );
+        assert!(!cancel.load(Ordering::Relaxed), "live client cancelled");
         let started = Instant::now();
         let err = (&stream).read(&mut [0u8; 1]).unwrap_err();
         assert!(is_would_block(&err), "unexpected error: {err}");
         let waited = started.elapsed();
         assert!(waited >= Duration::from_millis(10), "waited {waited:?}");
-        assert!(!cancel.load(Ordering::Relaxed), "live client cancelled");
+        service.shutdown();
     }
 
     #[test]

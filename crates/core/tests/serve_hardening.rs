@@ -274,6 +274,51 @@ fn query_deadlines_cancel_cooperatively_with_a_typed_reply() {
     harness.finish();
 }
 
+/// A client that hangs up while its query computes cancels the query:
+/// the connection thread's peek sees the close, the shards stop, and the
+/// admission slot frees long before the query could have finished
+/// (every shard fails twice and backs off 100 ms, about 300 ms in all).
+/// The cancelled query cached nothing, so asking again computes afresh;
+/// a deadline past the clock's range is no deadline.
+#[test]
+fn a_client_that_hangs_up_cancels_its_query() {
+    let harness = start(ServiceConfig {
+        exec: slow_exec(2, 100),
+        max_inflight: 1,
+        cache_bytes: 1 << 20,
+        ..ServiceConfig::default()
+    });
+    let request = |deadline_ms| ServiceRequest::Query {
+        query: small_query(61),
+        deadline_ms,
+    };
+
+    let mut conn = TcpStream::connect(&harness.addr).unwrap();
+    write_frame(&mut conn, request(None).to_json().as_bytes()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while harness.service.inflight() == 0 {
+        assert!(Instant::now() < deadline, "the query never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(conn);
+    let closed = Instant::now();
+    while harness.service.inflight() > 0 {
+        assert!(
+            closed.elapsed() < Duration::from_millis(150),
+            "the slot was still held {:?} after the client hung up",
+            closed.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let (reply, _) = client_request(&harness.addr, &request(Some(u64::MAX))).unwrap();
+    assert!(
+        matches!(reply, ServiceReply::Result { cached: false, .. }),
+        "the re-query was not computed afresh: {reply:?}"
+    );
+    harness.finish();
+}
+
 /// Runs `serve()` on its own thread and reports its result through a
 /// channel, so a lost wake fails the test (see [`serve_exits`]) instead
 /// of hanging it the way a plain `join` would.

@@ -1,18 +1,18 @@
 //! The structured run manifest: everything a benchmark run needs to be
 //! comparable later, serialized to a stable, dependency-free JSON schema.
 //!
-//! Schema `yac-perf-report/2` (consumed by CI's `bench-smoke` gate and by
+//! Schema `yac-perf-report/3` (consumed by CI's `bench-smoke` gate and by
 //! humans diffing `BENCH_*.json` files):
 //!
 //! ```json
 //! {
-//!   "schema": "yac-perf-report/2",
+//!   "schema": "yac-perf-report/3",
 //!   "name": "perf_report",
 //!   "run": { "seed": 2006, "chips": 200, "threads": 8,
 //!            "quarantined": 0, "peak_rss_bytes": 123456 },
 //!   "metrics": [ { "name": "total_wall_time", "value": 1.25, "unit": "s" },
 //!                { "name": "chips_per_sec", "value": 160.1, "unit": "chips/s" } ],
-//!   "phases":  [ { "name": "sample", "wall_time_s": 0.21, "cpu_time_s": 0.5,
+//!   "phases":  [ { "name": "sample", "wall_time_s": 0.21, "span_time_s": 0.5,
 //!                  "calls": 200, "mean_us": 2500.0, "p99_us": 4096.0,
 //!                  "buckets": [[2097152, 180], [4194304, 20]] } ],
 //!   "counters": [ { "name": "dies_sampled", "value": 200 } ]
@@ -22,16 +22,20 @@
 //! Version 2 fixes v1's dishonest phase units: v1's single
 //! `wall_time_s` / `phase_<x>_time` summed concurrent guard lifetimes
 //! across threads, so a parallel phase could "take" 10.9 s inside a
-//! 0.70 s run. v2 labels that summed figure `cpu_time_s` /
-//! `phase_<x>_cpu_time` and adds a true wall-clock union
+//! 0.70 s run. v2 labelled that summed figure `cpu_time_s` /
+//! `phase_<x>_cpu_time` and added a true wall-clock union
 //! (`wall_time_s` / `phase_<x>_wall_time`: time during which ≥ 1 guard
-//! of the phase was open, never more than elapsed real time). Each
+//! of the phase was open, never more than elapsed real time). Version 3
+//! renames the summed figure to what it is, `span_time_s` /
+//! `phase_<x>_span_time`: guard lifetimes include time a thread spends
+//! blocked or descheduled, so they are not CPU time. Each
 //! phase also carries its raw log₂ `buckets` as `[le_ns, count]` pairs
 //! so downstream tools can compute real quantiles instead of trusting
 //! the factor-of-two `p99_us`.
 //!
-//! `metrics[].name` values are append-only: existing names never change
-//! meaning, so a gate reading `chips_per_sec` keeps working across PRs.
+//! `metrics[].name` values never change meaning, and only a schema bump
+//! renames one, so a gate reading `chips_per_sec` keeps working across
+//! versions.
 
 use crate::json::json_string;
 use crate::registry::{Metric, Phase, Registry};
@@ -58,8 +62,9 @@ pub struct PhaseReport {
     pub wall_time_s: f64,
     /// Accumulated guard time, seconds, summed over all guards — a
     /// phase whose guards run on parallel workers can exceed wall-clock
-    /// time (CPU-time-like).
-    pub cpu_time_s: f64,
+    /// time, and a guard counts while its thread is blocked, so this is
+    /// summed span lifetime, not CPU time.
+    pub span_time_s: f64,
     /// Completed guard count.
     pub calls: u64,
     /// Mean guard duration, microseconds.
@@ -138,7 +143,7 @@ impl RunManifest {
         ];
         for phase in Phase::ALL {
             metrics.push(ManifestMetric {
-                name: format!("phase_{}_cpu_time", phase.name()),
+                name: format!("phase_{}_span_time", phase.name()),
                 value: registry.phase_nanos(phase) as f64 / 1e9,
                 unit: "s".into(),
             });
@@ -163,7 +168,7 @@ impl RunManifest {
                     PhaseReport {
                         name: p.name(),
                         wall_time_s: registry.phase_wall_nanos(p) as f64 / 1e9,
-                        cpu_time_s: registry.phase_nanos(p) as f64 / 1e9,
+                        span_time_s: registry.phase_nanos(p) as f64 / 1e9,
                         calls: registry.phase_calls(p),
                         mean_us: hist.mean_nanos() / 1e3,
                         p99_us: hist.quantile_nanos(0.99) as f64 / 1e3,
@@ -187,11 +192,11 @@ impl RunManifest {
             .map(|m| m.value)
     }
 
-    /// Serializes the manifest to schema `yac-perf-report/2` JSON.
+    /// Serializes the manifest to schema `yac-perf-report/3` JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048);
-        out.push_str("{\n  \"schema\": \"yac-perf-report/2\",\n");
+        out.push_str("{\n  \"schema\": \"yac-perf-report/3\",\n");
         let _ = writeln!(out, "  \"name\": {},", json_string(&self.name));
         let _ = write!(
             out,
@@ -223,10 +228,10 @@ impl RunManifest {
         for (i, p) in self.phases.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{ \"name\": {}, \"wall_time_s\": {}, \"cpu_time_s\": {}, \"calls\": {}, \"mean_us\": {}, \"p99_us\": {}, \"buckets\": [",
+                "    {{ \"name\": {}, \"wall_time_s\": {}, \"span_time_s\": {}, \"calls\": {}, \"mean_us\": {}, \"p99_us\": {}, \"buckets\": [",
                 json_string(p.name),
                 json_f64(p.wall_time_s),
-                json_f64(p.cpu_time_s),
+                json_f64(p.span_time_s),
                 p.calls,
                 json_f64(p.mean_us),
                 json_f64(p.p99_us)
@@ -274,8 +279,8 @@ fn json_f64(v: f64) -> String {
 }
 
 /// Extracts `metrics[].value` for a named metric from schema
-/// `yac-perf-report/2` JSON text (v1 works too — the `metrics` shape is
-/// unchanged).
+/// `yac-perf-report/3` JSON text (v1 and v2 work too — the `metrics`
+/// shape is unchanged).
 ///
 /// This is a deliberately narrow reader for our own stable serializer —
 /// it searches for the `"name": "<name>"` / `"value": <number>` pair the
@@ -337,8 +342,8 @@ mod tests {
         assert_eq!(m.metric("total_wall_time"), Some(1.25));
         assert_eq!(m.metric("chips_per_sec"), Some(160.0));
         assert_eq!(m.metric("uops_per_sec"), Some(800_000.0));
-        assert_eq!(m.metric("phase_sample_cpu_time"), Some(0.5));
-        // `record_phase_nanos` feeds externally-measured durations: CPU
+        assert_eq!(m.metric("phase_sample_span_time"), Some(0.5));
+        // `record_phase_nanos` feeds externally-measured durations: span
         // time only, no wall interval.
         assert_eq!(m.metric("phase_sample_wall_time"), Some(0.0));
         assert_eq!(m.quarantined, 0);
@@ -349,7 +354,7 @@ mod tests {
     fn json_round_trips_through_extract_metric() {
         let m = sample_manifest();
         let json = m.to_json();
-        assert!(json.contains("\"schema\": \"yac-perf-report/2\""));
+        assert!(json.contains("\"schema\": \"yac-perf-report/3\""));
         for metric in &m.metrics {
             let parsed = extract_metric(&json, &metric.name)
                 .unwrap_or_else(|| panic!("metric {} missing from JSON", metric.name));
@@ -368,12 +373,12 @@ mod tests {
     fn phases_carry_wall_cpu_and_raw_buckets() {
         let m = sample_manifest();
         let sample = m.phases.iter().find(|p| p.name == "sample").unwrap();
-        assert_eq!(sample.cpu_time_s, 0.5);
+        assert_eq!(sample.span_time_s, 0.5);
         assert_eq!(sample.wall_time_s, 0.0);
         // One 0.5 s call lands in the (2^28, 2^29] ns bucket.
         assert_eq!(sample.buckets, vec![(1u64 << 29, 1)]);
         let json = m.to_json();
-        assert!(json.contains("\"cpu_time_s\": 0.500000"));
+        assert!(json.contains("\"span_time_s\": 0.500000"));
         assert!(json.contains(&format!("\"buckets\": [[{}, 1]]", 1u64 << 29)));
         // Phases with no samples serialize an empty bucket list.
         assert!(json.contains("\"buckets\": [] }"));

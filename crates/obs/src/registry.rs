@@ -408,7 +408,7 @@ impl Registry {
     /// open races another's close can over-count by the scheduling gap
     /// between the two — wall times are honest to within that jitter,
     /// which is why the manifest labels them separately from the exact
-    /// summed `cpu_time`.
+    /// summed span time.
     fn phase_closed(&self, phase: Phase) {
         let now = self.now_ns();
         if self.phase_active[phase as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -446,7 +446,8 @@ impl Registry {
 
     /// Total nanoseconds attributed to `phase` (summed over all guards,
     /// including concurrent ones — a parallel phase can accumulate more
-    /// than wall-clock time). This is CPU-time-like; see
+    /// than wall-clock time). This is summed span time, which counts
+    /// blocked and descheduled time too; see
     /// [`Registry::phase_wall_nanos`] for the wall-clock view.
     #[must_use]
     pub fn phase_nanos(&self, phase: Phase) -> u64 {

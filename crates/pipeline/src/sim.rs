@@ -471,7 +471,20 @@ impl Pipeline {
         warmup: u64,
         measure: u64,
     ) -> SimStats {
-        let mut trace = trace.into_iter();
+        self.run_loop(&mut trace.into_iter(), warmup, measure)
+    }
+
+    /// The simulation loop behind [`Pipeline::run`]. It reads its trace
+    /// through `dyn Iterator` and is never inlined, so it is compiled once,
+    /// here, whatever the caller's trace type: its code cannot follow
+    /// edits to, or the build path of, the crate that calls `run`.
+    #[inline(never)]
+    fn run_loop(
+        &mut self,
+        trace: &mut dyn Iterator<Item = MicroOp>,
+        warmup: u64,
+        measure: u64,
+    ) -> SimStats {
         let target_warm = self.total_committed + warmup;
         let mut target_end = target_warm + measure;
         let mut warmed = warmup == 0;
@@ -480,7 +493,7 @@ impl Pipeline {
         }
         loop {
             self.skip_idle_cycles();
-            self.step(&mut trace);
+            self.step(trace);
             if !warmed && self.total_committed >= target_warm {
                 self.reset_stats_internal();
                 // Warm-up may overshoot by up to width-1 commits; measure a
@@ -522,7 +535,7 @@ impl Pipeline {
         self.last_commit_cycle = self.now;
     }
 
-    fn step(&mut self, trace: &mut impl Iterator<Item = MicroOp>) {
+    fn step(&mut self, trace: &mut dyn Iterator<Item = MicroOp>) {
         self.commit();
         self.complete();
         self.fu_arrive();
@@ -1065,7 +1078,7 @@ impl Pipeline {
         }
     }
 
-    fn fetch(&mut self, trace: &mut impl Iterator<Item = MicroOp>) {
+    fn fetch(&mut self, trace: &mut dyn Iterator<Item = MicroOp>) {
         if self.trace_done {
             return;
         }

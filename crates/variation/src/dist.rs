@@ -20,13 +20,16 @@ use rand::Rng;
 /// assert!(z.is_finite());
 /// ```
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // Box–Muller with a guard against log(0). Sampling is most of a
-    // chip's cost (~14 µs of ~16 µs per chip single-threaded, the rest
-    // being one circuit pass for both organisations), yet the second
-    // variate of each pair is discarded, and must stay discarded: the
-    // seed commit's sampler, which wrote `results/`, discards it too, so
-    // reusing it would change every random stream and break that oracle
-    // (porting upstream `rand` does not change this).
+    // Box–Muller with a guard against log(0). This call is where per-die
+    // sampling spends its time, and the time goes to libm, not to
+    // bookkeeping: a die draws 284 normals, whose `cos` calls alone take
+    // 7.7–8.9 µs of the sampler's ~15 µs per die, and `cos` is about
+    // 40 % of a whole Tables 2–5 study's CPU (2-vCPU x86-64 host). Yet
+    // the second variate of each pair is discarded, and must stay
+    // discarded: the seed commit's sampler, which wrote `results/`,
+    // discards it too, so reusing it would change every random stream and
+    // break that oracle (porting upstream `rand` does not change this).
+    // The same oracle rules out a vector libm or a ziggurat.
     loop {
         let u1: f64 = rng.gen::<f64>();
         let u2: f64 = rng.gen::<f64>();
