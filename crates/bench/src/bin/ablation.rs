@@ -13,6 +13,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin ablation [chips] [seed]`
 
+#![deny(unsafe_code)]
+
 use yac_bench::population_args;
 use yac_circuit::{CacheCircuitModel, CacheGeometry, CacheVariant, Calibration, Technology};
 use yac_core::{table2, table3, ConstraintSpec, Population, PopulationConfig, YieldConstraints};

@@ -5,6 +5,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin adaptive [--quick]`
 
+#![deny(unsafe_code)]
+
 use yac_core::perf::{adaptive_comparison, PerfOptions};
 
 fn main() {

@@ -3,6 +3,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin calibrate [chips] [seed]`
 
+#![deny(unsafe_code)]
+
 use yac_circuit::CacheCircuitModel;
 use yac_variation::stats::{pearson, Summary};
 use yac_variation::{MonteCarlo, VariationConfig};

@@ -5,6 +5,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin confidence [chips] [seeds]`
 
+#![deny(unsafe_code)]
+
 use yac_core::confidence::confidence_study;
 
 fn main() {

@@ -4,6 +4,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin economics [chips] [seed] [--quick]`
 
+#![deny(unsafe_code)]
+
 use yac_bench::standard_population;
 use yac_core::economics::{revenue_report, PriceModel};
 use yac_core::perf::{table6, PerfOptions};

@@ -8,6 +8,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin fig1 [chips] [seed]`
 
+#![deny(unsafe_code)]
+
 use yac_bench::population_args;
 use yac_core::{classify, ConstraintSpec, Population, YieldConstraints};
 

@@ -6,6 +6,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin fig8 [chips] [seed] [--csv]`
 
+#![deny(unsafe_code)]
+
 use yac_bench::standard_population;
 use yac_core::fig8_scatter;
 use yac_variation::stats::{pearson, Summary};

@@ -5,6 +5,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin fig9 [--quick]`
 
+#![deny(unsafe_code)]
+
 use yac_core::perf::{canonical_l1d, render_degradation, suite_degradation, PerfOptions};
 use yac_core::WayCycleCensus;
 

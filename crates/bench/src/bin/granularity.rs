@@ -9,6 +9,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin granularity [chips] [seed]`
 
+#![deny(unsafe_code)]
+
 use yac_bench::population_args;
 use yac_circuit::{CacheCircuitModel, CacheGeometry, CacheVariant, Calibration, Technology};
 use yac_core::{table3, ConstraintSpec, Population, PopulationConfig, YieldConstraints};

@@ -5,6 +5,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin measurement [chips] [seed]`
 
+#![deny(unsafe_code)]
+
 use yac_bench::population_args;
 use yac_core::testing::{test_population, MeasurementError};
 use yac_core::{

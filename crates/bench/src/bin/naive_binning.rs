@@ -5,6 +5,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin naive_binning [--quick]`
 
+#![deny(unsafe_code)]
+
 use yac_cache::CacheConfig;
 use yac_core::perf::{render_degradation, suite_cpis, PerfOptions, SuiteDegradation};
 use yac_pipeline::PipelineConfig;

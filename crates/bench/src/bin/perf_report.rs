@@ -33,6 +33,8 @@
 //! every second. Both are observation-only: the study's results are
 //! bit-identical with and without them.
 
+#![deny(unsafe_code)]
+
 use std::process::ExitCode;
 use std::time::Instant;
 use yac_cache::CacheConfig;

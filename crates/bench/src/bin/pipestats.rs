@@ -4,6 +4,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin pipestats [uops]`
 
+#![deny(unsafe_code)]
+
 use yac_cache::{HierarchyConfig, MemoryHierarchy};
 use yac_pipeline::{Pipeline, PipelineConfig};
 use yac_workload::{spec2000, TraceGenerator};

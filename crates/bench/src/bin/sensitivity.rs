@@ -4,6 +4,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin sensitivity [chips] [seed]`
 
+#![deny(unsafe_code)]
+
 use yac_bench::population_args;
 use yac_core::sensitivity::sensitivity_study;
 

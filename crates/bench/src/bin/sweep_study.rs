@@ -24,6 +24,8 @@
 //! `yac_core::chaos`), the named fault/crash plan is installed before the
 //! sweep runs — this is how CI kills the process mid-write.
 
+#![deny(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 use yac_core::sweep::CpiOptions;

@@ -4,6 +4,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin table2 [chips] [seed]`
 
+#![deny(unsafe_code)]
+
 use yac_bench::standard_population;
 use yac_core::{render_loss_table, table2, ConstraintSpec, YieldConstraints};
 

@@ -4,6 +4,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin table4_5 [chips] [seed]`
 
+#![deny(unsafe_code)]
+
 use yac_bench::standard_population;
 use yac_core::{constraint_sweep, render_constraint_sweep, ConstraintSpec, PowerDownKind};
 

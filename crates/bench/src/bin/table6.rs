@@ -5,6 +5,8 @@
 //! Usage:
 //! `cargo run -p yac-bench --release --bin table6 [chips] [seed] [--quick]`
 
+#![deny(unsafe_code)]
+
 use yac_bench::standard_population;
 use yac_core::perf::{render_table6, table6, PerfOptions};
 use yac_core::{ConstraintSpec, YieldConstraints};

@@ -4,6 +4,8 @@
 //!
 //! Usage: `cargo run -p yac-bench --release --bin wafer_map [seed] [radial_sigma]`
 
+#![deny(unsafe_code)]
+
 use yac_circuit::CacheCircuitModel;
 use yac_core::{
     classify, ChipSample, ConstraintSpec, Hybrid, Population, PowerDownKind, Scheme,

@@ -85,6 +85,8 @@
 //! | 6    | the query's deadline expired server-side (shards cancelled cooperatively) |
 //! | 7    | the resilient client gave up: breaker open, attempts exhausted, or client deadline |
 
+#![deny(unsafe_code)]
+
 use std::io::{Read, Write};
 use std::path::Path;
 use std::process::ExitCode;

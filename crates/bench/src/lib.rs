@@ -29,6 +29,7 @@
 //! | `perf_report` | instrumented benchmark manifest (`BENCH_*.json`), CI's perf gate |
 //! | `sweep_study` | crash-safe multi-study sweep orchestrator, CI's chaos-smoke gate |
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 use yac_core::Population;

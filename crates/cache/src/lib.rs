@@ -19,6 +19,7 @@
 //! # Ok::<(), yac_cache::CacheConfigError>(())
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -27,6 +27,7 @@
 //! assert_eq!(result.delay, slowest);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

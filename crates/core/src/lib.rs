@@ -28,6 +28,7 @@
 //! println!("{}", render_loss_table(&table));
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

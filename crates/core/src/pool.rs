@@ -14,6 +14,22 @@
 //! them; this is the backstop for code outside it.) The trade-off
 //! against per-worker deques is in DESIGN.md §13; the tests are in
 //! `crates/core/tests/pool.rs`.
+//!
+//! **Compute runs in the background.** On Linux every worker moves
+//! itself to `SCHED_IDLE` before its first task, so any runnable thread
+//! of normal priority preempts it at once: the accept loop, connection
+//! handlers, clients, the stall sentinel and scrubber, and the caller
+//! collecting shards. Chips run only on CPU that I/O and coordination
+//! leave free, and a served cache hit never waits a scheduler slice
+//! behind one. The rule covers *every* pool, not only the service's: a
+//! served CPI query builds its own pool for the benchmark suite
+//! ([`crate::perf`]), and at normal priority that pool would starve the
+//! service's idle-policy shards past their heartbeat budget. If the
+//! call fails the worker keeps normal priority. Tests:
+//! `pool_workers_run_idle_policy`,
+//! `served_shards_run_idle_policy_and_connections_do_not` and
+//! `a_cpi_query_does_not_starve_a_population_query` in
+//! `crates/core/tests/pool.rs`.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -127,9 +143,38 @@ impl Drop for WorkerPool {
     }
 }
 
-/// One worker: pop the oldest task and run it, park while the queue is
-/// empty, exit once shutdown is set and the queue has drained.
+/// Moves the calling thread to `SCHED_IDLE`. Needs no privilege: a
+/// thread may always lower its own priority. A refusal leaves it at
+/// normal priority.
+#[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
+fn background_priority() {
+    /// `struct sched_param` of `<sched.h>`.
+    #[repr(C)]
+    struct SchedParam {
+        sched_priority: i32,
+    }
+    /// `SCHED_IDLE` of `<linux/sched.h>`.
+    const SCHED_IDLE: i32 = 5;
+    extern "C" {
+        fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
+    }
+    let param = SchedParam { sched_priority: 0 };
+    // SAFETY: `param` is a live, initialised `sched_param` for the whole
+    // call and the kernel only reads it; pid 0 names the calling thread,
+    // so no other thread's state is touched.
+    let _ = unsafe { sched_setscheduler(0, SCHED_IDLE, &param) };
+}
+
+/// Elsewhere workers keep normal priority.
+#[cfg(not(target_os = "linux"))]
+fn background_priority() {}
+
+/// One worker: drop to background priority, then pop the oldest task
+/// and run it, park while the queue is empty, exit once shutdown is set
+/// and the queue has drained.
 fn worker_loop(shared: &Shared, me: usize) {
+    background_priority();
     yac_obs::trace_label_thread(&format!("worker-{me}"));
     loop {
         let task = {

@@ -33,7 +33,9 @@
 //! the connection thread that waits for its shards also watches its
 //! client, and raises the query's cancel flag on a disconnect, which
 //! stops the shards between chips without burning retries. No thread is
-//! spawned for it. A cache hit answers at once and is not watched.
+//! spawned for it. A cache hit answers at once and is not watched. Hits
+//! and connection I/O preempt shard compute: pool workers run at
+//! background priority ([`crate::pool`]).
 //!
 //! # Wire protocol
 //!

@@ -32,6 +32,7 @@
 //! assert!(reg.phase_nanos(Phase::Sample) > 0);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

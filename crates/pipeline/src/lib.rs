@@ -25,6 +25,7 @@
 //! assert!(stats.cpi() > 0.25);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -25,6 +25,7 @@
 //! assert!((summary.mean - Parameter::ThresholdVoltage.nominal()).abs() < 15.0);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

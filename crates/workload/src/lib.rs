@@ -19,6 +19,7 @@
 //! assert!(loads > 2_500, "mcf is load-heavy");
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

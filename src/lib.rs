@@ -44,6 +44,7 @@
 //! assert!(hybrid_losses <= table.schemes[1].losses.total());
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use yac_cache as cache;
