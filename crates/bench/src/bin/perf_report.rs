@@ -340,9 +340,8 @@ fn main() -> ExitCode {
         let busy_s = registry.phase_nanos(Phase::ShardExec) as f64 / 1e9;
         let capacity_s = args.workers as f64 * total_wall_s;
         eprintln!(
-            "  worker utilization {:.1}% ({} retries, {} timeouts, {} degraded)",
+            "  worker utilization {:.1}% ({} timeouts, {} degraded)",
             100.0 * busy_s / capacity_s.max(f64::MIN_POSITIVE),
-            registry.counter(Metric::ShardRetries),
             registry.counter(Metric::ShardTimeouts),
             registry.counter(Metric::DegradedShards),
         );

@@ -10,7 +10,7 @@
 //!                 [--max-inflight N] [--cache-bytes N]
 //!                 [--max-conns N] [--read-deadline-ms N]
 //!                 [--write-deadline-ms N] [--retry-after-ms N]
-//!                 [--heartbeat-ms N] [--scrub-ms N] [--max-reassigns N]
+//!                 [--heartbeat-ms N] [--scrub-ms N]
 //!                 [--cache-file PATH] [--warm-journal PATH --chips N --seeds 1,2
 //!                  --constraints nominal,... --schemes regular|horizontal|both
 //!                  [--cpi WARMUP,MEASURE]]
@@ -31,11 +31,11 @@
 //! stood up from the environment alone.
 //!
 //! The self-healing runtime is on by default: `--heartbeat-ms` sets the
-//! stall sentinel's no-progress budget (0 disables supervision),
-//! `--scrub-ms` the cache scrubber's pass interval (0 disables the
-//! scrubber thread; reads still verify CRCs), and `--max-reassigns` how
-//! many times a stalled shard moves to a fresh worker before the query
-//! completes with that shard honestly degraded. When `--cache-file` is
+//! stall sentinel's no-progress budget (0 disables supervision; a shard
+//! that makes no progress for that long is cancelled and the query
+//! completes with it honestly degraded, and uncached), and `--scrub-ms`
+//! the cache scrubber's pass interval (0 disables the scrubber thread;
+//! reads still verify CRCs). When `--cache-file` is
 //! set the scrubber also re-verifies the persisted snapshot's line CRCs
 //! and rewrites it from memory when a line has rotted.
 //!
@@ -54,7 +54,7 @@
 //! ```
 //!
 //! `health` asks for the liveness report: uptime, in-flight queries,
-//! lane occupancy/stalls, heartbeat misses, reassignments, scrub and
+//! lane occupancy/stalls, heartbeat misses, scrub and
 //! quarantine/repair counters and degraded results.
 //!
 //! Query mode uses the resilient client: transport faults and `busy`
@@ -129,7 +129,6 @@ struct ServeArgs {
     heartbeat_ms: u64,
     /// Cache-scrubber pass interval in ms; 0 disables the thread.
     scrub_ms: u64,
-    max_reassigns: u32,
     cache_file: Option<String>,
     warm_journal: Option<String>,
     chips: usize,
@@ -192,7 +191,6 @@ fn parse_serve_args(it: &mut impl Iterator<Item = String>) -> Result<ServeArgs, 
             .heartbeat_budget
             .map_or(0, |d| d.as_millis() as u64),
         scrub_ms: defaults.scrub_interval.map_or(0, |d| d.as_millis() as u64),
-        max_reassigns: defaults.max_reassigns,
         cache_file: None,
         warm_journal: None,
         chips: 200,
@@ -252,11 +250,6 @@ fn parse_serve_args(it: &mut impl Iterator<Item = String>) -> Result<ServeArgs, 
                 args.scrub_ms = value("--scrub-ms")?
                     .parse()
                     .map_err(|e| format!("--scrub-ms: {e}"))?;
-            }
-            "--max-reassigns" => {
-                args.max_reassigns = value("--max-reassigns")?
-                    .parse()
-                    .map_err(|e| format!("--max-reassigns: {e}"))?;
             }
             "--cache-file" => args.cache_file = Some(value("--cache-file")?),
             "--warm-journal" => args.warm_journal = Some(value("--warm-journal")?),
@@ -467,7 +460,6 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
         scrub_interval: (args.scrub_ms > 0).then(|| Duration::from_millis(args.scrub_ms)),
         // The scrubber re-verifies the persisted snapshot too.
         scrub_file: args.cache_file.as_ref().map(std::path::PathBuf::from),
-        max_reassigns: args.max_reassigns,
     };
     config.exec.shard_chips = config.exec.shard_chips.min(args.chips.max(1));
     let service = Arc::new(SweepService::new(config));
@@ -579,8 +571,8 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
     );
     eprintln!(
         "yac-serve: self-healing: {} scrub pass(es), {} entr(ies) quarantined, \
-         {} repaired, {} shard(s) reassigned",
-        stats.scrub_passes, stats.quarantined, stats.repaired, stats.reassigned,
+         {} repaired",
+        stats.scrub_passes, stats.quarantined, stats.repaired,
     );
     if let Some(path) = &args.cache_file {
         let saved = service.with_cache(|cache| cache.save(Path::new(path)));
@@ -624,7 +616,7 @@ fn reply_exit(reply: &ServiceReply, drain_mode: bool) -> ExitCode {
         ServiceReply::Health(report) => {
             eprintln!(
                 "yac-serve: health: up {} ms, {} inflight, lanes {}/{} busy ({} stalled), \
-                 {} heartbeat(s) missed, {} reassigned, {} scrub pass(es), \
+                 {} heartbeat(s) missed, {} scrub pass(es), \
                  {} quarantined / {} repaired, {} degraded",
                 report.uptime_ms,
                 report.inflight,
@@ -632,7 +624,6 @@ fn reply_exit(reply: &ServiceReply, drain_mode: bool) -> ExitCode {
                 report.lanes,
                 report.lanes_stalled,
                 report.heartbeats_missed,
-                report.shards_reassigned,
                 report.scrub_passes,
                 report.quarantined,
                 report.repaired,

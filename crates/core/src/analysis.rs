@@ -388,7 +388,7 @@ fn assemble_study(population: &Population, seed: u64, workers: usize) -> FullStu
 ///
 /// Returns [`crate::StudyError::Config`] when the variation
 /// configuration is invalid, and [`crate::StudyError::Degraded`] when
-/// *any* shard exhausted its retry budget: this function promises a
+/// *any* shard degraded: this function promises a
 /// study of the full population, so a partial one is an error, never a
 /// silently shrunken denominator. Callers that can work with a partial
 /// result should use [`crate::executor::run_supervised`] and inspect
@@ -405,8 +405,8 @@ pub fn full_study_workers(
 }
 
 /// [`full_study_workers`] with an explicit configuration and executor —
-/// the underlying entry point, exposed so retry budgets, shard sizes and
-/// deadlines (and, in tests, fault plans) can be tuned. With
+/// the underlying entry point, exposed so shard sizes and deadlines
+/// (and, in tests, fault plans) can be tuned. With
 /// `exec.workers > 1` the loss tables are built on two threads, one per
 /// power-down kind; `workers = 1` builds them inline.
 ///

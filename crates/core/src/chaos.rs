@@ -228,7 +228,7 @@ pub struct ChaosPlan {
     net: Option<NetPlan>,
     /// Cache-entry bit-rot draw; `None` leaves memory untouched.
     mem: Option<MemPlan>,
-    /// Hang the *first* attempt of this shard index, once per install.
+    /// Hang this shard index, once per install.
     stall_shard: Option<u64>,
 }
 
@@ -306,7 +306,7 @@ impl ChaosPlan {
         self.mem
     }
 
-    /// Sets the stalled shard: the first attempt of shard `shard` hangs
+    /// Sets the stalled shard: the first run of shard `shard` hangs
     /// until cooperatively cancelled (once per [`install`]).
     #[must_use]
     pub fn stall(mut self, shard: u64) -> Self {
@@ -314,7 +314,7 @@ impl ChaosPlan {
         self
     }
 
-    /// The shard index whose first attempt hangs, if any.
+    /// The shard index whose first run hangs, if any.
     #[must_use]
     pub fn stalled_shard(&self) -> Option<u64> {
         self.stall_shard
@@ -507,7 +507,7 @@ pub fn corrupt_cache_entry(key: u64, bytes: &mut [u8]) -> bool {
 }
 
 /// Whether the installed plan's stalled shard has been claimed yet. One
-/// claim per [`install`], so the reassigned attempt runs clean.
+/// claim per [`install`], so the next query's shard runs clean.
 static STALL_TAKEN: AtomicBool = AtomicBool::new(false);
 
 /// Claims the hang injection for shard `shard`: returns `true` exactly

@@ -69,9 +69,8 @@ pub enum StudyError {
     Mismatch(String),
     /// The study configuration itself is invalid.
     Config(ConfigError),
-    /// A supervised run degraded: some shards exhausted their retry
-    /// budget, so the population covers only part of the requested
-    /// chips. Raised by entry points that promise a *full* study
+    /// A supervised run degraded: some shards failed, so the population
+    /// covers only part of the requested chips. Raised by entry points that promise a *full* study
     /// ([`crate::analysis::full_study_workers`]); callers that can use a
     /// partial result should call
     /// [`crate::executor::run_supervised`] and inspect
@@ -94,7 +93,7 @@ impl fmt::Display for StudyError {
             StudyError::Degraded { missing, requested } => write!(
                 f,
                 "degraded study: {missing} of {requested} chips missing \
-                 (shards exhausted their retry budget)"
+                 (shards degraded)"
             ),
         }
     }
@@ -117,11 +116,12 @@ impl StudyError {
 pub enum ShardStatus {
     /// Every chip in the shard was computed (classified or quarantined).
     Done,
-    /// The shard exhausted its retry budget; its chips are missing.
+    /// The shard failed; its chips are missing.
     Degraded {
-        /// Attempts made before giving up.
+        /// Attempts made: 1 in records written now; files from when
+        /// shards were retried carry larger counts.
         attempts: u32,
-        /// The last failure (panic message or deadline report).
+        /// The failure (panic message, deadline or stall report).
         error: String,
     },
 }

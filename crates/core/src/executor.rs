@@ -1,13 +1,16 @@
 //! The supervised shard engine behind every population study.
 //!
 //! Splits a population study into contiguous chip shards and runs them on
-//! a [`WorkerPool`] under a supervisor: each shard attempt runs behind
-//! `catch_unwind` with a bounded retry budget and exponential backoff,
-//! an attempt that exceeds the per-shard time budget is cancelled (the
-//! worker checks its own elapsed time between chips, so even a deadline
-//! shorter than one chip is enforced deterministically),
-//! and a shard that exhausts its retries is recorded as **degraded**
-//! rather than aborting the study. The run still completes, returning a
+//! a [`WorkerPool`] under a supervisor: each shard runs once, behind
+//! `catch_unwind`. A shard that panics, exceeds the per-shard time
+//! budget (the worker checks its own elapsed time between chips, so even
+//! a deadline shorter than one chip is enforced deterministically) or
+//! has its heartbeat lease cancelled by the stall sentinel is recorded
+//! as **degraded** at once rather than aborting the study. A second
+//! attempt would gain nothing: every chip is drawn from its own
+//! `(seed, index)` stream and a failing chip is quarantined where it
+//! fails, so a retry reruns the same inputs into the same failure. The
+//! run still completes, returning a
 //! [`StudyOutcome`] that carries the merged [`Population`], the
 //! degraded-shard map, and a yield confidence interval widened to
 //! account for the missing chips (see
@@ -17,21 +20,22 @@
 //! Batch studies ([`run_supervised`], [`run_checkpointed_workers`]) and
 //! the sweep service's queries ([`crate::service`]) share one engine:
 //! the same submission (a heartbeat lease per shard task), the same
-//! shard loop, one per-job cancel flag and the same first-report-wins
-//! collector. A batch call builds a pool for its own duration; the
-//! service keeps one alive and adds stall reassignment.
+//! shard loop, one per-job cancel flag and the same collector. A batch
+//! call builds a pool for its own duration; the service keeps one alive
+//! and watches its lanes with a stall sentinel.
 //!
 //! # Determinism
 //!
 //! Every chip is sampled from its own counter-based SplitMix64 stream
 //! (`mix_seed(seed, index)` in `yac_variation`), so a chip's delay and
 //! leakage depend only on `(seed, index)` — never on which worker
-//! computed it, in what order, or after how many retries. Workers return
+//! computed it or in what order. Workers return
 //! whole shards; the supervisor splices each shard into the merged chip
 //! vector at its sorted position and the quarantine ledger keeps itself
 //! ordered by index, so the merged population is **bit-identical to the
 //! serial path for any worker count**, including runs with injected
-//! faults and retries.
+//! chip faults, and to the serial path restricted to the surviving
+//! shards when a shard degrades.
 //!
 //! # Shard-granular checkpointing
 //!
@@ -58,7 +62,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use yac_obs::{Metric, Phase, TraceCtx, TraceEventKind};
-use yac_variation::{FaultPlan, InvalidRateError, MonteCarlo};
+use yac_variation::{FaultPlan, MonteCarlo};
 
 /// One contiguous slice of the Monte Carlo chip stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,77 +91,31 @@ pub fn shards_for(chips: usize, shard_chips: usize) -> Vec<ShardSpec> {
         .collect()
 }
 
-/// Deterministic shard-level fault injection: makes selected shards panic
-/// at the start of their first `failing_attempts` attempts, to exercise
-/// the supervisor's retry and degraded paths in tests and examples.
-///
-/// Selection reuses [`FaultPlan`]'s hash draw, keyed by the study seed
-/// and the *shard* index, so the same shards fail on every run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardFaultPlan {
-    plan: FaultPlan,
-    failing_attempts: u32,
-}
-
-impl ShardFaultPlan {
-    /// A plan failing roughly `rate` of all shards for their first
-    /// `failing_attempts` attempts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidRateError`] unless `rate` is finite and in
-    /// `[0, 1]`.
-    pub fn new(rate: f64, salt: u64, failing_attempts: u32) -> Result<Self, InvalidRateError> {
-        Ok(ShardFaultPlan {
-            plan: FaultPlan::new(rate, salt)?,
-            failing_attempts,
-        })
-    }
-
-    /// A plan failing *every* shard for its first `failing_attempts`
-    /// attempts (with `u32::MAX`, every attempt — the degraded path).
-    #[must_use]
-    pub fn always(failing_attempts: u32) -> Self {
-        ShardFaultPlan {
-            plan: FaultPlan::new(1.0, 0).expect("1.0 is a valid rate"),
-            failing_attempts,
-        }
-    }
-
-    fn fails(&self, seed: u64, shard_index: usize, attempt: u32) -> bool {
-        attempt < self.failing_attempts && self.plan.fault_for(seed, shard_index as u64).is_some()
-    }
-}
-
 /// Tuning for the supervised executor.
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
     /// Worker threads. Clamped to at least 1 and at most the shard count.
     pub workers: usize,
-    /// Chips per shard (the retry/checkpoint granule).
+    /// Chips per shard (the degrade and checkpoint granule).
     pub shard_chips: usize,
-    /// Retries granted to a failing shard before it is recorded degraded
-    /// (so a shard runs at most `max_retries + 1` attempts).
-    pub max_retries: u32,
-    /// Base backoff slept before retry `n` is `backoff * 2^n`.
-    pub backoff: Duration,
-    /// Per-shard-attempt time budget, checked by the worker between
-    /// chips; `None` means no deadline.
+    /// Per-shard time budget, checked by the worker between chips;
+    /// `None` means no deadline.
     pub shard_deadline: Option<Duration>,
-    /// Optional deterministic shard-level fault injection.
-    pub shard_faults: Option<ShardFaultPlan>,
+    /// Deterministic shard-level fault injection, for tests and
+    /// examples of the degraded path: shard `i` of a study seeded `s`
+    /// panics when `fault_for(s, i)` draws a fault, so the same shards
+    /// fail on every run.
+    pub shard_faults: Option<FaultPlan>,
 }
 
 impl ExecutorConfig {
     /// A sensible configuration for `workers` threads: 64-chip shards,
-    /// two retries, 1 ms base backoff, no deadline, no fault injection.
+    /// no deadline, no fault injection.
     #[must_use]
     pub fn with_workers(workers: usize) -> Self {
         ExecutorConfig {
             workers: workers.max(1),
             shard_chips: 64,
-            max_retries: 2,
-            backoff: Duration::from_millis(1),
             shard_deadline: None,
             shard_faults: None,
         }
@@ -178,17 +136,18 @@ impl Default for ExecutorConfig {
     }
 }
 
-/// A shard that exhausted its retry budget; its chips are absent from the
-/// merged population.
+/// A shard that failed; its chips are absent from the merged population.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradedShard {
     /// First chip index of the shard.
     pub start: u64,
     /// Number of missing chips.
     pub len: usize,
-    /// Attempts made before giving up.
+    /// Attempts made: 1, since a shard runs once. Checkpoints and
+    /// journals written when failed shards were retried carry larger
+    /// counts, and still load.
     pub attempts: u32,
-    /// The last failure (panic message or deadline report).
+    /// The failure: a panic message, a deadline report or a stall.
     pub error: String,
 }
 
@@ -200,7 +159,7 @@ pub struct StudyOutcome {
     /// shard degraded, and to the serial run restricted to the surviving
     /// shards otherwise.
     pub population: Population,
-    /// Shards that exhausted their retry budget, ascending by start.
+    /// Shards that failed, ascending by start.
     pub degraded: Vec<DegradedShard>,
     /// The chip count the study was asked for.
     pub requested_chips: usize,
@@ -246,33 +205,15 @@ impl ShardMsg {
 }
 
 /// Everything one study's shard tasks share. `cancel` stops every shard
-/// of the job between chips without burning retries; the sweep service
-/// raises it when a client disconnects, the batch paths when their sink
-/// fails.
+/// of the job between chips without a report; the sweep service raises
+/// it when a client disconnects or a deadline passes, the batch paths
+/// when their sink fails.
 #[derive(Debug)]
 pub(crate) struct ShardJob {
     pub(crate) mc: MonteCarlo,
     pub(crate) pop: PopulationConfig,
     pub(crate) exec: ExecutorConfig,
     pub(crate) cancel: Arc<AtomicBool>,
-}
-
-/// One attempt's cancellation state: its start time (the deadline is
-/// enforced against the attempt's own clock), the job's cancel flag and
-/// the worker's heartbeat lease (the stall sentinel's cooperative
-/// cancel, raised when the lane publishes no progress for a full budget).
-struct AttemptGuard<'a> {
-    t0: Instant,
-    cancel: &'a AtomicBool,
-    lease: &'a HeartbeatLease<'a>,
-}
-
-impl AttemptGuard<'_> {
-    fn cancelled(&self, deadline: Option<Duration>) -> bool {
-        deadline.is_some_and(|d| self.t0.elapsed() > d)
-            || self.cancel.load(Ordering::Relaxed)
-            || self.lease.is_cancelled()
-    }
 }
 
 struct ShardPartial {
@@ -289,38 +230,32 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "opaque panic payload".to_string())
 }
 
-/// One attempt at one shard: evaluates every chip of the shard from its
-/// per-chip stream, exactly as the serial paths do.
-///
-/// The deadline is enforced here, between chips, against the attempt's
-/// own clock, so even a deadline shorter than one chip cancels
-/// deterministically.
+/// Evaluates every chip of one shard from its per-chip stream, exactly
+/// as the serial paths do, or returns `None` once `stopped` says so. The
+/// check runs between chips, so even a deadline shorter than one chip
+/// stops the shard deterministically.
 ///
 /// Quarantined chips are recorded *unobserved* (no `ChipsQuarantined`
-/// increment): this attempt may yet be cancelled or superseded by a
-/// retry, so the supervisor counts the metric only when it accepts the
-/// shard's result.
-fn run_shard_once(
+/// increment): the shard may yet be stopped, so the supervisor counts
+/// the metric only when it accepts the shard's result.
+fn evaluate_shard(
     job: &ShardJob,
     spec: ShardSpec,
-    attempt: u32,
-    guard: &AttemptGuard<'_>,
+    lease: &HeartbeatLease<'_>,
+    stopped: impl Fn() -> bool,
 ) -> Option<ShardPartial> {
-    let (mc, config, deadline) = (&job.mc, &job.pop, job.exec.shard_deadline);
+    let (mc, config) = (&job.mc, &job.pop);
     if let Some(faults) = &job.exec.shard_faults {
-        if faults.fails(config.seed, spec.index, attempt) {
-            panic!(
-                "injected shard fault (shard {}, attempt {attempt})",
-                spec.index
-            );
+        if faults.fault_for(config.seed, spec.index as u64).is_some() {
+            panic!("injected shard fault (shard {})", spec.index);
         }
     }
     if crate::chaos::stall_ticket(spec.index as u64) {
         // Injected hang: hold the shard without a single heartbeat until
         // some cancel source (sentinel lease cancel, job cancel or shard
         // deadline) releases it — this is how the seeded tests drive
-        // every stall-recovery path.
-        while !guard.cancelled(deadline) {
+        // every stall path.
+        while !stopped() {
             std::thread::sleep(Duration::from_micros(200));
         }
         return None;
@@ -328,10 +263,10 @@ fn run_shard_once(
     let mut chips = Vec::with_capacity(spec.len);
     let mut quarantine = QuarantineLedger::new();
     for index in spec.start..spec.start + spec.len as u64 {
-        if guard.cancelled(deadline) {
+        if stopped() {
             return None;
         }
-        guard.lease.beat();
+        lease.beat();
         match mc.sample_one_checked(config.seed, index, config.faults.as_ref()) {
             Ok(die) => match evaluate_isolated(config, &die) {
                 Ok((regular, horizontal)) => chips.push(ChipSample {
@@ -347,98 +282,80 @@ fn run_shard_once(
     Some(ShardPartial { chips, quarantine })
 }
 
-/// Runs one shard under supervision: retry on panic or timeout with
-/// exponential backoff, degrade after the budget is spent.
+/// Runs one shard under supervision, once. A shard that panics, passes
+/// its `shard_deadline` or has its heartbeat lease cancelled by the
+/// stall sentinel reports [`ShardMsg::Degraded`] at once. Only the job's
+/// cancel flag (the whole job is being discarded) stops it without a
+/// report, returning `None`.
 ///
-/// Two cancel sources stop the shard *without* burning retries,
-/// returning `None`: the job's cancel flag (the whole job is being
-/// discarded) and the lease's cancel (the stall sentinel reassigned the
-/// shard to a fresh worker; this attempt must neither retry nor
-/// degrade).
-///
-/// Every lifecycle transition is traced (dispatch, per-attempt exec
-/// span, retry, timeout-cancel, completion, degrade) with the worker
-/// index, shard index and attempt as context, so a trace export shows
-/// exactly how each shard travelled through the supervisor.
+/// Every lifecycle transition is traced (dispatch, exec span, timeout,
+/// completion, degrade) with the worker index and shard index as
+/// context, so a trace export shows how each shard travelled through
+/// the supervisor. The context's attempt is always 0.
 fn run_shard(job: &ShardJob, spec: ShardSpec, lease: &HeartbeatLease<'_>) -> Option<ShardMsg> {
-    let exec = &job.exec;
-    let mut attempt: u32 = 0;
-    let ctx = |attempt: u32| TraceCtx::shard(lease.lane() as u32, spec.index as u32, attempt);
-    yac_obs::trace_instant(TraceEventKind::ShardDispatched, ctx(0));
-    loop {
-        if job.cancel.load(Ordering::Relaxed) {
-            return None;
-        }
-        let guard = AttemptGuard {
-            t0: Instant::now(),
-            cancel: &job.cancel,
-            lease,
-        };
-        let exec_span = yac_obs::phase_ctx(Phase::ShardExec, ctx(attempt));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_shard_once(job, spec, attempt, &guard)
-        }));
-        drop(exec_span);
+    let ctx = TraceCtx::shard(lease.lane() as u32, spec.index as u32, 0);
+    yac_obs::trace_instant(TraceEventKind::ShardDispatched, ctx);
+    let (t0, deadline) = (Instant::now(), job.exec.shard_deadline);
+    let stopped = || {
+        deadline.is_some_and(|d| t0.elapsed() > d)
+            || job.cancel.load(Ordering::Relaxed)
+            || lease.is_cancelled()
+    };
+    let exec_span = yac_obs::phase_ctx(Phase::ShardExec, ctx);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        evaluate_shard(job, spec, lease, stopped)
+    }));
+    drop(exec_span);
 
-        let error = match result {
-            Ok(Some(partial)) => {
-                yac_obs::inc(Metric::ShardsCompleted);
-                yac_obs::trace_instant(TraceEventKind::ShardCompleted, ctx(attempt));
-                return Some(ShardMsg::Done {
-                    spec,
-                    chips: partial.chips,
-                    quarantine: partial.quarantine,
-                });
-            }
-            Ok(None) => {
-                if job.cancel.load(Ordering::Relaxed) || lease.is_cancelled() {
-                    return None;
-                }
-                yac_obs::inc(Metric::ShardTimeouts);
-                yac_obs::trace_instant(TraceEventKind::ShardTimedOut, ctx(attempt));
-                format!(
-                    "shard {} (chips {}..{}) exceeded its deadline on attempt {attempt}",
-                    spec.index,
-                    spec.start,
-                    spec.start + spec.len as u64
-                )
-            }
-            Err(payload) => format!(
-                "shard {} panicked: {}",
-                spec.index,
-                panic_message(&*payload)
-            ),
-        };
-        if attempt >= exec.max_retries {
-            yac_obs::inc(Metric::DegradedShards);
-            yac_obs::trace_instant(TraceEventKind::ShardDegraded, ctx(attempt));
-            return Some(ShardMsg::Degraded {
+    let shard = || {
+        format!(
+            "shard {} (chips {}..{})",
+            spec.index,
+            spec.start,
+            spec.start + spec.len as u64
+        )
+    };
+    let error = match result {
+        Ok(Some(partial)) => {
+            yac_obs::inc(Metric::ShardsCompleted);
+            yac_obs::trace_instant(TraceEventKind::ShardCompleted, ctx);
+            return Some(ShardMsg::Done {
                 spec,
-                attempts: attempt + 1,
-                error,
+                chips: partial.chips,
+                quarantine: partial.quarantine,
             });
         }
-        yac_obs::inc(Metric::ShardRetries);
-        yac_obs::trace_instant(TraceEventKind::ShardRetried, ctx(attempt));
-        let backoff = exec.backoff.saturating_mul(1u32 << attempt.min(16));
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
+        Ok(None) if job.cancel.load(Ordering::Relaxed) => return None,
+        Ok(None) if lease.is_cancelled() => {
+            format!(
+                "{} stalled: no heartbeat within the sentinel's budget",
+                shard()
+            )
         }
-        attempt += 1;
-    }
+        Ok(None) => {
+            yac_obs::inc(Metric::ShardTimeouts);
+            yac_obs::trace_instant(TraceEventKind::ShardTimedOut, ctx);
+            format!("{} exceeded its deadline", shard())
+        }
+        Err(payload) => format!("{} panicked: {}", shard(), panic_message(&*payload)),
+    };
+    yac_obs::inc(Metric::DegradedShards);
+    yac_obs::trace_instant(TraceEventKind::ShardDegraded, ctx);
+    Some(ShardMsg::Degraded {
+        spec,
+        attempts: 1,
+        error,
+    })
 }
 
 /// Submits one shard of `job` to `pool`. The task takes a heartbeat
-/// lease on its worker's lane, tagged `tag`, runs the supervised shard
-/// loop and reports on `tx`: the shard's result, or `None` once the job
-/// is cancelled. A shard whose lease the stall sentinel cancelled
-/// reports nothing — it has been resubmitted, and the reassigned attempt
-/// owns it now.
+/// lease on its worker's lane, tagged with the shard index, runs the
+/// supervised shard and reports on `tx`: the shard's result, or `None`
+/// once the job is cancelled.
 pub(crate) fn submit_shard(
     pool: &WorkerPool,
     registry: &Arc<HeartbeatRegistry>,
     job: Arc<ShardJob>,
-    tag: u64,
     spec: ShardSpec,
     tx: mpsc::Sender<Option<ShardMsg>>,
 ) {
@@ -447,11 +364,9 @@ pub(crate) fn submit_shard(
         let msg = if job.cancel.load(Ordering::Relaxed) {
             None
         } else {
-            run_shard(&job, spec, &registry.begin(worker, tag))
+            run_shard(&job, spec, &registry.begin(worker, spec.index as u64))
         };
-        if msg.is_some() || job.cancel.load(Ordering::Relaxed) {
-            let _ = tx.send(msg);
-        }
+        let _ = tx.send(msg);
     }));
 }
 
@@ -465,23 +380,22 @@ pub(crate) enum Collected {
     Lost,
 }
 
-/// The shard-result collector. Feeds each shard's *first* report to
-/// `sink` (a reassigned shard and its cancelled original may both
-/// complete; the dedup keeps the result exactly-once) until every shard
-/// in `shards` has reported. Before each wait it asks `watch` how long
-/// to wait for the next report (`None`: until one arrives), and it stops
-/// as `Cancelled` once the job's `cancel` flag is up — `watch` may raise
-/// it. A `sink` error raises `cancel`, so queued shards are skipped and
-/// running ones stop between chips, and is returned.
+/// The shard-result collector. Feeds each report to `sink` until
+/// `shards` shards have reported (each reports once). Before each wait
+/// it asks `watch` how long to wait for the next report (`None`: until
+/// one arrives), and it stops as `Cancelled` once the job's `cancel`
+/// flag is up — `watch` may raise it. A `sink` error raises `cancel`, so
+/// queued shards are skipped and running ones stop between chips, and is
+/// returned.
 pub(crate) fn collect_shards<E>(
     rx: &mpsc::Receiver<Option<ShardMsg>>,
-    shards: &[ShardSpec],
+    shards: usize,
     cancel: &AtomicBool,
     mut watch: impl FnMut() -> Option<Duration>,
     mut sink: impl FnMut(ShardMsg) -> Result<(), E>,
 ) -> Result<Collected, E> {
-    let mut remaining: HashSet<usize> = shards.iter().map(|s| s.index).collect();
-    while !remaining.is_empty() {
+    let mut remaining = shards;
+    while remaining > 0 {
         let wait = watch();
         if cancel.load(Ordering::Relaxed) {
             return Ok(Collected::Cancelled);
@@ -492,11 +406,10 @@ pub(crate) fn collect_shards<E>(
         };
         match report {
             Ok(Some(msg)) => {
-                if remaining.remove(&msg.spec().index) {
-                    if let Err(e) = sink(msg) {
-                        cancel.store(true, Ordering::Relaxed);
-                        return Err(e);
-                    }
+                remaining -= 1;
+                if let Err(e) = sink(msg) {
+                    cancel.store(true, Ordering::Relaxed);
+                    return Err(e);
                 }
             }
             Ok(None) => return Ok(Collected::Cancelled),
@@ -531,17 +444,16 @@ fn run_on_pool(
     let registry = Arc::new(HeartbeatRegistry::new(pool.workers()));
     let (tx, rx) = mpsc::channel();
     for spec in tasks {
-        let tag = spec.index as u64;
-        submit_shard(&pool, &registry, Arc::clone(&job), tag, *spec, tx.clone());
+        submit_shard(&pool, &registry, Arc::clone(&job), *spec, tx.clone());
     }
     drop(tx);
     // Only `sink` raises a batch job's cancel, and it returns at once, so
     // the collection blocks until each report arrives.
-    let collected = collect_shards(&rx, tasks, &job.cancel, || None, sink);
+    let collected = collect_shards(&rx, tasks.len(), &job.cancel, || None, sink);
     pool.shutdown();
     match collected? {
         Collected::Complete => Ok(()),
-        // Only a sink error cancels a batch job, and every attempt runs
+        // Only a sink error cancels a batch job, and every shard runs
         // under `catch_unwind`: a shard goes unreported only when its
         // pool task itself panicked, dropping its sender, and the study
         // fails with it.
@@ -600,8 +512,8 @@ impl MergedShards {
 /// Accepts one finished shard: splices its chips (a contiguous,
 /// already-sorted run) into the merged chip vector at their sorted
 /// position and absorbs its quarantine ledger. The workers record
-/// quarantines unobserved (attempts can be cancelled or retried); the
-/// metric counts each chip once, here, when its shard's result is
+/// quarantines unobserved (a shard can be stopped before it finishes);
+/// the metric counts each chip once, here, when its shard's result is
 /// accepted.
 fn absorb_shard(
     completed: &mut Vec<ChipSample>,
@@ -819,20 +731,6 @@ mod tests {
             }
             assert_eq!(covered, chips, "{chips}/{shard_chips}");
         }
-    }
-
-    #[test]
-    fn shard_fault_plan_is_deterministic_and_attempt_bounded() {
-        let plan = ShardFaultPlan::new(0.5, 9, 2).unwrap();
-        for shard in 0..32 {
-            let first = plan.fails(7, shard, 0);
-            assert_eq!(plan.fails(7, shard, 0), first, "deterministic");
-            assert_eq!(plan.fails(7, shard, 1), first, "still failing");
-            assert!(!plan.fails(7, shard, 2), "budget exhausted");
-        }
-        assert!(ShardFaultPlan::new(1.5, 0, 1).is_err());
-        let always = ShardFaultPlan::always(1);
-        assert!(always.fails(7, 3, 0) && !always.fails(7, 3, 1));
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! The paper's central mechanism — detect a defective cache block,
 //! disable it, remap around it so the chip keeps yielding — has a
 //! runtime analogue: detect a *stalled worker lane*, cancel its lease,
-//! reassign the work to a healthy lane, and record honest degradation
-//! only when every remap fails. This module provides the three pieces:
+//! and record the shard honestly degraded so the query completes
+//! without it. A second attempt would gain nothing: every chip is drawn
+//! from its own `(seed, index)` stream, so a rerun repeats the same
+//! work. This module provides the three pieces:
 //!
 //! * [`HeartbeatRegistry`] — one lock-free lane per pool worker. A
 //!   worker takes a [`HeartbeatLease`] when it starts a shard, publishes
@@ -19,27 +21,20 @@
 //!   zero budget, tick wraparound, a heartbeat racing a cancel, every
 //!   lane stalled at once — property-testable.
 //! * [`StallSentinel`] — the supervision thread: polls the registry,
-//!   runs the detector, and walks the escalation ladder. Step one
-//!   (cooperative cancel of the stalled lease) is done by the sentinel
-//!   itself; steps two and three (reassign to a fresh worker, record
-//!   degraded) are policy, delegated to the handler the embedder
-//!   installs — the sweep service resubmits the shard and, when the
-//!   reassign budget is spent, answers with an honest degraded result.
+//!   runs the detector, cancels stalled leases and counts its misses.
 //!
 //! # The escalation ladder
 //!
 //! 1. **Cancel.** A busy lane whose `(generation, tick)` pair is
 //!    unchanged for one budget gets its lease cancelled
 //!    ([`StallEvent::Missed`], counted in
+//!    [`StallSentinel::heartbeats_missed`] and
 //!    [`yac_obs::Metric::HeartbeatsMissed`], traced as
-//!    `HeartbeatMissed`). The shard loop polls
-//!    [`HeartbeatLease::is_cancelled`] between chips and unwinds
-//!    cooperatively.
-//! 2. **Reassign.** The handler resubmits the shard to a fresh worker
-//!    — the collector takes whichever attempt reports first, so a
-//!    cancel that races a late completion is harmless.
-//! 3. **Degrade.** When the reassign budget is exhausted, the handler
-//!    reports the shard degraded; the query still completes, honestly.
+//!    `HeartbeatMissed`).
+//! 2. **Degrade.** The shard loop polls [`HeartbeatLease::is_cancelled`]
+//!    between chips, stops, and reports the shard degraded; the query
+//!    still completes, honestly, and its degraded result is never
+//!    cached.
 //!
 //! A lane that *ignores* its cancel for another full budget is reported
 //! once as [`StallEvent::Wedged`] — evidence for the service's `health`
@@ -215,8 +210,8 @@ impl Drop for HeartbeatLease<'_> {
 /// What the detector reports about a lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallEvent {
-    /// The lane published no progress for one budget. The sentinel has
-    /// cancelled the lease; the handler should reassign the shard.
+    /// The lane published no progress for one budget. The sentinel
+    /// cancels the lease; the shard then reports itself degraded.
     Missed {
         /// Lane index.
         lane: usize,
@@ -394,41 +389,41 @@ impl Drop for ParkedLoop {
 }
 
 /// The supervision thread: polls a [`HeartbeatRegistry`], cancels
-/// stalled leases, and hands escalation policy to the embedder's
-/// handler. It runs on a parked helper loop, so stopping (or dropping) it
-/// returns at once instead of waiting out a poll.
+/// stalled leases and counts them. It runs on a parked helper loop, so
+/// stopping (or dropping) it returns at once instead of waiting out a
+/// poll.
 #[derive(Debug)]
 pub struct StallSentinel {
     stalled: Arc<AtomicU64>,
+    missed: Arc<AtomicU64>,
     _poller: ParkedLoop,
 }
 
 impl StallSentinel {
-    /// Spawns the sentinel over `registry`, escalating a busy lane that
-    /// makes no progress for `budget` (a zero budget escalates it on its
-    /// second observation). It polls at a quarter of the budget, clamped
-    /// to 1–50 ms. For every [`StallEvent`]: the sentinel itself
-    /// performs step one of the ladder on `Missed` (cancels the lease,
-    /// counts [`Metric::HeartbeatsMissed`], traces `HeartbeatMissed`),
-    /// then calls `handler` — which owns steps two and three (reassign /
-    /// degrade). A failed thread spawn degrades gracefully: no
-    /// supervision, never a panic.
+    /// Spawns the sentinel over `registry`, cancelling the lease of a
+    /// busy lane that makes no progress for `budget` (a zero budget
+    /// cancels it on its second observation). It polls at a quarter of
+    /// the budget, clamped to 1–50 ms. On every `Missed` event it
+    /// cancels the lease, counts the miss (here and in
+    /// [`Metric::HeartbeatsMissed`]) and traces `HeartbeatMissed`; a
+    /// `Wedged` lane shows in [`StallSentinel::stalled_lanes`]. A failed
+    /// thread spawn degrades gracefully: no supervision, never a panic.
     #[must_use]
-    pub fn spawn(
-        registry: Arc<HeartbeatRegistry>,
-        budget: Duration,
-        mut handler: impl FnMut(StallEvent) + Send + 'static,
-    ) -> Self {
+    pub fn spawn(registry: Arc<HeartbeatRegistry>, budget: Duration) -> Self {
         let poll = (budget / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
         let stalled = Arc::new(AtomicU64::new(0));
-        let published = Arc::clone(&stalled);
+        let missed = Arc::new(AtomicU64::new(0));
+        let (published, counted) = (Arc::clone(&stalled), Arc::clone(&missed));
         let mut detector = StallDetector::new(registry.lanes(), budget);
         let poller = ParkedLoop::spawn("svc-sentinel", move || {
             let events = detector.observe(&registry.snapshot(), Instant::now());
             published.store(detector.stalled() as u64, Ordering::Relaxed);
             for event in events {
                 if let StallEvent::Missed { lane, shard, gen } = event {
-                    registry.cancel(lane, gen);
+                    // Count and trace before the cancel is published: the
+                    // shard degrades as soon as it sees the cancel, so
+                    // whoever reads its reply also sees the miss.
+                    counted.fetch_add(1, Ordering::Relaxed);
                     yac_obs::inc(Metric::HeartbeatsMissed);
                     yac_obs::trace_instant(
                         TraceEventKind::HeartbeatMissed,
@@ -438,13 +433,14 @@ impl StallSentinel {
                             ..TraceCtx::default()
                         },
                     );
+                    registry.cancel(lane, gen);
                 }
-                handler(event);
             }
             Some(poll)
         });
         StallSentinel {
             stalled,
+            missed,
             _poller: poller,
         }
     }
@@ -454,6 +450,13 @@ impl StallSentinel {
     #[must_use]
     pub fn stalled_lanes(&self) -> u64 {
         self.stalled.load(Ordering::Relaxed)
+    }
+
+    /// Leases cancelled for a missed heartbeat since the sentinel
+    /// started.
+    #[must_use]
+    pub fn heartbeats_missed(&self) -> u64 {
+        self.missed.load(Ordering::Relaxed)
     }
 
     /// Stops and joins the sentinel thread (as dropping it does).
@@ -565,29 +568,27 @@ mod tests {
 
     #[test]
     fn sentinel_cancels_and_reports_a_stalled_lease() {
-        let registry = Arc::new(HeartbeatRegistry::new(1));
-        let (tx, rx) = std::sync::mpsc::channel();
-        let sentinel = StallSentinel::spawn(
-            Arc::clone(&registry),
-            Duration::from_millis(20),
-            move |event| {
-                let _ = tx.send(event);
-            },
-        );
-        let lease = registry.begin(0, 9);
-        let event = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("sentinel reports the stall");
-        assert_eq!(
-            event,
-            StallEvent::Missed {
-                lane: 0,
-                shard: 9,
-                gen: lease.gen()
-            }
-        );
-        assert!(lease.is_cancelled(), "step one of the ladder ran");
+        let registry = Arc::new(HeartbeatRegistry::new(2));
+        let sentinel = StallSentinel::spawn(Arc::clone(&registry), Duration::from_millis(20));
+        let lease = registry.begin(1, 9);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !lease.is_cancelled() {
+            assert!(Instant::now() < deadline, "sentinel never cancelled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(sentinel.heartbeats_missed(), 1, "one miss, counted");
+        // Cancelled, not yet released: the lane still counts as stalled
+        // by the next poll.
+        while sentinel.stalled_lanes() != 1 {
+            assert!(Instant::now() < deadline, "stall never reported");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         drop(lease);
+        while sentinel.stalled_lanes() != 0 {
+            assert!(Instant::now() < deadline, "released lane still stalled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(sentinel.heartbeats_missed(), 1, "a miss fires once");
         sentinel.stop();
     }
 
@@ -598,7 +599,7 @@ mod tests {
         let registry = Arc::new(HeartbeatRegistry::new(1));
         let started = Instant::now();
         for _ in 0..10 {
-            StallSentinel::spawn(Arc::clone(&registry), Duration::from_secs(2), |_| {}).stop();
+            StallSentinel::spawn(Arc::clone(&registry), Duration::from_secs(2)).stop();
         }
         assert!(
             started.elapsed() < Duration::from_millis(250),

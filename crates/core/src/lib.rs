@@ -70,7 +70,7 @@ pub use constraints::{ConstraintSpec, YieldConstraints};
 pub use economics::PriceError;
 pub use executor::{
     run_checkpointed_workers, run_checkpointed_workers_budget, run_supervised, shards_for,
-    DegradedShard, ExecutorConfig, ShardFaultPlan, ShardSpec, StudyOutcome,
+    DegradedShard, ExecutorConfig, ShardSpec, StudyOutcome,
 };
 pub use health::{
     HeartbeatLease, HeartbeatRegistry, LaneState, StallDetector, StallEvent, StallSentinel,

@@ -10,8 +10,8 @@
 //!
 //! Each task runs under `catch_unwind`: a panicking task costs only
 //! itself, never a worker, so the pool keeps all its lanes for its whole
-//! life. (The shard loop catches its own attempts' panics and reports
-//! them; this is the backstop for code outside it.) The trade-off
+//! life. (The shard loop catches its own shard's panic and reports the
+//! shard degraded; this is the backstop for code outside it.) The trade-off
 //! against per-worker deques is in DESIGN.md §13; the tests are in
 //! `crates/core/tests/pool.rs`.
 //!

@@ -69,7 +69,7 @@ impl QuarantineLedger {
 
     /// [`QuarantineLedger::record`] without the metric increment — for
     /// entries that are not (or not yet) part of an accepted study:
-    /// speculative shard attempts the supervisor may cancel or retry,
+    /// running shards the supervisor may yet cancel,
     /// and checkpoint parsing, whose entries were already counted when
     /// first recorded. Whoever accepts such a ledger is responsible for
     /// counting it (the executor does, once per accepted shard).

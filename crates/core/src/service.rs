@@ -17,11 +17,11 @@
 //!   three ways.
 //! * **Supervised execution.** Misses run on a long-lived
 //!   [`WorkerPool`] ([`crate::pool`]), each shard under the same
-//!   retry/backoff/deadline/degrade loop and result collector as batch
-//!   studies ([`crate::executor`]); the service adds heartbeat leases
-//!   watched by a stall sentinel and shard reassignment. Degraded
-//!   results are returned honestly — but **not cached**, because they
-//!   depend on which shards happened to fail.
+//!   deadline/degrade loop and result collector as batch studies
+//!   ([`crate::executor`]); the service adds a stall sentinel that
+//!   cancels a shard whose heartbeat stops, which then degrades.
+//!   Degraded results are returned honestly — but **not cached**,
+//!   because they depend on which shards happened to fail.
 //! * **Bounded admission.** At most [`ServiceConfig::max_inflight`]
 //!   queries compute at once; the next miss gets a typed
 //!   [`ServiceReply::Busy`], never an unbounded queue. Cache hits are
@@ -32,7 +32,7 @@
 //! Cancellation is cooperative and per query: while a query computes,
 //! the connection thread that waits for its shards also watches its
 //! client, and raises the query's cancel flag on a disconnect, which
-//! stops the shards between chips without burning retries. No thread is
+//! stops the shards between chips. No thread is
 //! spawned for it. A cache hit answers at once and is not watched. Hits
 //! and connection I/O preempt shard compute: pool workers run at
 //! background priority ([`crate::pool`]).
@@ -119,9 +119,9 @@ use crate::constraints::ConstraintSpec;
 use crate::crc_log::{self, crc32, crc_line, Policy};
 use crate::executor::{
     collect_shards, shards_for, submit_shard, Collected, ExecutorConfig, MergedShards, ShardJob,
-    ShardMsg, ShardSpec,
+    ShardMsg,
 };
-use crate::health::{HeartbeatRegistry, ParkedLoop, StallEvent, StallSentinel};
+use crate::health::{HeartbeatRegistry, ParkedLoop, StallSentinel};
 use crate::pool::WorkerPool;
 use crate::schemes::PowerDownKind;
 use crate::sweep::{
@@ -164,7 +164,7 @@ pub fn constraint_by_name(name: &str) -> Option<ConstraintSpec> {
 ///
 /// The query deliberately exposes only result-shaping inputs — chips,
 /// seed, constraint recipe, organisation, CPI budgets. Executor tuning
-/// (workers, shard size, retries) belongs to the service, not the query,
+/// (workers, shard size, deadline) belongs to the service, not the query,
 /// exactly as [`SweepGrid::fingerprint`] excludes it: two deployments
 /// with different worker counts must hit each other's cache entries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -627,8 +627,8 @@ impl ResultCache {
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Executor tuning for query computation. `exec.workers` sizes the
-    /// worker pool; the retry/backoff/deadline/fault knobs apply
-    /// to every query's shards.
+    /// worker pool; the shard size, deadline and fault knobs apply to
+    /// every query's shards.
     pub exec: ExecutorConfig,
     /// Queries computing at once; the next miss is refused with
     /// [`ServiceReply::Busy`]. Clamped to at least 1.
@@ -648,8 +648,8 @@ pub struct ServiceConfig {
     /// The backoff hint carried by every [`ServiceReply::Busy`].
     pub retry_after_ms: u64,
     /// How long a pool lane may hold a shard without one heartbeat
-    /// before the stall sentinel escalates (cancel → reassign →
-    /// degrade). `None` disables the sentinel.
+    /// before the stall sentinel cancels it and the shard degrades.
+    /// `None` disables the sentinel.
     pub heartbeat_budget: Option<Duration>,
     /// How often the background scrubber re-verifies cache-entry CRCs.
     /// `None` disables the scrubber thread (scrubs still happen on every
@@ -659,16 +659,12 @@ pub struct ServiceConfig {
     /// rewrite from memory when a line has rotted). `None` scrubs only
     /// the in-memory entries.
     pub scrub_file: Option<PathBuf>,
-    /// How many times a stalled shard is reassigned to a fresh worker
-    /// before the service records it degraded instead.
-    pub max_reassigns: u32,
 }
 
 impl Default for ServiceConfig {
     /// Default executor, two queries in flight, an 8 MiB cache, 64
     /// connections, two-second frame deadlines, a 200 ms retry hint, a
-    /// two-second heartbeat budget, five-second scrub passes, one
-    /// reassignment per stalled shard.
+    /// two-second heartbeat budget, five-second scrub passes.
     fn default() -> Self {
         ServiceConfig {
             exec: ExecutorConfig::default(),
@@ -681,119 +677,23 @@ impl Default for ServiceConfig {
             heartbeat_budget: Some(Duration::from_secs(2)),
             scrub_interval: Some(Duration::from_secs(5)),
             scrub_file: None,
-            max_reassigns: 1,
         }
     }
 }
 
-/// A computing query, registered so the stall sentinel's handler can
-/// reassign (or degrade) its stalled shards from outside the collector.
-#[derive(Debug)]
-struct ActiveJob {
-    job: Arc<ShardJob>,
-    specs: Vec<ShardSpec>,
-    /// A clone of the query's result channel. Held here until the
-    /// collector deregisters the job, which also keeps the channel open
-    /// while reassignment is still possible.
-    tx: mpsc::Sender<Option<ShardMsg>>,
-    /// Stalled-shard reassignments already spent on this query.
-    reassigns: u32,
-}
-
-/// The live query table the sentinel handler works against.
-type JobTable = Arc<Mutex<HashMap<u64, ActiveJob>>>;
-
-/// Shard tags pack the owning job and the shard index into the lease's
-/// `shard` word: low 20 bits the shard index, the rest the job id.
-const SHARD_TAG_BITS: u32 = 20;
-
 /// The largest chip count one query may ask for; larger queries are
 /// refused before anything is allocated. Every chip of a query is held
-/// in memory until it is answered, and with at most 2^20 chips every
-/// shard index fits the `SHARD_TAG_BITS` that `handle_stall` decodes,
-/// whatever the shard size.
-const MAX_QUERY_CHIPS: usize = 1 << SHARD_TAG_BITS;
+/// in memory until it is answered.
+const MAX_QUERY_CHIPS: usize = 1 << 20;
 
 /// The largest CPI budget (warm-up plus measured micro-ops per benchmark)
 /// one query may ask for; larger budgets are refused before any
 /// simulation starts, so a query cannot tie a pool worker up for hours.
 const MAX_QUERY_CPI_UOPS: u64 = 1 << 24;
 
-fn shard_tag(job_id: u64, index: usize) -> u64 {
-    (job_id << SHARD_TAG_BITS) | (index as u64 & ((1 << SHARD_TAG_BITS) - 1))
-}
-
-fn lock_jobs(jobs: &JobTable) -> std::sync::MutexGuard<'_, HashMap<u64, ActiveJob>> {
-    jobs.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 fn lock_opt<T>(slot: &Mutex<Option<T>>) -> std::sync::MutexGuard<'_, Option<T>> {
     slot.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Sentinel escalation policy (steps two and three of the ladder —
-/// step one, the cooperative cancel, already ran in the sentinel): move
-/// the stalled shard to a fresh worker while the reassign budget lasts,
-/// then record it honestly degraded.
-fn handle_stall(
-    event: StallEvent,
-    jobs: &JobTable,
-    pool: &WorkerPool,
-    registry: &Arc<HeartbeatRegistry>,
-    hb_missed: &AtomicU64,
-    reassigned: &AtomicU64,
-    max_reassigns: u32,
-) {
-    let StallEvent::Missed { shard: tag, .. } = event else {
-        return; // Wedged lanes are reported via health, nothing to move.
-    };
-    hb_missed.fetch_add(1, Ordering::Relaxed);
-    let job_id = tag >> SHARD_TAG_BITS;
-    let index = (tag & ((1 << SHARD_TAG_BITS) - 1)) as usize;
-    let mut table = lock_jobs(jobs);
-    let Some(active) = table.get_mut(&job_id) else {
-        return; // The query already finished (or was discarded).
-    };
-    if active.job.cancel.load(Ordering::Relaxed) {
-        return;
-    }
-    let Some(spec) = active.specs.iter().find(|s| s.index == index).copied() else {
-        return;
-    };
-    if active.reassigns >= max_reassigns {
-        // Ladder step three: the reassign budget is spent — report the
-        // shard degraded so the query completes honestly without it.
-        yac_obs::inc(Metric::DegradedShards);
-        yac_obs::trace_instant(
-            TraceEventKind::ShardDegraded,
-            TraceCtx::shard(u32::MAX, spec.index as u32, active.reassigns),
-        );
-        let _ = active.tx.send(Some(ShardMsg::Degraded {
-            spec,
-            attempts: active.reassigns + 1,
-            error: format!(
-                "shard {} stalled (no heartbeat) and exhausted its {} reassignment(s)",
-                spec.index, max_reassigns
-            ),
-        }));
-        return;
-    }
-    active.reassigns += 1;
-    let job = Arc::clone(&active.job);
-    let tx = active.tx.clone();
-    drop(table);
-    reassigned.fetch_add(1, Ordering::Relaxed);
-    yac_obs::inc(Metric::ShardsReassigned);
-    yac_obs::trace_instant(
-        TraceEventKind::ShardReassigned,
-        TraceCtx {
-            shard: Some(spec.index as u32),
-            ..TraceCtx::default()
-        },
-    );
-    submit_shard(pool, registry, job, shard_tag(job_id, spec.index), spec, tx);
 }
 
 /// The background cache scrubber: a low-priority thread re-verifying
@@ -850,14 +750,10 @@ impl Drop for InflightSlot<'_> {
 #[derive(Debug)]
 pub struct SweepService {
     config: ServiceConfig,
-    /// The worker pool, shared with the stall sentinel's handler, which
-    /// resubmits stalled shards.
-    pool: Arc<WorkerPool>,
+    pool: WorkerPool,
     registry: Arc<HeartbeatRegistry>,
     sentinel: Mutex<Option<StallSentinel>>,
     scrubber: Mutex<Option<ParkedLoop>>,
-    jobs: JobTable,
-    next_job: AtomicU64,
     started: Instant,
     cache: Arc<Mutex<ResultCache>>,
     inflight: AtomicUsize,
@@ -866,8 +762,6 @@ pub struct SweepService {
     busy: AtomicU64,
     evicted: AtomicU64,
     rejected: AtomicU64,
-    hb_missed: Arc<AtomicU64>,
-    reassigned: Arc<AtomicU64>,
     degraded: AtomicU64,
     draining: AtomicBool,
     shutdown: AtomicBool,
@@ -885,30 +779,11 @@ impl SweepService {
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
         let cache = Arc::new(Mutex::new(ResultCache::new(config.cache_bytes)));
-        let pool = Arc::new(WorkerPool::new(config.exec.workers));
+        let pool = WorkerPool::new(config.exec.workers);
         let registry = Arc::new(HeartbeatRegistry::new(config.exec.workers.max(1)));
-        let jobs: JobTable = Arc::new(Mutex::new(HashMap::new()));
-        let hb_missed = Arc::new(AtomicU64::new(0));
-        let reassigned = Arc::new(AtomicU64::new(0));
-        let sentinel = config.heartbeat_budget.map(|budget| {
-            let jobs = Arc::clone(&jobs);
-            let pool = Arc::clone(&pool);
-            let handler_registry = Arc::clone(&registry);
-            let hb_missed = Arc::clone(&hb_missed);
-            let reassigned = Arc::clone(&reassigned);
-            let max_reassigns = config.max_reassigns;
-            StallSentinel::spawn(Arc::clone(&registry), budget, move |event| {
-                handle_stall(
-                    event,
-                    &jobs,
-                    &pool,
-                    &handler_registry,
-                    &hb_missed,
-                    &reassigned,
-                    max_reassigns,
-                );
-            })
-        });
+        let sentinel = config
+            .heartbeat_budget
+            .map(|budget| StallSentinel::spawn(Arc::clone(&registry), budget));
         let scrubber = config.scrub_interval.map(|interval| {
             spawn_scrubber(Arc::clone(&cache), interval, config.scrub_file.clone())
         });
@@ -918,8 +793,6 @@ impl SweepService {
             registry,
             sentinel: Mutex::new(sentinel),
             scrubber: Mutex::new(scrubber),
-            jobs,
-            next_job: AtomicU64::new(1),
             started: Instant::now(),
             cache,
             inflight: AtomicUsize::new(0),
@@ -928,8 +801,6 @@ impl SweepService {
             busy: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            hb_missed,
-            reassigned,
             degraded: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -1022,17 +893,13 @@ impl SweepService {
     /// Stops the sentinel and scrubber, then joins the worker pool. Call
     /// after the serve loop has exited.
     pub fn shutdown(self) {
-        // Stop the sentinel first: its handler holds pool/jobs clones,
-        // and no reassignment should race the teardown.
         if let Some(sentinel) = lock_opt(&self.sentinel).take() {
             sentinel.stop();
         }
         if let Some(mut scrubber) = lock_opt(&self.scrubber).take() {
             scrubber.halt();
         }
-        if let Ok(pool) = Arc::try_unwrap(self.pool) {
-            pool.shutdown();
-        }
+        self.pool.shutdown();
     }
 
     /// Runs one synchronous scrub pass (in-memory entries plus the
@@ -1062,24 +929,24 @@ impl SweepService {
             scrub_passes: cache.scrub_passes(),
             quarantined: cache.quarantined(),
             repaired: cache.repaired(),
-            reassigned: self.reassigned.load(Ordering::Relaxed),
         })
     }
 
     /// A point-in-time liveness report (the `health` wire op).
     #[must_use]
     pub fn health(&self) -> HealthReport {
-        let lanes_stalled = lock_opt(&self.sentinel)
+        let (lanes_stalled, heartbeats_missed) = lock_opt(&self.sentinel)
             .as_ref()
-            .map_or(0, StallSentinel::stalled_lanes);
+            .map_or((0, 0), |sentinel| {
+                (sentinel.stalled_lanes(), sentinel.heartbeats_missed())
+            });
         self.with_cache(|cache| HealthReport {
             uptime_ms: self.started.elapsed().as_millis() as u64,
             inflight: self.inflight.load(Ordering::Acquire),
             lanes: self.registry.lanes(),
             lanes_busy: self.registry.busy(),
             lanes_stalled,
-            heartbeats_missed: self.hb_missed.load(Ordering::Relaxed),
-            shards_reassigned: self.reassigned.load(Ordering::Relaxed),
+            heartbeats_missed,
             scrub_passes: cache.scrub_passes(),
             quarantined: cache.quarantined(),
             repaired: cache.repaired(),
@@ -1237,23 +1104,11 @@ impl SweepService {
             cancel: Arc::clone(cancel),
         });
         let (tx, rx) = mpsc::channel::<Option<ShardMsg>>();
-        let job_id = self.next_job.fetch_add(1, Ordering::Relaxed);
-        lock_jobs(&self.jobs).insert(
-            job_id,
-            ActiveJob {
-                job: Arc::clone(&job),
-                specs: shards.clone(),
-                tx: tx.clone(),
-                reassigns: 0,
-            },
-        );
         for spec in &shards {
-            let tag = shard_tag(job_id, spec.index);
             submit_shard(
                 &self.pool,
                 &self.registry,
                 Arc::clone(&job),
-                tag,
                 *spec,
                 tx.clone(),
             );
@@ -1270,11 +1125,8 @@ impl SweepService {
             }
             Some(left.map_or(IO_TICK, |left| left.min(IO_TICK)))
         };
-        // The sentinel's reassignments keep the channel open (the job
-        // table holds a sender clone) until the job is deregistered
-        // below, so the collection ends complete or cancelled.
         let mut merged = MergedShards::with_capacity(query.chips);
-        let Ok(collected) = collect_shards::<Infallible>(&rx, &shards, cancel, watch, |msg| {
+        let Ok(collected) = collect_shards::<Infallible>(&rx, shards.len(), cancel, watch, |msg| {
             merged.accept(msg);
             Ok(())
         });
@@ -1285,7 +1137,6 @@ impl SweepService {
                 let _ = client.shutdown(std::net::Shutdown::Both);
             }
         }
-        lock_jobs(&self.jobs).remove(&job_id);
         if !matches!(collected, Collected::Complete) || cancel.load(Ordering::Relaxed) {
             return ServiceReply::Cancelled;
         }

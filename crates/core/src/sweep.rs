@@ -149,7 +149,7 @@ impl SweepGrid {
     /// A stable hash of everything that determines the sweep's results:
     /// the grid itself plus the result-shaping parts of the config (CPI
     /// budgets, fault plan). Deliberately excludes the executor tuning —
-    /// worker count, shard size and retry budget never change results,
+    /// worker count, shard size and deadline never change results,
     /// so a sweep may be resumed under a different executor.
     #[must_use]
     pub fn fingerprint(&self, config: &SweepConfig) -> u64 {
@@ -311,7 +311,7 @@ pub struct StudyResult {
     pub evaluated_chips: usize,
     /// Chips missing because their shard degraded.
     pub missing_chips: usize,
-    /// Shards that exhausted their retry budget.
+    /// Shards that failed and were recorded degraded.
     pub degraded_shards: usize,
     /// Mean suite CPI on the paper's L1D, when CPI was measured.
     pub mean_cpi: Option<f64>,

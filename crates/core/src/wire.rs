@@ -76,8 +76,6 @@ pub struct ServiceStats {
     pub quarantined: u64,
     /// Quarantined entries repaired by a fresh insert.
     pub repaired: u64,
-    /// Stalled shards reassigned to a fresh worker.
-    pub reassigned: u64,
 }
 
 /// A point-in-time liveness report, answering [`ServiceRequest::Health`].
@@ -98,10 +96,9 @@ pub struct HealthReport {
     /// Lanes past a missed heartbeat without recovering (cancelled or
     /// truly wedged), as of the sentinel's last poll.
     pub lanes_stalled: u64,
-    /// Lease cancels issued for missed heartbeats.
+    /// Lease cancels issued for missed heartbeats; each cancelled shard
+    /// degrades.
     pub heartbeats_missed: u64,
-    /// Stalled shards reassigned to a fresh worker.
-    pub shards_reassigned: u64,
     /// Completed cache scrub passes.
     pub scrub_passes: u64,
     /// Cache entries quarantined after failing their CRC.
@@ -320,7 +317,7 @@ impl ServiceReply {
                  \"cache_entries\":{},\"cache_bytes\":{},\
                  \"inflight\":{},\"limit\":{},\"evicted\":{},\"rejected\":{},\
                  \"draining\":{},\"scrub_passes\":{},\"quarantined\":{},\
-                 \"repaired\":{},\"reassigned\":{}}}",
+                 \"repaired\":{}}}",
                 s.queries,
                 s.served,
                 s.busy,
@@ -336,13 +333,12 @@ impl ServiceReply {
                 s.draining,
                 s.scrub_passes,
                 s.quarantined,
-                s.repaired,
-                s.reassigned
+                s.repaired
             ),
             ServiceReply::Health(h) => format!(
                 "{{\"status\":\"health\",\"uptime_ms\":{},\"inflight\":{},\
                  \"lanes\":{},\"lanes_busy\":{},\"lanes_stalled\":{},\
-                 \"heartbeats_missed\":{},\"shards_reassigned\":{},\
+                 \"heartbeats_missed\":{},\
                  \"scrub_passes\":{},\"quarantined\":{},\"repaired\":{},\
                  \"degraded\":{}}}",
                 h.uptime_ms,
@@ -351,7 +347,6 @@ impl ServiceReply {
                 h.lanes_busy,
                 h.lanes_stalled,
                 h.heartbeats_missed,
-                h.shards_reassigned,
                 h.scrub_passes,
                 h.quarantined,
                 h.repaired,
@@ -416,7 +411,6 @@ impl ServiceReply {
                 scrub_passes: obj.opt_u64("scrub_passes")?.unwrap_or(0),
                 quarantined: obj.opt_u64("quarantined")?.unwrap_or(0),
                 repaired: obj.opt_u64("repaired")?.unwrap_or(0),
-                reassigned: obj.opt_u64("reassigned")?.unwrap_or(0),
             })),
             "health" => Ok(ServiceReply::Health(HealthReport {
                 uptime_ms: obj.u64("uptime_ms")?,
@@ -425,7 +419,6 @@ impl ServiceReply {
                 lanes_busy: obj.usize("lanes_busy")?,
                 lanes_stalled: obj.u64("lanes_stalled")?,
                 heartbeats_missed: obj.u64("heartbeats_missed")?,
-                shards_reassigned: obj.u64("shards_reassigned")?,
                 scrub_passes: obj.u64("scrub_passes")?,
                 quarantined: obj.u64("quarantined")?,
                 repaired: obj.u64("repaired")?,
@@ -695,7 +688,6 @@ mod tests {
                 scrub_passes: 11,
                 quarantined: 2,
                 repaired: 1,
-                reassigned: 4,
             }),
             ServiceReply::Health(HealthReport {
                 uptime_ms: 120_500,
@@ -704,7 +696,6 @@ mod tests {
                 lanes_busy: 2,
                 lanes_stalled: 1,
                 heartbeats_missed: 3,
-                shards_reassigned: 2,
                 scrub_passes: 9,
                 quarantined: 1,
                 repaired: 1,
@@ -754,25 +745,31 @@ mod tests {
 
     #[test]
     fn older_servers_stats_and_health_replies_still_decode() {
-        // Older servers also sent `stolen` and `pool_restarts`; unknown
-        // keys are ignored, so their replies decode unchanged.
+        // Older servers also sent `stolen`, `pool_restarts`, `reassigned`
+        // and `shards_reassigned`; unknown keys are ignored, so their
+        // replies decode unchanged. Each decoded reply also round-trips
+        // through today's encoding, which carries none of those keys.
         let stats = "{\"status\":\"stats\",\"queries\":3,\"served\":2,\"busy\":1,\
             \"cache_hits\":1,\"cache_misses\":1,\"cache_evictions\":0,\
             \"cache_entries\":1,\"cache_bytes\":90,\"stolen\":4,\
-            \"inflight\":0,\"limit\":2,\"pool_restarts\":1}";
-        match ServiceReply::parse(stats).unwrap() {
+            \"inflight\":0,\"limit\":2,\"pool_restarts\":1,\"reassigned\":4}";
+        let reply = ServiceReply::parse(stats).unwrap();
+        match &reply {
             ServiceReply::Stats(s) => assert_eq!((s.queries, s.cache_bytes, s.limit), (3, 90, 2)),
             other => panic!("{other:?}"),
         }
+        assert_eq!(ServiceReply::parse(&reply.to_json()).unwrap(), reply);
         let health = "{\"status\":\"health\",\"uptime_ms\":5,\"inflight\":0,\
             \"lanes\":2,\"lanes_busy\":0,\"lanes_stalled\":0,\
             \"heartbeats_missed\":1,\"shards_reassigned\":1,\
             \"scrub_passes\":4,\"quarantined\":1,\"repaired\":1,\
             \"degraded\":0,\"pool_restarts\":0}";
-        match ServiceReply::parse(health).unwrap() {
+        let reply = ServiceReply::parse(health).unwrap();
+        match &reply {
             ServiceReply::Health(h) => assert_eq!((h.lanes, h.scrub_passes), (2, 4)),
             other => panic!("{other:?}"),
         }
+        assert_eq!(ServiceReply::parse(&reply.to_json()).unwrap(), reply);
         // `retryable` is no longer a reply status.
         assert!(ServiceReply::parse("{\"status\":\"retryable\",\"retry_after_ms\":75}").is_err());
     }

@@ -11,7 +11,6 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Mutex;
-use std::time::Duration;
 use yac_core::sweep::CpiOptions;
 use yac_core::{
     chaos, run_sweep, ChaosPlan, ConstraintSpec, ExecutorConfig, PowerDownKind, StudyError,
@@ -36,7 +35,6 @@ fn torture_grid() -> SweepGrid {
 fn torture_config() -> SweepConfig {
     let mut exec = ExecutorConfig::with_workers(2);
     exec.shard_chips = 8;
-    exec.backoff = Duration::ZERO;
     SweepConfig {
         exec,
         // One study at a time: the journal's op sequence stays stable

@@ -4,10 +4,10 @@
 //! * `mem_rate` bit-flip injection: every corrupted cache entry is
 //!   quarantined (never served) and the repaired entry is bit-identical
 //!   to a cold recompute;
-//! * `stall_shard` hang injection: the sweep completes without a
-//!   service restart — the stalled shard is either reassigned to a
-//!   healthy lane or recorded honestly degraded — with the evidence in
-//!   the trace journal and the `health` report.
+//! * `stall_shard` hang injection: the query completes without a
+//!   service restart — the stalled shard is cancelled and recorded
+//!   honestly degraded, and the degraded reply is never cached — with
+//!   the evidence in the trace journal and the `health` report.
 //!
 //! The chaos plan and the trace journal are process-global, so the
 //! tests in this file serialize on one mutex and never share a process
@@ -16,6 +16,7 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+use yac_core::sweep::parse_result;
 use yac_core::{
     chaos, run_supervised, ChaosPlan, ConstraintSpec, ExecutorConfig, Population, PopulationConfig,
     PowerDownKind, ServiceConfig, ServiceReply, StudyQuery, SweepService,
@@ -140,13 +141,14 @@ fn injected_memory_rot_is_quarantined_and_repaired_bit_identically() {
     service.shutdown();
 }
 
-/// Acceptance: with `stall_shard` hanging one shard's first attempt,
-/// the sweep still completes — the sentinel cancels the stalled lease
-/// and the shard is reassigned to a healthy lane — without a pool
-/// restart, and the result is bit-identical to an unstalled run. Trace
-/// evidence: `HeartbeatMissed` and `ShardReassigned`.
+/// Acceptance: with `stall_shard` hanging one shard, the query still
+/// completes — the sentinel cancels the stalled lease and the shard
+/// degrades at once — without a pool restart. The degraded reply is
+/// honest (exactly that shard's chips missing) and never cached, so
+/// asking again computes afresh and equals an unstalled run. Trace
+/// evidence: `HeartbeatMissed` and `ShardDegraded`.
 #[test]
-fn a_stalled_shard_is_reassigned_and_the_sweep_completes() {
+fn a_stalled_shard_is_cancelled_and_degraded_and_never_cached() {
     let _lock = serialized();
     chaos::clear();
     yac_obs::enable();
@@ -173,8 +175,8 @@ fn a_stalled_shard_is_reassigned_and_the_sweep_completes() {
     let (expected, _) = expect_record(control.query(&q, &cancel));
     control.shutdown();
 
-    // The chaos run: shard index 1's first attempt hangs until the
-    // sentinel's cooperative cancel lands.
+    // The chaos run: shard index 1 hangs until the sentinel's
+    // cooperative cancel lands.
     chaos::install(ChaosPlan::new(7, 0.0).unwrap().stall(1));
     let service = SweepService::new(ServiceConfig {
         exec: mk_exec(),
@@ -182,26 +184,43 @@ fn a_stalled_shard_is_reassigned_and_the_sweep_completes() {
         cache_bytes: 1 << 20,
         heartbeat_budget: Some(Duration::from_millis(200)),
         scrub_interval: None,
-        max_reassigns: 1,
         ..ServiceConfig::default()
     });
-    let (record, cached) = expect_record(service.query(&q, &cancel));
+    let (degraded, cached) = expect_record(service.query(&q, &cancel));
     assert!(!cached);
+    let result = parse_result(&degraded, 0).expect("a canonical record");
     assert_eq!(
-        record, expected,
-        "a reassigned sweep is bit-identical to an unstalled one"
+        result.missing_chips, 8,
+        "exactly the stalled shard is missing"
     );
+    assert_eq!(result.degraded_shards, 1);
+    assert_eq!(result.evaluated_chips, 24);
 
-    let stats = service.stats();
-    assert_eq!(stats.reassigned, 1, "exactly one reassignment");
     let health = service.health();
-    assert!(health.heartbeats_missed >= 1, "{health:?}");
-    assert_eq!(health.shards_reassigned, 1);
-    assert_eq!(health.degraded, 0, "the reassign succeeded; no degrade");
+    assert_eq!(health.heartbeats_missed, 1, "{health:?}");
+    assert_eq!(health.degraded, 1, "{health:?}");
+    assert_eq!(
+        service.stats().cache_entries,
+        0,
+        "a degraded reply is never cached"
+    );
 
     let kinds = traced_kinds();
     assert!(kinds.contains(&TraceEventKind::HeartbeatMissed));
-    assert!(kinds.contains(&TraceEventKind::ShardReassigned));
+    assert!(kinds.contains(&TraceEventKind::ShardDegraded));
+
+    // The stall is one-shot: re-asking computes afresh, in full, and
+    // equals the unstalled control.
+    let (record, cached) = expect_record(service.query(&q, &cancel));
+    assert!(!cached, "the degraded reply was not cached");
+    assert_eq!(
+        record, expected,
+        "a recompute is bit-identical to an unstalled run"
+    );
+    let (hit, cached) = expect_record(service.query(&q, &cancel));
+    assert!(cached, "the full result is cached");
+    assert_eq!(hit, expected);
+    assert_eq!(service.health().heartbeats_missed, 1, "no further stall");
 
     chaos::clear();
     yac_obs::trace_disable();
@@ -227,11 +246,11 @@ fn bit_signature(pop: &Population) -> Vec<(u64, [u64; 4])> {
 }
 
 /// The batch path has no stall sentinel: with `stall_shard` hanging one
-/// shard's first attempt, the shard deadline alone releases it, the
-/// retry recomputes the shard, and the population is bit-identical to
-/// the serial one.
+/// shard, the shard deadline alone releases it and the shard degrades.
+/// Exactly that shard is missing, and the survivors are bit-identical
+/// to the serial population restricted to them.
 #[test]
-fn a_stalled_batch_shard_is_released_by_its_deadline_and_retried() {
+fn a_stalled_batch_shard_is_released_by_its_deadline_and_degraded() {
     let _lock = serialized();
     chaos::clear();
     yac_obs::enable();
@@ -240,8 +259,6 @@ fn a_stalled_batch_shard_is_released_by_its_deadline_and_retried() {
     cfg.chips = 64; // Four shards across two workers.
     let mut exec = ExecutorConfig::with_workers(2);
     exec.shard_chips = 16;
-    exec.max_retries = 2;
-    exec.backoff = Duration::ZERO;
     exec.shard_deadline = Some(Duration::from_millis(50));
 
     chaos::install(ChaosPlan::new(7, 0.0).unwrap().stall(1));
@@ -250,11 +267,22 @@ fn a_stalled_batch_shard_is_released_by_its_deadline_and_retried() {
     let timeouts = yac_obs::global().counter(Metric::ShardTimeouts) - timeouts_before;
     chaos::clear();
 
-    assert!(!outcome.is_degraded(), "{:?}", outcome.degraded);
-    assert!(timeouts >= 1, "the stalled attempt must time out");
+    let degraded: Vec<(u64, usize, u32)> = outcome
+        .degraded
+        .iter()
+        .map(|d| (d.start, d.len, d.attempts))
+        .collect();
+    assert_eq!(degraded, [(16, 16, 1)], "exactly shard 1 degraded, once");
+    assert!(
+        outcome.degraded[0].error.contains("deadline"),
+        "{}",
+        outcome.degraded[0].error
+    );
+    assert!(timeouts >= 1, "the stalled shard must time out");
+    let survivors: Vec<u64> = (0..16).chain(32..64).collect();
     assert_eq!(
         bit_signature(&outcome.population),
-        bit_signature(&Population::generate_with(&cfg)),
-        "a retried stall is bit-identical to the serial path"
+        bit_signature(&Population::generate_with(&cfg).restricted_to(&survivors)),
+        "the survivors are bit-identical to the serial path"
     );
 }

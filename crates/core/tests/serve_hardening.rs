@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use yac_core::{
     client_request, read_frame, serve, write_frame, ConstraintSpec, ExecutorConfig, PowerDownKind,
-    ServiceConfig, ServiceReply, ServiceRequest, ShardFaultPlan, StudyQuery, SweepService,
+    ServiceConfig, ServiceReply, ServiceRequest, StudyQuery, SweepService,
 };
 
 fn small_query(seed: u64) -> StudyQuery {
@@ -34,14 +34,22 @@ fn fast_exec() -> ExecutorConfig {
     exec
 }
 
-/// An executor whose shards fail their first attempts and back off, so
-/// a query reliably takes a while (but still completes).
-fn slow_exec(failing_attempts: u32, backoff_ms: u64) -> ExecutorConfig {
-    let mut exec = fast_exec();
-    exec.max_retries = failing_attempts;
-    exec.backoff = Duration::from_millis(backoff_ms);
-    exec.shard_faults = Some(ShardFaultPlan::always(failing_attempts));
-    exec
+/// Chips in a [`slow_query`]. Sized on a 2-vCPU host under the test
+/// profile (`opt-level = 2`, debug assertions on), where a query
+/// computes about 50,000 chips/s on [`fast_exec`]'s two workers, so
+/// this one takes about 600 ms: more than three times the longest bound
+/// a test below measures it against, the 150 ms in which a hung-up
+/// client must free its slot.
+const SLOW_CHIPS: usize = 30_000;
+
+/// A query made slow by its work alone: [`SLOW_CHIPS`] chips in
+/// [`fast_exec`]'s 8-chip shards, so a cancel still lands between chips
+/// within microseconds.
+fn slow_query(seed: u64) -> StudyQuery {
+    StudyQuery {
+        chips: SLOW_CHIPS,
+        ..small_query(seed)
+    }
 }
 
 struct Harness {
@@ -234,16 +242,14 @@ fn drain_refuses_new_queries_and_exits_once_idle() {
 #[test]
 fn query_deadlines_cancel_cooperatively_with_a_typed_reply() {
     let harness = start(ServiceConfig {
-        // Every shard fails twice and backs off 100 ms: the query takes
-        // well over 200 ms unless cancelled.
-        exec: slow_exec(2, 100),
+        exec: fast_exec(),
         max_inflight: 1,
         cache_bytes: 1 << 20,
         ..ServiceConfig::default()
     });
 
     let request = ServiceRequest::Query {
-        query: small_query(51),
+        query: slow_query(51),
         deadline_ms: Some(30),
     };
     let started = Instant::now();
@@ -263,7 +269,7 @@ fn query_deadlines_cancel_cooperatively_with_a_typed_reply() {
 
     // The same query without a deadline completes normally.
     let request = ServiceRequest::Query {
-        query: small_query(51),
+        query: slow_query(51),
         deadline_ms: None,
     };
     let (reply, _) = client_request(&harness.addr, &request).unwrap();
@@ -276,20 +282,19 @@ fn query_deadlines_cancel_cooperatively_with_a_typed_reply() {
 
 /// A client that hangs up while its query computes cancels the query:
 /// the connection thread's peek sees the close, the shards stop, and the
-/// admission slot frees long before the query could have finished
-/// (every shard fails twice and backs off 100 ms, about 300 ms in all).
+/// admission slot frees long before the query could have finished.
 /// The cancelled query cached nothing, so asking again computes afresh;
 /// a deadline past the clock's range is no deadline.
 #[test]
 fn a_client_that_hangs_up_cancels_its_query() {
     let harness = start(ServiceConfig {
-        exec: slow_exec(2, 100),
+        exec: fast_exec(),
         max_inflight: 1,
         cache_bytes: 1 << 20,
         ..ServiceConfig::default()
     });
     let request = |deadline_ms| ServiceRequest::Query {
-        query: small_query(61),
+        query: slow_query(61),
         deadline_ms,
     };
 
@@ -387,15 +392,13 @@ fn drain_during_a_miss_exits_once_the_slot_frees() {
     let (service, exited) = serve_watched(
         listener,
         ServiceConfig {
-            // Every shard fails twice and backs off 100 ms: the miss
-            // takes well over 200 ms.
-            exec: slow_exec(2, 100),
+            exec: fast_exec(),
             ..quick_config()
         },
     );
     let client = std::thread::spawn(move || {
         let request = ServiceRequest::Query {
-            query: small_query(61),
+            query: slow_query(61),
             deadline_ms: None,
         };
         client_request(&addr, &request)

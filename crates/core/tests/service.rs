@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 use yac_core::sweep::render_result;
 use yac_core::{
     client_request, run_sweep, serve, ConstraintSpec, ExecutorConfig, PowerDownKind, ServiceConfig,
-    ServiceReply, ServiceRequest, ShardFaultPlan, StudyError, StudyQuery, StudyStatus, SweepConfig,
-    SweepGrid, SweepService,
+    ServiceReply, ServiceRequest, StudyError, StudyQuery, StudyStatus, SweepConfig, SweepGrid,
+    SweepService,
 };
 
 fn no_cancel() -> Arc<AtomicBool> {
@@ -39,18 +39,14 @@ fn fast_exec() -> ExecutorConfig {
     exec
 }
 
-/// A deliberately slow executor: every shard fails its first attempts
-/// and sits out the retry backoff, so a query reliably takes hundreds of
-/// milliseconds — long enough to observe saturation and cancellation —
-/// while still completing (attempts outlast the failures).
-fn slow_exec(failing_attempts: u32, backoff_ms: u64) -> ExecutorConfig {
-    let mut exec = ExecutorConfig::with_workers(2);
-    exec.shard_chips = 8;
-    exec.max_retries = failing_attempts;
-    exec.backoff = Duration::from_millis(backoff_ms);
-    exec.shard_faults = Some(ShardFaultPlan::always(failing_attempts));
-    exec
-}
+/// Chips in a query made slow by its work alone, computed on
+/// [`fast_exec`]'s 8-chip shards so a cancel still lands between chips.
+/// Sized on a 2-vCPU host under the test profile (`opt-level = 2`,
+/// debug assertions on), where a query computes about 50,000 chips/s on
+/// two workers, so this one takes about 160 ms: more than three times
+/// the longest bound a test below measures it against, the 25 ms after
+/// which a cancel must find the query still computing.
+const SLOW_CHIPS: usize = 8_000;
 
 fn expect_result(reply: ServiceReply) -> (String, u64, bool) {
     match reply {
@@ -158,19 +154,19 @@ fn service_records_match_run_sweep_journal_records() {
 #[test]
 fn saturated_service_answers_typed_busy_but_still_serves_hits() {
     let service = Arc::new(SweepService::new(ServiceConfig {
-        exec: slow_exec(2, 100),
+        exec: fast_exec(),
         max_inflight: 1,
         cache_bytes: 1 << 20,
         ..ServiceConfig::default()
     }));
 
-    // Pre-cache query A (slow, but completes: retries outlast the faults).
-    let qa = query(16, 7, PowerDownKind::Vertical);
+    // Pre-cache query A (slow, but completes).
+    let qa = query(SLOW_CHIPS, 7, PowerDownKind::Vertical);
     let (record_a, _, cached) = expect_result(service.query(&qa, &no_cancel()));
     assert!(!cached);
 
     // Saturate the single admission slot with query B on another thread.
-    let qb = query(16, 8, PowerDownKind::Vertical);
+    let qb = query(SLOW_CHIPS, 8, PowerDownKind::Vertical);
     let slow = {
         let service = Arc::clone(&service);
         std::thread::spawn(move || service.query(&qb, &no_cancel()))
@@ -185,7 +181,7 @@ fn saturated_service_answers_typed_busy_but_still_serves_hits() {
     }
 
     // A miss is refused with typed backpressure...
-    let qc = query(16, 9, PowerDownKind::Vertical);
+    let qc = query(SLOW_CHIPS, 9, PowerDownKind::Vertical);
     match service.query(&qc, &no_cancel()) {
         ServiceReply::Busy {
             inflight,
@@ -218,13 +214,13 @@ fn saturated_service_answers_typed_busy_but_still_serves_hits() {
 }
 
 /// Cancellation: a flag raised before submission cancels immediately; a
-/// flag raised mid-computation (during retry backoff) cancels the query
+/// flag raised mid-computation cancels the query
 /// in flight. Either way the service stays healthy and answers the next
 /// query normally — no slot leaks, no poisoned pool.
 #[test]
 fn cancelled_queries_release_the_service_cleanly() {
     let service = SweepService::new(ServiceConfig {
-        exec: slow_exec(1, 100),
+        exec: fast_exec(),
         max_inflight: 1,
         cache_bytes: 1 << 20,
         ..ServiceConfig::default()
@@ -237,9 +233,8 @@ fn cancelled_queries_release_the_service_cleanly() {
         ServiceReply::Cancelled
     );
 
-    // Mid-flight: every shard fails its first attempt and backs off for
-    // 100 ms; raising the flag at 25 ms lands squarely inside that
-    // backoff window, before any retry can complete.
+    // Mid-flight: raising the flag at 25 ms lands well before the slow
+    // query could complete.
     let cancel = no_cancel();
     let timer = {
         let cancel = Arc::clone(&cancel);
@@ -249,7 +244,7 @@ fn cancelled_queries_release_the_service_cleanly() {
         })
     };
     assert_eq!(
-        service.query(&query(16, 22, PowerDownKind::Vertical), &cancel),
+        service.query(&query(SLOW_CHIPS, 22, PowerDownKind::Vertical), &cancel),
         ServiceReply::Cancelled
     );
     timer.join().unwrap();
@@ -260,8 +255,10 @@ fn cancelled_queries_release_the_service_cleanly() {
     );
 
     // The service is still healthy: the same query, uncancelled, computes.
-    let (_, _, cached) =
-        expect_result(service.query(&query(16, 22, PowerDownKind::Vertical), &no_cancel()));
+    let (_, _, cached) = expect_result(service.query(
+        &query(SLOW_CHIPS, 22, PowerDownKind::Vertical),
+        &no_cancel(),
+    ));
     assert!(!cached, "cancelled queries must not populate the cache");
     service.shutdown();
 }

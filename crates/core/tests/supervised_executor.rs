@@ -1,13 +1,13 @@
 //! The supervised parallel executor against the serial reference paths:
-//! bit-identical merges at every worker count, retry-through-faults, the
-//! degraded path with widened intervals, and shard-granular resume.
+//! bit-identical merges at every worker count, the degraded path with
+//! widened intervals, and shard-granular resume.
 
 use std::time::Duration;
 use yac_core::checkpoint::render_checkpoint;
 use yac_core::{
     full_study, full_study_supervised, full_study_workers, render_loss_table, run_supervised,
     table2, yield_interval, CheckpointState, ConstraintSpec, ExecutorConfig, Population,
-    PopulationConfig, ShardFaultPlan, StudyError, YieldConstraints,
+    PopulationConfig, StudyError, YieldConstraints,
 };
 use yac_obs::Metric;
 use yac_variation::FaultPlan;
@@ -25,7 +25,6 @@ fn config(faults: Option<FaultPlan>) -> PopulationConfig {
 fn exec(workers: usize) -> ExecutorConfig {
     let mut e = ExecutorConfig::with_workers(workers);
     e.shard_chips = 16;
-    e.backoff = Duration::ZERO;
     e
 }
 
@@ -86,36 +85,14 @@ fn merge_is_bit_identical_to_serial_for_every_worker_count() {
     }
 }
 
-#[test]
-fn retried_shards_still_merge_bit_identically() {
-    let cfg = config(Some(FaultPlan::new(0.08, 3).unwrap()));
-    for workers in [2, 4] {
-        let mut e = exec(workers);
-        // Half the shards panic on their first two attempts; three
-        // retries are enough for all of them to come back.
-        e.shard_faults = Some(ShardFaultPlan::new(0.5, 9, 2).unwrap());
-        e.max_retries = 3;
-        let before = yac_obs::global().counter(Metric::ShardRetries);
-        yac_obs::enable();
-        let outcome = run_supervised(&cfg, &e).unwrap();
-        let retries = yac_obs::global().counter(Metric::ShardRetries) - before;
-        assert!(!outcome.is_degraded(), "retry budget covers the faults");
-        assert!(retries > 0, "the fault plan must actually fire");
-        assert_matches_serial(
-            &cfg,
-            &outcome.population,
-            &format!("retry workers={workers}"),
-        );
-    }
-}
-
+/// A failing shard's one attempt is its whole budget: it degrades at
+/// once, and the study completes without it.
 #[test]
 fn exhausted_retries_degrade_the_shard_but_complete_the_study() {
     let cfg = config(None);
     let mut e = exec(4);
     let plan = FaultPlan::new(0.3, 5).unwrap();
-    e.shard_faults = Some(ShardFaultPlan::new(0.3, 5, u32::MAX).unwrap());
-    e.max_retries = 1;
+    e.shard_faults = Some(plan);
 
     yac_obs::enable();
     let registry = yac_obs::global();
@@ -137,7 +114,7 @@ fn exhausted_retries_degrade_the_shard_but_complete_the_study() {
     let starts: Vec<u64> = outcome.degraded.iter().map(|d| d.start).collect();
     assert_eq!(starts, expected, "degraded map");
     for d in &outcome.degraded {
-        assert_eq!(d.attempts, 2, "max_retries=1 means two attempts");
+        assert_eq!(d.attempts, 1, "a shard runs once");
         assert!(d.error.contains("injected shard fault"), "{}", d.error);
     }
     assert!(
@@ -181,11 +158,9 @@ fn deadline_watchdog_cancels_overlong_shards() {
     let cfg = config(None);
     let mut e = ExecutorConfig::with_workers(2);
     e.shard_chips = CHIPS; // one big shard
-    e.max_retries = 0;
-    e.backoff = Duration::ZERO;
-    // Deterministic however fast the machine is: the worker checks its
-    // own elapsed time between chips, so a 1 ns budget is exceeded by
-    // the second chip at the latest.
+                           // Deterministic however fast the machine is: the worker checks its
+                           // own elapsed time between chips, so a 1 ns budget is exceeded by
+                           // the second chip at the latest.
     e.shard_deadline = Some(Duration::from_nanos(1));
 
     yac_obs::enable();
@@ -219,8 +194,7 @@ fn full_study_workers_matches_full_study() {
 fn full_study_refuses_a_degraded_population() {
     let cfg = config(None);
     let mut e = exec(4);
-    e.shard_faults = Some(ShardFaultPlan::new(0.3, 5, u32::MAX).unwrap());
-    e.max_retries = 0;
+    e.shard_faults = Some(FaultPlan::new(0.3, 5).unwrap());
 
     let direct = run_supervised(&cfg, &e).unwrap();
     assert!(direct.is_degraded(), "the plan must degrade some shards");
@@ -301,8 +275,7 @@ fn degraded_shards_survive_checkpoint_resume() {
     let _ = std::fs::remove_file(&path);
     let cfg = config(None);
     let mut faulty = exec(2);
-    faulty.shard_faults = Some(ShardFaultPlan::new(0.3, 5, u32::MAX).unwrap());
-    faulty.max_retries = 0;
+    faulty.shard_faults = Some(FaultPlan::new(0.3, 5).unwrap());
 
     // Run a few shards (some degrade), then resume with healthy workers:
     // the degraded records persist instead of being silently retried.

@@ -8,9 +8,10 @@ use std::sync::Arc;
 use std::time::Duration;
 use yac_core::sweep::CpiOptions;
 use yac_core::{
-    run_sweep, ConstraintSpec, ExecutorConfig, PowerDownKind, ShardFaultPlan, StudyError,
-    StudyStatus, SweepConfig, SweepGrid, SweepOutcome,
+    run_sweep, ConstraintSpec, ExecutorConfig, PowerDownKind, StudyError, StudyStatus, SweepConfig,
+    SweepGrid, SweepOutcome,
 };
+use yac_variation::FaultPlan;
 
 fn small_grid() -> SweepGrid {
     SweepGrid {
@@ -24,7 +25,6 @@ fn small_grid() -> SweepGrid {
 fn config() -> SweepConfig {
     let mut exec = ExecutorConfig::with_workers(2);
     exec.shard_chips = 8;
-    exec.backoff = Duration::ZERO;
     SweepConfig {
         exec,
         concurrent_studies: 2,
@@ -192,10 +192,9 @@ fn a_poisoned_study_degrades_without_sinking_the_sweep() {
     let grid = small_grid();
     let journal = journal_path("poisoned.sweep");
     let mut cfg = config();
-    // Every shard of every study fails on every attempt: populations come
-    // back empty, which each study surfaces as a typed failure.
-    cfg.exec.shard_faults = Some(ShardFaultPlan::always(u32::MAX));
-    cfg.exec.max_retries = 0;
+    // Every shard of every study fails: populations come back empty,
+    // which each study surfaces as a typed failure.
+    cfg.exec.shard_faults = Some(FaultPlan::new(1.0, 0).unwrap());
     let outcome = run_sweep(&grid, &cfg, &journal).unwrap();
     assert_eq!(outcome.failed(), 4, "all studies poisoned");
     for (_, status) in &outcome.studies {
@@ -221,9 +220,8 @@ fn partially_degraded_studies_report_honest_accounting() {
     let grid = small_grid();
     let journal = journal_path("degraded.sweep");
     let mut cfg = config();
-    // Deterministically fail ~40% of shards beyond the retry budget.
-    cfg.exec.shard_faults = Some(ShardFaultPlan::new(0.4, 7, u32::MAX).unwrap());
-    cfg.exec.max_retries = 0;
+    // Deterministically fail ~40% of shards.
+    cfg.exec.shard_faults = Some(FaultPlan::new(0.4, 7).unwrap());
     let outcome = run_sweep(&grid, &cfg, &journal).unwrap();
     let degraded: Vec<_> = outcome
         .studies

@@ -6,8 +6,8 @@
 //!
 //! ```json
 //! {"schema":"yac-trace/1","dropped_events":0,"lost_events":0,"threads":2}
-//! {"slot":3,"thread":"worker-0","t_ns":1000,"dur_ns":5000,"kind":"PhaseSpan","phase":"shard_exec","worker":0,"shard":2,"attempt":1}
-//! {"slot":3,"thread":"worker-0","t_ns":9000,"dur_ns":0,"kind":"ShardRetried","worker":0,"shard":2,"attempt":1}
+//! {"slot":3,"thread":"worker-0","t_ns":1000,"dur_ns":5000,"kind":"PhaseSpan","phase":"shard_exec","worker":0,"shard":2,"attempt":0}
+//! {"slot":3,"thread":"worker-0","t_ns":9000,"dur_ns":0,"kind":"ShardDegraded","worker":0,"shard":2,"attempt":0}
 //! ```
 //!
 //! The header's `dropped_events` counts events of threads past the

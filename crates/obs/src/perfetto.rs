@@ -152,7 +152,7 @@ mod tests {
             5_000,
         );
         j.record_at(
-            TraceEventKind::ShardRetried,
+            TraceEventKind::ShardDegraded,
             TraceCtx::shard(0, 2, 1),
             9_000,
             0,
@@ -166,7 +166,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"dur\":5.000"));
         // The instant.
-        assert!(json.contains("\"name\":\"ShardRetried\""));
+        assert!(json.contains("\"name\":\"ShardDegraded\""));
         assert!(json.contains("\"ph\":\"i\""));
         // Context fields surface as args.
         assert!(json.contains("\"shard\":2"));

@@ -5,9 +5,9 @@
 //! state, only reads the same atomics the metrics hooks write — so
 //! enabling it cannot change a study's results. Each tick it reports
 //! chips done/total, recent throughput, an ETA, per-worker utilization
-//! (ShardExec busy time over `workers × interval`), and the retry /
-//! timeout / degraded counts that tell an operator whether a long run is
-//! healthy or quietly thrashing.
+//! (ShardExec busy time over `workers × interval`), and the timeout /
+//! degraded counts that tell an operator whether a long run is healthy
+//! or quietly losing shards.
 //!
 //! # Examples
 //!
@@ -124,16 +124,9 @@ pub fn render_progress(
     let util = 100.0 * busy_ns / (config.workers.max(1) as f64 * tick_s * 1e9);
     let _ = write!(line, " | util {:.0}%", util.min(100.0));
     let delta = |m: Metric| cur.counter(m);
-    let (retries, timeouts, degraded) = (
-        delta(Metric::ShardRetries),
-        delta(Metric::ShardTimeouts),
-        delta(Metric::DegradedShards),
-    );
-    if retries > 0 || timeouts > 0 || degraded > 0 {
-        let _ = write!(
-            line,
-            " | retries {retries} (timeouts {timeouts}) | degraded {degraded}"
-        );
+    let (timeouts, degraded) = (delta(Metric::ShardTimeouts), delta(Metric::DegradedShards));
+    if timeouts > 0 || degraded > 0 {
+        let _ = write!(line, " | timeouts {timeouts} | degraded {degraded}");
     }
     line
 }
@@ -277,8 +270,8 @@ mod tests {
         assert!(line.contains("ETA 1s"), "{line}");
         // 2 s of exec time over 4 workers × 1 s = 50%.
         assert!(line.contains("util 50%"), "{line}");
-        // No retries → the health segment is omitted.
-        assert!(!line.contains("retries"), "{line}");
+        // No timeout or degrade → the health segment is omitted.
+        assert!(!line.contains("degraded"), "{line}");
     }
 
     #[test]
@@ -315,7 +308,6 @@ mod tests {
         let reg = Registry::new();
         reg.enable();
         let prev = reg.snapshot();
-        reg.add(Metric::ShardRetries, 3);
         reg.add(Metric::ShardTimeouts, 1);
         reg.add(Metric::DegradedShards, 2);
         let line = render_progress(
@@ -325,10 +317,7 @@ mod tests {
             Duration::from_secs(1),
             &config(0, 2),
         );
-        assert!(
-            line.contains("retries 3 (timeouts 1) | degraded 2"),
-            "{line}"
-        );
+        assert!(line.contains("timeouts 1 | degraded 2"), "{line}");
     }
 
     #[test]
@@ -341,7 +330,7 @@ mod tests {
             Duration::from_secs(1),
             &config(200, 4),
         );
-        // Supervised retries can re-sample chips: the proxy clamps.
+        // The chip proxy can overshoot the total: it clamps.
         assert!(line.contains("200/200 chips (100.0%)"), "{line}");
         assert!(line.contains("ETA 0s"), "{line}");
     }

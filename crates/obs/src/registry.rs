@@ -101,12 +101,11 @@ registry_enum! {
         CheckpointsWritten => "checkpoints_written",
         /// Supervised-executor shards that ran to completion.
         ShardsCompleted => "shards_completed",
-        /// Shard attempts re-queued after a failure (panic or timeout).
-        ShardRetries => "shard_retries",
-        /// Shard attempts cancelled for exceeding their deadline.
+        /// Shards stopped for exceeding their deadline.
         ShardTimeouts => "shard_timeouts",
-        /// Shards that exhausted their retry budget and were recorded as
-        /// degraded (their chips are missing from the merged population).
+        /// Shards that failed (panic, deadline or stall) and were recorded
+        /// as degraded (their chips are missing from the merged
+        /// population).
         DegradedShards => "degraded_shards",
         /// Sweep studies that ran to completion with every chip observed.
         StudiesCompleted => "studies_completed",
@@ -141,11 +140,8 @@ registry_enum! {
         /// Study queries refused because the service is draining.
         QueriesDraining => "queries_draining",
         /// Heartbeat budgets blown: a busy lane published no progress
-        /// tick within the stall budget.
+        /// tick within the stall budget, and its shard was cancelled.
         HeartbeatsMissed => "heartbeats_missed",
-        /// Stalled shard attempts abandoned and resubmitted to a fresh
-        /// worker by the health sentinel.
-        ShardsReassigned => "shards_reassigned",
         /// Completed background scrub passes over the result cache.
         ScrubPasses => "scrub_passes",
         /// Cache entries whose stored CRC no longer matched their bytes

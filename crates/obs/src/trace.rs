@@ -5,7 +5,7 @@
 //! Where the [`crate::registry`] answers *"how much, how long in
 //! aggregate"*, the journal answers *"what happened, when, on which
 //! shard"* — the question a supervised run raises the moment shards
-//! retry, time out or degrade. The same contract as the registry holds:
+//! time out or degrade. The same contract as the registry holds:
 //!
 //! * **Zero-cost when disabled** — recording is one relaxed atomic load
 //!   and a branch.
@@ -73,13 +73,12 @@ pub enum TraceEventKind {
     PhaseSpan(Phase),
     /// A supervised-executor worker picked a shard off the queue.
     ShardDispatched,
-    /// A shard attempt ran to completion and its result was returned.
+    /// A shard ran to completion and its result was returned.
     ShardCompleted,
-    /// A shard attempt failed and was re-queued after backoff.
-    ShardRetried,
-    /// A shard attempt was cancelled by its deadline.
+    /// A shard was stopped by its deadline.
     ShardTimedOut,
-    /// A shard exhausted its retry budget and was recorded degraded.
+    /// A shard failed (panic, deadline or stall) and was recorded
+    /// degraded.
     ShardDegraded,
     /// One scheme tried to rescue one failing chip.
     RescueAttempt,
@@ -125,21 +124,17 @@ pub enum TraceEventKind {
     /// recompute.
     EntryRepaired,
     /// A busy lane published no heartbeat tick within the stall budget;
-    /// the sentinel escalated (cooperative cancel).
+    /// the sentinel cancelled its lease, and the shard degrades.
     HeartbeatMissed,
-    /// The sentinel abandoned a stalled shard attempt and resubmitted
-    /// the shard to a fresh worker.
-    ShardReassigned,
 }
 
 impl TraceEventKind {
     /// Every kind, with `PhaseSpan` represented once (by `Sample`).
     /// Useful for exhaustive schema tests.
-    pub const ALL: [TraceEventKind; 26] = [
+    pub const ALL: [TraceEventKind; 24] = [
         TraceEventKind::PhaseSpan(Phase::Sample),
         TraceEventKind::ShardDispatched,
         TraceEventKind::ShardCompleted,
-        TraceEventKind::ShardRetried,
         TraceEventKind::ShardTimedOut,
         TraceEventKind::ShardDegraded,
         TraceEventKind::RescueAttempt,
@@ -161,7 +156,6 @@ impl TraceEventKind {
         TraceEventKind::EntryQuarantined,
         TraceEventKind::EntryRepaired,
         TraceEventKind::HeartbeatMissed,
-        TraceEventKind::ShardReassigned,
     ];
 
     /// The stable CamelCase name used in the NDJSON schema.
@@ -171,7 +165,6 @@ impl TraceEventKind {
             TraceEventKind::PhaseSpan(_) => "PhaseSpan",
             TraceEventKind::ShardDispatched => "ShardDispatched",
             TraceEventKind::ShardCompleted => "ShardCompleted",
-            TraceEventKind::ShardRetried => "ShardRetried",
             TraceEventKind::ShardTimedOut => "ShardTimedOut",
             TraceEventKind::ShardDegraded => "ShardDegraded",
             TraceEventKind::RescueAttempt => "RescueAttempt",
@@ -193,7 +186,6 @@ impl TraceEventKind {
             TraceEventKind::EntryQuarantined => "EntryQuarantined",
             TraceEventKind::EntryRepaired => "EntryRepaired",
             TraceEventKind::HeartbeatMissed => "HeartbeatMissed",
-            TraceEventKind::ShardReassigned => "ShardReassigned",
         }
     }
 
@@ -205,7 +197,6 @@ impl TraceEventKind {
             "PhaseSpan" => TraceEventKind::PhaseSpan(phase?),
             "ShardDispatched" => TraceEventKind::ShardDispatched,
             "ShardCompleted" => TraceEventKind::ShardCompleted,
-            "ShardRetried" => TraceEventKind::ShardRetried,
             "ShardTimedOut" => TraceEventKind::ShardTimedOut,
             "ShardDegraded" => TraceEventKind::ShardDegraded,
             "RescueAttempt" => TraceEventKind::RescueAttempt,
@@ -227,7 +218,6 @@ impl TraceEventKind {
             "EntryQuarantined" => TraceEventKind::EntryQuarantined,
             "EntryRepaired" => TraceEventKind::EntryRepaired,
             "HeartbeatMissed" => TraceEventKind::HeartbeatMissed,
-            "ShardReassigned" => TraceEventKind::ShardReassigned,
             _ => return None,
         })
     }
@@ -237,29 +227,27 @@ impl TraceEventKind {
             TraceEventKind::PhaseSpan(_) => 1,
             TraceEventKind::ShardDispatched => 2,
             TraceEventKind::ShardCompleted => 3,
-            TraceEventKind::ShardRetried => 4,
-            TraceEventKind::ShardTimedOut => 5,
-            TraceEventKind::ShardDegraded => 6,
-            TraceEventKind::RescueAttempt => 7,
-            TraceEventKind::CheckpointWritten => 8,
-            TraceEventKind::StudyStarted => 9,
-            TraceEventKind::StudyCompleted => 10,
-            TraceEventKind::StudyDegraded => 11,
-            TraceEventKind::SweepResumed => 12,
-            TraceEventKind::QueryReceived => 13,
-            TraceEventKind::QueryServed => 14,
-            TraceEventKind::CacheHit => 15,
-            TraceEventKind::CacheMiss => 16,
-            TraceEventKind::ConnRejected => 17,
-            TraceEventKind::SlowClientEvicted => 18,
-            TraceEventKind::RetryAttempted => 19,
-            TraceEventKind::BreakerOpened => 20,
-            TraceEventKind::BreakerHalfOpen => 21,
-            TraceEventKind::ScrubPass => 22,
-            TraceEventKind::EntryQuarantined => 23,
-            TraceEventKind::EntryRepaired => 24,
-            TraceEventKind::HeartbeatMissed => 25,
-            TraceEventKind::ShardReassigned => 26,
+            TraceEventKind::ShardTimedOut => 4,
+            TraceEventKind::ShardDegraded => 5,
+            TraceEventKind::RescueAttempt => 6,
+            TraceEventKind::CheckpointWritten => 7,
+            TraceEventKind::StudyStarted => 8,
+            TraceEventKind::StudyCompleted => 9,
+            TraceEventKind::StudyDegraded => 10,
+            TraceEventKind::SweepResumed => 11,
+            TraceEventKind::QueryReceived => 12,
+            TraceEventKind::QueryServed => 13,
+            TraceEventKind::CacheHit => 14,
+            TraceEventKind::CacheMiss => 15,
+            TraceEventKind::ConnRejected => 16,
+            TraceEventKind::SlowClientEvicted => 17,
+            TraceEventKind::RetryAttempted => 18,
+            TraceEventKind::BreakerOpened => 19,
+            TraceEventKind::BreakerHalfOpen => 20,
+            TraceEventKind::ScrubPass => 21,
+            TraceEventKind::EntryQuarantined => 22,
+            TraceEventKind::EntryRepaired => 23,
+            TraceEventKind::HeartbeatMissed => 24,
         }
     }
 
@@ -275,29 +263,27 @@ impl TraceEventKind {
             1 => TraceEventKind::PhaseSpan(Phase::from_index(phase as usize)?),
             2 => TraceEventKind::ShardDispatched,
             3 => TraceEventKind::ShardCompleted,
-            4 => TraceEventKind::ShardRetried,
-            5 => TraceEventKind::ShardTimedOut,
-            6 => TraceEventKind::ShardDegraded,
-            7 => TraceEventKind::RescueAttempt,
-            8 => TraceEventKind::CheckpointWritten,
-            9 => TraceEventKind::StudyStarted,
-            10 => TraceEventKind::StudyCompleted,
-            11 => TraceEventKind::StudyDegraded,
-            12 => TraceEventKind::SweepResumed,
-            13 => TraceEventKind::QueryReceived,
-            14 => TraceEventKind::QueryServed,
-            15 => TraceEventKind::CacheHit,
-            16 => TraceEventKind::CacheMiss,
-            17 => TraceEventKind::ConnRejected,
-            18 => TraceEventKind::SlowClientEvicted,
-            19 => TraceEventKind::RetryAttempted,
-            20 => TraceEventKind::BreakerOpened,
-            21 => TraceEventKind::BreakerHalfOpen,
-            22 => TraceEventKind::ScrubPass,
-            23 => TraceEventKind::EntryQuarantined,
-            24 => TraceEventKind::EntryRepaired,
-            25 => TraceEventKind::HeartbeatMissed,
-            26 => TraceEventKind::ShardReassigned,
+            4 => TraceEventKind::ShardTimedOut,
+            5 => TraceEventKind::ShardDegraded,
+            6 => TraceEventKind::RescueAttempt,
+            7 => TraceEventKind::CheckpointWritten,
+            8 => TraceEventKind::StudyStarted,
+            9 => TraceEventKind::StudyCompleted,
+            10 => TraceEventKind::StudyDegraded,
+            11 => TraceEventKind::SweepResumed,
+            12 => TraceEventKind::QueryReceived,
+            13 => TraceEventKind::QueryServed,
+            14 => TraceEventKind::CacheHit,
+            15 => TraceEventKind::CacheMiss,
+            16 => TraceEventKind::ConnRejected,
+            17 => TraceEventKind::SlowClientEvicted,
+            18 => TraceEventKind::RetryAttempted,
+            19 => TraceEventKind::BreakerOpened,
+            20 => TraceEventKind::BreakerHalfOpen,
+            21 => TraceEventKind::ScrubPass,
+            22 => TraceEventKind::EntryQuarantined,
+            23 => TraceEventKind::EntryRepaired,
+            24 => TraceEventKind::HeartbeatMissed,
             _ => return None,
         })
     }
@@ -852,11 +838,11 @@ mod tests {
         j.set_capacity(16);
         j.enable();
         for i in 0..10u64 {
-            j.record_at(TraceEventKind::ShardRetried, TraceCtx::chip(i), i, 0);
+            j.record_at(TraceEventKind::ShardTimedOut, TraceCtx::chip(i), i, 0);
         }
         j.clear();
         assert!(j.snapshot().is_empty());
-        j.record_at(TraceEventKind::ShardRetried, TraceCtx::chip(7), 1, 0);
+        j.record_at(TraceEventKind::ShardTimedOut, TraceCtx::chip(7), 1, 0);
         let snap = j.snapshot();
         assert_eq!(snap.total_events(), 1);
         assert_eq!(snap.threads[0].events[0].ctx.chip, Some(7));

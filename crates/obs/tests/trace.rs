@@ -200,7 +200,7 @@ fn snapshot_while_writers_race_is_safe_and_untorn() {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     j.record_at(
-                        TraceEventKind::ShardRetried,
+                        TraceEventKind::ShardTimedOut,
                         TraceCtx::chip(w << 40 | i),
                         w << 40 | i,
                         0,

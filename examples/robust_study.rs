@@ -1,16 +1,15 @@
 //! The supervised parallel executor end to end: sharded workers that
-//! reproduce the serial study bit-for-bit, retry-through-faults, the
-//! degraded path with widened confidence intervals, and shard-granular
-//! checkpoint resume.
+//! reproduce the serial study bit-for-bit, the degraded path with
+//! widened confidence intervals, and shard-granular checkpoint resume.
 //!
 //! Usage:
 //! `cargo run --release --example robust_study -- [checkpoint_path]
 //!  [--trace trace.json] [--progress]`
 //!
-//! `--trace` records the structured event journal across all four demos
+//! `--trace` records the structured event journal across all three demos
 //! and writes a Perfetto-loadable Chrome trace JSON (plus `yac-trace/1`
-//! NDJSON next to it) showing each worker's shard attempts, retries and
-//! degrades on its own track. `--progress` prints live status lines to
+//! NDJSON next to it) showing each worker's shards and degrades on its
+//! own track. `--progress` prints live status lines to
 //! stderr while the studies run.
 
 use std::time::Duration;
@@ -18,11 +17,10 @@ use yac_obs::progress::{ProgressConfig, ProgressReporter};
 use yield_aware_cache::core::executor::run_checkpointed_workers_budget;
 use yield_aware_cache::prelude::*;
 
-/// Executor tuned for a demo: small shards, instant retries.
+/// Executor tuned for a demo: small shards.
 fn exec(workers: usize) -> ExecutorConfig {
     let mut e = ExecutorConfig::with_workers(workers);
     e.shard_chips = 32;
-    e.backoff = Duration::ZERO;
     e
 }
 
@@ -82,27 +80,12 @@ fn main() {
             && outcome.population.quarantine() == serial.quarantine()
     );
 
-    // Retry-through-faults: half the shards panic on their first two
-    // attempts; the retry budget recovers all of them and the result is
-    // still bit-identical.
-    let mut flaky = exec(4);
-    flaky.shard_faults = Some(ShardFaultPlan::new(0.5, 9, 2).expect("rate in [0, 1]"));
-    flaky.max_retries = 3;
-    let retries_before = registry.counter(yac_obs::Metric::ShardRetries);
-    let retried = run_supervised(&cfg, &flaky).expect("valid config");
-    println!(
-        "flaky shards: {} retries, degraded = {}, identical to serial = {}",
-        registry.counter(yac_obs::Metric::ShardRetries) - retries_before,
-        retried.is_degraded(),
-        retried.population.chips == serial.chips
-    );
-
-    // The degraded path: shards that fail every attempt are recorded,
-    // not retried forever — the study completes with the surviving
-    // chips and an honest, *widened* yield interval.
+    // The degraded path: a shard that fails is recorded at once, not
+    // retried — a rerun would draw the same chips and fail the same way.
+    // The study completes with the surviving chips and an honest,
+    // *widened* yield interval.
     let mut doomed = exec(4);
-    doomed.shard_faults = Some(ShardFaultPlan::new(0.25, 5, u32::MAX).expect("rate in [0, 1]"));
-    doomed.max_retries = 1;
+    doomed.shard_faults = Some(FaultPlan::new(0.25, 5).expect("rate in [0, 1]"));
     let degraded = run_supervised(&cfg, &doomed).expect("valid config");
     println!(
         "\ndegraded run: {} of {} chips missing across {} shard(s):",
@@ -111,13 +94,7 @@ fn main() {
         degraded.degraded.len()
     );
     for d in &degraded.degraded {
-        println!(
-            "  chips {}..{} after {} attempts: {}",
-            d.start,
-            d.start + d.len as u64,
-            d.attempts,
-            d.error
-        );
+        println!("  {}", d.error);
     }
     println!(
         "  yield {} vs complete-study {}",
@@ -146,9 +123,8 @@ fn main() {
 
     // What the supervisor saw, from the observability registry.
     println!(
-        "\nsupervisor counters: {} shards completed, {} retries, {} timeouts, {} degraded",
+        "\nsupervisor counters: {} shards completed, {} timeouts, {} degraded",
         registry.counter(yac_obs::Metric::ShardsCompleted),
-        registry.counter(yac_obs::Metric::ShardRetries),
         registry.counter(yac_obs::Metric::ShardTimeouts),
         registry.counter(yac_obs::Metric::DegradedShards),
     );

@@ -68,8 +68,8 @@ pub mod prelude {
         run_supervised, run_sweep, table2, table3, yield_interval, ChaosPlan, ChipSample,
         ConstraintSpec, DegradedShard, DisabledUnit, ExecutorConfig, FullStudy, HYapd, Hybrid,
         HybridPolicy, LossReason, MeasurementError, NaiveBinning, Population, PopulationConfig,
-        PowerDownKind, QuarantineLedger, RepairedCache, Scheme, SchemeOutcome, ShardFaultPlan,
-        StudyError, StudyOutcome, SweepConfig, SweepGrid, SweepOutcome, Vaca, WayCycleCensus, Yapd,
+        PowerDownKind, QuarantineLedger, RepairedCache, Scheme, SchemeOutcome, StudyError,
+        StudyOutcome, SweepConfig, SweepGrid, SweepOutcome, Vaca, WayCycleCensus, Yapd,
         YieldConstraints, YieldInterval,
     };
     pub use yac_obs::{Metric, Phase, Registry, RunManifest};

@@ -1,10 +1,9 @@
 //! Property tests for the supervised parallel executor, on the public
-//! facade: fault-injected, retried, sharded parallel runs must reproduce
-//! the serial study bit-for-bit, and a killed parallel run must resume
-//! to the identical result.
+//! facade: fault-injected, sharded parallel runs must reproduce the
+//! serial study bit-for-bit on every surviving shard, and a killed
+//! parallel run must resume to the identical result.
 
 use proptest::prelude::*;
-use std::time::Duration;
 use yield_aware_cache::core::executor::run_checkpointed_workers_budget;
 use yield_aware_cache::prelude::*;
 
@@ -22,7 +21,6 @@ fn config(seed: u64, fault_rate: f64) -> PopulationConfig {
 fn exec(workers: usize, shard_chips: usize) -> ExecutorConfig {
     let mut e = ExecutorConfig::with_workers(workers);
     e.shard_chips = shard_chips;
-    e.backoff = Duration::ZERO;
     e
 }
 
@@ -42,9 +40,9 @@ fn bits(pop: &Population) -> Vec<(u64, u64, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Fault-injected shards, retried to success, produce the same
-    /// LossTable as the serial path — for any worker count and shard
-    /// size.
+    /// Shard faults degrade exactly the shards the plan selects, and the
+    /// survivors equal the serial run restricted to them — chips,
+    /// quarantine and LossTable — for any worker count and shard size.
     #[test]
     fn parallel_run_with_faults_matches_serial(
         seed in any::<u64>(),
@@ -56,23 +54,31 @@ proptest! {
         // fault_step 0 = no chip faults; 1..=3 = 5/10/15% injection.
         let cfg = config(seed, 0.05 * f64::from(fault_step));
         let mut e = exec(workers, shard_chips);
-        // Shards fail their first attempt at shard_fault_rate; the
-        // default retry budget recovers all of them.
-        e.shard_faults = Some(
-            ShardFaultPlan::new(shard_fault_rate, seed ^ 0x5a5a, 1).expect("rate in range"),
-        );
+        let plan = FaultPlan::new(shard_fault_rate, seed ^ 0x5a5a).expect("rate in range");
+        e.shard_faults = Some(plan);
 
         let outcome = run_supervised(&cfg, &e).expect("valid config");
-        prop_assert!(!outcome.is_degraded());
+        let planned: Vec<u64> = (0..CHIPS.div_ceil(shard_chips) as u64)
+            .filter(|&s| plan.fault_for(seed, s).is_some())
+            .map(|s| s * shard_chips as u64)
+            .collect();
+        let degraded: Vec<u64> = outcome.degraded.iter().map(|d| d.start).collect();
+        prop_assert_eq!(degraded, planned);
 
+        let lost = |i: u64| outcome.degraded.iter().any(|d| (d.start..d.start + d.len as u64).contains(&i));
+        let survivors: Vec<u64> = (0..CHIPS as u64).filter(|&i| !lost(i)).collect();
         let serial = Population::generate_with(&cfg);
-        prop_assert_eq!(bits(&outcome.population), bits(&serial));
-        prop_assert_eq!(outcome.population.quarantine(), serial.quarantine());
+        let restricted = serial.restricted_to(&survivors);
+        prop_assert_eq!(bits(&outcome.population), bits(&restricted));
+        let kept: Vec<_> = serial.quarantine().entries().iter().filter(|q| !lost(q.index)).collect();
+        prop_assert_eq!(outcome.population.quarantine().entries().iter().collect::<Vec<_>>(), kept);
         if !serial.is_empty() {
+            // `restricted_to` clears the quarantine, so compare the
+            // tables over the chips alone.
             let c = YieldConstraints::derive(&serial, ConstraintSpec::NOMINAL);
             prop_assert_eq!(
-                render_loss_table(&table2(&outcome.population, &c)),
-                render_loss_table(&table2(&serial, &c))
+                render_loss_table(&table2(&outcome.population.restricted_to(&survivors), &c)),
+                render_loss_table(&table2(&restricted, &c))
             );
         }
     }
