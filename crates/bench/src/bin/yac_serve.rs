@@ -448,7 +448,7 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let mut config = ServiceConfig {
+    let config = ServiceConfig {
         exec: yac_core::ExecutorConfig::with_workers(args.workers.max(1)),
         max_inflight: args.max_inflight.max(1),
         cache_bytes: args.cache_bytes,
@@ -461,7 +461,6 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
         // The scrubber re-verifies the persisted snapshot too.
         scrub_file: args.cache_file.as_ref().map(std::path::PathBuf::from),
     };
-    config.exec.shard_chips = config.exec.shard_chips.min(args.chips.max(1));
     let service = Arc::new(SweepService::new(config));
 
     if let Some(path) = &args.cache_file {
@@ -795,7 +794,7 @@ fn run_torture(args: &TortureArgs) -> ExitCode {
     }
 
     let read_deadline = Duration::from_millis(250);
-    let mut config = ServiceConfig {
+    let config = ServiceConfig {
         exec: yac_core::ExecutorConfig::with_workers(2),
         max_inflight: 2,
         cache_bytes: 8 << 20,
@@ -805,7 +804,6 @@ fn run_torture(args: &TortureArgs) -> ExitCode {
         retry_after_ms: 25,
         ..ServiceConfig::default()
     };
-    config.exec.shard_chips = config.exec.shard_chips.min(args.chips.max(1));
     let service = Arc::new(SweepService::new(config));
     let listener = match std::net::TcpListener::bind("127.0.0.1:0") {
         Ok(l) => l,

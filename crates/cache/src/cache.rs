@@ -56,6 +56,9 @@ pub struct AccessOutcome {
 pub struct SetAssocCache {
     config: CacheConfig,
     lines: Vec<Line>,
+    /// Per set, the ways that may hold its blocks (bit `w` for way `w`):
+    /// the way enables and the H-YAPD remap, folded once at construction.
+    available: Vec<u64>,
     /// Tree-PLRU state: one bit per internal node, per set (unused for the
     /// other policies).
     plru: Vec<u64>,
@@ -75,10 +78,14 @@ impl SetAssocCache {
     pub fn new(config: CacheConfig) -> Result<Self, CacheConfigError> {
         config.validate()?;
         let lines = vec![Line::default(); config.sets * config.ways];
+        let available = (0..config.sets)
+            .map(|set| config.region_mask(config.region_of_set(set)))
+            .collect();
         let plru = vec![0u64; config.sets];
         Ok(SetAssocCache {
             config,
             lines,
+            available,
             plru,
             rng_state: 0x243f_6a88_85a3_08d3,
             clock: 0,
@@ -160,46 +167,59 @@ impl SetAssocCache {
         lo
     }
 
+    /// The lines of `set`, indexed by way.
+    fn set_lines(&self, set: usize) -> &[Line] {
+        let ways = self.config.ways;
+        &self.lines[set * ways..(set + 1) * ways]
+    }
+
+    /// The available way of `set` holding `tag`, if any.
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let lines = self.set_lines(set);
+        ways_of(self.available[set]).find(|&w| lines[w].valid && lines[w].tag == tag)
+    }
+
     /// Victim choice among the available ways of a set: invalid ways first
     /// (rotating), then the policy's coldest valid way. Runs on every
-    /// miss, so it walks the set's ways in place rather than collecting
-    /// the candidates.
+    /// miss, so one pass over the available ways gathers both the invalid
+    /// ways and the least-recently-used valid one.
     fn choose_victim(&mut self, set: usize) -> usize {
-        let ways = self.config.ways;
-        let config = &self.config;
-        let lines = &self.lines[set * ways..(set + 1) * ways];
-        let available = |w: &usize| config.way_available(set, *w);
-        let invalid = |w: &usize| available(w) && !lines[*w].valid;
+        let available = self.available[set];
+        let lines = self.set_lines(set);
+        let mut invalid = 0u64;
+        let mut lru = (u64::MAX, 0);
+        for w in ways_of(available) {
+            if !lines[w].valid {
+                invalid |= 1 << w;
+            } else if lines[w].last_use < lru.0 {
+                lru = (lines[w].last_use, w);
+            }
+        }
         self.fills += 1;
         // Invalid-first, rotating so cold fills spread over the ways.
-        let invalid_count = (0..ways).filter(invalid).count();
-        if invalid_count > 0 {
-            let k = (self.fills % invalid_count as u64) as usize;
-            return (0..ways).filter(invalid).nth(k).expect("k < count");
+        if invalid != 0 {
+            let k = self.fills % u64::from(invalid.count_ones());
+            return nth_way(invalid, k);
         }
-        match config.replacement {
-            ReplacementPolicy::TrueLru => (0..ways)
-                .filter(available)
-                .min_by_key(|&w| lines[w].last_use)
-                .expect("non-empty"),
+        match self.config.replacement {
+            ReplacementPolicy::TrueLru => lru.1,
             ReplacementPolicy::TreePlru => {
                 let v = self.plru_victim(set);
-                if available(&v) {
+                if available & (1 << v) != 0 {
                     v
                 } else {
                     // The tree pointed at a powered-down way: take the
-                    // nearest available one (a real implementation would
-                    // fuse the enable mask into the tree).
-                    (0..ways)
-                        .filter(available)
+                    // nearest available one, the lower on a tie (a real
+                    // implementation would fuse the enable mask into the
+                    // tree).
+                    ways_of(available)
                         .min_by_key(|w| w.abs_diff(v))
                         .expect("non-empty")
                 }
             }
             ReplacementPolicy::Random => {
-                let count = (0..ways).filter(available).count();
-                let k = (xorshift(&mut self.rng_state) % count as u64) as usize;
-                (0..ways).filter(available).nth(k).expect("k < count")
+                let count = u64::from(available.count_ones());
+                nth_way(available, xorshift(&mut self.rng_state) % count)
             }
         }
     }
@@ -211,28 +231,22 @@ impl SetAssocCache {
         let tag = self.config.tag_of(addr);
         self.stats.record_access(kind);
 
-        // Hit check among available ways.
-        for way in 0..self.config.ways {
-            if !self.config.way_available(set, way) {
-                continue;
-            }
+        if let Some(way) = self.find(set, tag) {
             let idx = self.line_index(set, way);
-            if self.lines[idx].valid && self.lines[idx].tag == tag {
-                self.lines[idx].last_use = self.clock;
-                if kind == AccessKind::Write {
-                    self.lines[idx].dirty = true;
-                }
-                if self.config.replacement == ReplacementPolicy::TreePlru {
-                    self.plru_touch(set, way);
-                }
-                self.stats.record_hit(kind);
-                return AccessOutcome {
-                    hit: true,
-                    way,
-                    latency: self.config.way_latency[way],
-                    writeback: None,
-                };
+            self.lines[idx].last_use = self.clock;
+            if kind == AccessKind::Write {
+                self.lines[idx].dirty = true;
             }
+            if self.config.replacement == ReplacementPolicy::TreePlru {
+                self.plru_touch(set, way);
+            }
+            self.stats.record_hit(kind);
+            return AccessOutcome {
+                hit: true,
+                way,
+                latency: self.config.way_latency[way],
+                writeback: None,
+            };
         }
 
         // Miss: fill an invalid way first (rotating, so cold fills spread
@@ -284,9 +298,9 @@ impl SetAssocCache {
             (evicted.valid && evicted.dirty).then(|| self.rebuild_address(evicted.tag, set));
         // A prefetched block enters cold: least-recently-used among valid
         // lines so a useless prefetch is the first thing evicted.
-        let lru_floor = (0..self.config.ways)
-            .filter(|&w| self.config.way_available(set, w))
-            .map(|w| self.lines[self.line_index(set, w)].last_use)
+        let lines = self.set_lines(set);
+        let lru_floor = ways_of(self.available[set])
+            .map(|w| lines[w].last_use)
             .min()
             .unwrap_or(0);
         self.lines[idx] = Line {
@@ -301,29 +315,18 @@ impl SetAssocCache {
     /// Checks for presence without disturbing LRU or statistics.
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.config.set_of(addr);
-        let tag = self.config.tag_of(addr);
-        (0..self.config.ways).any(|way| {
-            self.config.way_available(set, way) && {
-                let line = &self.lines[self.line_index(set, way)];
-                line.valid && line.tag == tag
-            }
-        })
+        self.find(self.config.set_of(addr), self.config.tag_of(addr))
+            .is_some()
     }
 
     /// Invalidates a block if present, returning whether it was dirty.
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
         let set = self.config.set_of(addr);
-        let tag = self.config.tag_of(addr);
-        for way in 0..self.config.ways {
-            let idx = self.line_index(set, way);
-            if self.lines[idx].valid && self.lines[idx].tag == tag {
-                let dirty = self.lines[idx].dirty;
-                self.lines[idx] = Line::default();
-                return Some(dirty);
-            }
-        }
-        None
+        let way = self.find(set, self.config.tag_of(addr))?;
+        let idx = self.line_index(set, way);
+        let dirty = self.lines[idx].dirty;
+        self.lines[idx] = Line::default();
+        Some(dirty)
     }
 
     /// Number of valid lines currently held.
@@ -336,6 +339,22 @@ impl SetAssocCache {
         (tag << (self.config.block_shift() + self.config.sets.trailing_zeros()))
             | ((set as u64) << self.config.block_shift())
     }
+}
+
+/// The ways of a way mask, lowest first.
+fn ways_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let way = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            way
+        })
+    })
+}
+
+/// The `k`-th lowest way of a way mask with more than `k` ways.
+fn nth_way(mask: u64, k: u64) -> usize {
+    ways_of(mask).nth(k as usize).expect("k < ways in the mask")
 }
 
 /// One xorshift64 step of the random policy's state.

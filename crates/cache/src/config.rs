@@ -5,6 +5,10 @@
 use crate::error::{CacheConfigError, CacheConfigIssue};
 use std::fmt;
 
+/// Most ways a cache may have: the simulator keeps each set's usable ways
+/// as a 64-bit mask.
+pub const MAX_WAYS: usize = 64;
+
 /// Block replacement policy.
 ///
 /// The paper's model (and this crate's default) is true LRU; real L1
@@ -141,17 +145,28 @@ impl CacheConfig {
     /// by every address equal.
     #[must_use]
     pub fn way_available(&self, set: usize, way: usize) -> bool {
-        if !self.way_enabled[way] {
-            return false;
+        self.way_enabled[way]
+            && (self.disabled_h_region.is_none()
+                || self.blocked_way(self.region_of_set(set)) != Some(way))
+    }
+
+    /// The vertical way H-YAPD takes from address region `region`, if a
+    /// horizontal region is disabled.
+    fn blocked_way(&self, region: usize) -> Option<usize> {
+        self.disabled_h_region
+            .map(|h| (h + self.ways - (region % self.ways)) % self.ways)
+    }
+
+    /// The ways of address region `region` that may hold blocks, as a
+    /// bitmask with bit `w` for way `w`. Needs at most [`MAX_WAYS`] ways.
+    pub(crate) fn region_mask(&self, region: usize) -> u64 {
+        let enabled = (0..self.ways)
+            .filter(|&w| self.way_enabled[w])
+            .fold(0u64, |mask, w| mask | 1 << w);
+        match self.blocked_way(region) {
+            Some(way) => enabled & !(1 << way),
+            None => enabled,
         }
-        if let Some(h) = self.disabled_h_region {
-            let region = self.region_of_set(set);
-            let blocked = (h + self.ways - (region % self.ways)) % self.ways;
-            if way == blocked {
-                return false;
-            }
-        }
-        true
     }
 
     /// Number of ways available to a given set.
@@ -201,7 +216,14 @@ impl CacheConfig {
         if !self.way_enabled.iter().any(|&e| e) {
             return fail(CacheConfigIssue::AllWaysDisabled);
         }
-        if (0..self.sets).any(|s| self.available_ways(s) == 0) {
+        if self.ways > MAX_WAYS {
+            return fail(CacheConfigIssue::TooManyWays);
+        }
+        // Every region holds sets (the regions divide the sets evenly),
+        // and every set of a region sees the same ways.
+        if self.disabled_h_region.is_some()
+            && (0..self.address_regions).any(|r| self.region_mask(r) == 0)
+        {
             return fail(CacheConfigIssue::UnreachableSet);
         }
         if self.replacement == ReplacementPolicy::TreePlru && !self.ways.is_power_of_two() {
@@ -345,6 +367,36 @@ mod tests {
         let mut cfg = CacheConfig::l1d_paper();
         cfg.way_latency[0] = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn way_masks_cap_the_associativity_at_64() {
+        let issue = |ways: usize| {
+            CacheConfig::uniform("wide", 64, ways, 32, 4)
+                .validate()
+                .err()
+                .map(|e| e.issue)
+        };
+        assert_eq!(issue(MAX_WAYS), None);
+        assert_eq!(issue(MAX_WAYS + 1), Some(CacheConfigIssue::TooManyWays));
+        let mut cfg = CacheConfig::uniform("wide", 64, MAX_WAYS, 32, 4);
+        cfg.disabled_h_region = Some(3);
+        assert_eq!(cfg.region_mask(0), !(1 << 3));
+        assert_eq!(cfg.region_mask(1), !(1 << 2));
+    }
+
+    #[test]
+    fn a_region_left_without_ways_is_unreachable() {
+        // One way on: the H-YAPD remap takes it from exactly one region.
+        for h in 0..4 {
+            let mut cfg = CacheConfig::l1d_paper();
+            cfg.way_enabled = vec![false, false, true, false];
+            cfg.disabled_h_region = Some(h);
+            let err = cfg.validate().unwrap_err();
+            assert_eq!(err.issue, CacheConfigIssue::UnreachableSet);
+            let unreachable = (0..cfg.sets).filter(|&s| cfg.available_ways(s) == 0);
+            assert_eq!(unreachable.count(), cfg.sets / cfg.address_regions);
+        }
     }
 
     #[test]

@@ -30,6 +30,9 @@ pub enum CacheConfigIssue {
     UnevenAddressRegions,
     /// Every way is disabled.
     AllWaysDisabled,
+    /// More ways than the simulator's per-set way masks hold
+    /// ([`crate::config::MAX_WAYS`]).
+    TooManyWays,
     /// Some set is left with no way it can use.
     UnreachableSet,
     /// Tree PLRU with a non-power-of-two associativity.
@@ -49,6 +52,7 @@ impl fmt::Display for CacheConfigIssue {
             CacheConfigIssue::DisabledRegionOutOfRange => "disabled region out of range",
             CacheConfigIssue::UnevenAddressRegions => "address regions must evenly divide the sets",
             CacheConfigIssue::AllWaysDisabled => "at least one way must stay enabled",
+            CacheConfigIssue::TooManyWays => "associativity must not exceed 64 ways",
             CacheConfigIssue::UnreachableSet => "some set has no available way",
             CacheConfigIssue::TreePlruNeedsPowerOfTwo => {
                 "tree PLRU needs a power-of-two associativity"

@@ -12,7 +12,7 @@ use crate::schemes::{Hybrid, PowerDownKind, Vaca, Yapd};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use yac_cache::{CacheConfig, HierarchyConfig, MemoryHierarchy};
 use yac_circuit::CacheVariant;
 use yac_pipeline::{Pipeline, PipelineConfig};
@@ -216,11 +216,13 @@ fn simulation_key(l1d: &CacheConfig) -> CacheConfig {
 /// [`SuiteRun`] per L1D, in input order.
 ///
 /// L1Ds with the same [`simulation_key`] are simulated once. Each
-/// benchmark is one task on a [`WorkerPool`] built for the call with one
-/// worker per available core (at most one per task): the task generates
-/// the benchmark's trace once and runs every distinct L1D over it. Each
-/// (benchmark, L1D) cell runs under its own `catch_unwind`, so a failure
-/// stays in its cell and the pool never sees it.
+/// (benchmark, distinct L1D) cell is one task on a [`WorkerPool`] built
+/// for the call with one worker per available core (at most one per
+/// task), submitted benchmark by benchmark. A benchmark's trace is
+/// generated once, by whichever of its cells runs first, and freed with
+/// its last cell, so the FIFO queue keeps only O(workers) traces alive.
+/// Each cell runs under its own `catch_unwind`, so a failure stays in its
+/// cell and the pool never sees it.
 fn suite_batch(
     l1ds: &[CacheConfig],
     pipeline: &PipelineConfig,
@@ -242,35 +244,44 @@ fn suite_batch(
 
     let profiles = spec2000::all_profiles();
     let job = Arc::new((distinct, pipeline.clone(), *opts));
+    let tasks = profiles.len() * job.0.len();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let pool = WorkerPool::new(cores.min(profiles.len()));
+    let pool = WorkerPool::new(cores.min(tasks));
     let (tx, rx) = mpsc::channel();
     for (b, profile) in profiles.iter().cloned().enumerate() {
-        let (job, tx) = (Arc::clone(&job), tx.clone());
-        pool.submit(Box::new(move |_worker| {
-            let (l1ds, pipeline, opts) = &*job;
-            let _ = tx.send((b, benchmark_cells(profile, l1ds, pipeline, opts)));
-        }));
+        let bench = Arc::new(Benchmark {
+            profile,
+            trace: OnceLock::new(),
+        });
+        for l in 0..job.0.len() {
+            let (job, bench, tx) = (Arc::clone(&job), Arc::clone(&bench), tx.clone());
+            pool.submit(Box::new(move |_worker| {
+                let (l1ds, pipeline, opts) = &*job;
+                let _ = tx.send((b, l, bench.cell(l1ds, l, pipeline, opts)));
+            }));
+        }
     }
     drop(tx);
     pool.shutdown();
-    let mut cells: Vec<(usize, Vec<Result<f64, String>>)> = rx.into_iter().collect();
-    cells.sort_unstable_by_key(|&(b, _)| b);
-    assert_eq!(cells.len(), profiles.len(), "a benchmark task died");
+    let mut grid: Vec<Vec<Option<Result<f64, String>>>> =
+        vec![vec![None; job.0.len()]; profiles.len()];
+    for (b, l, cell) in rx {
+        grid[b][l] = Some(cell);
+    }
 
     let runs: Vec<SuiteRun> = (0..job.0.len())
         .map(|l| {
             let mut cpis = Vec::with_capacity(profiles.len());
             let mut failures = Vec::new();
-            for (profile, (_, benchmark)) in profiles.iter().zip(&cells) {
-                let error = match benchmark[l] {
-                    Ok(cpi) if cpi.is_finite() && cpi > 0.0 => {
+            for (profile, benchmark) in profiles.iter().zip(&grid) {
+                let error = match benchmark[l].as_ref().expect("a benchmark cell died") {
+                    &Ok(cpi) if cpi.is_finite() && cpi > 0.0 => {
                         yac_obs::inc(yac_obs::Metric::BenchmarksSimulated);
                         cpis.push((profile.name, cpi));
                         continue;
                     }
                     Ok(cpi) => format!("non-finite or non-positive CPI ({cpi})"),
-                    Err(ref message) => format!("worker panicked: {message}"),
+                    Err(message) => format!("worker panicked: {message}"),
                 };
                 failures.push(BenchmarkFailure {
                     benchmark: profile.name,
@@ -319,37 +330,46 @@ fn shared_trace(
     trace
 }
 
-/// One benchmark's task: simulates it on every L1D, each cell isolated.
-/// A lone L1D streams its trace as [`benchmark_cpi`] does; several share
-/// one trace generated up front, and a run that reaches the end of it
-/// panics. A panic becomes that cell's error message.
-fn benchmark_cells(
+/// One benchmark of a batch, shared by its cells.
+struct Benchmark {
     profile: BenchmarkProfile,
-    l1ds: &[CacheConfig],
-    pipeline: &PipelineConfig,
-    opts: &PerfOptions,
-) -> Vec<Result<f64, String>> {
-    let _timer = yac_obs::phase(yac_obs::Phase::PipelineSim);
-    if let [l1d] = l1ds {
-        return vec![isolated(|| benchmark_cpi(profile, l1d, pipeline, opts))];
-    }
-    let trace = match isolated(|| shared_trace(profile, pipeline, opts)) {
-        Ok(trace) => trace,
-        Err(message) => return vec![Err(message); l1ds.len()],
-    };
-    l1ds.iter()
-        .map(|l1d| {
-            isolated(|| {
-                let past_end = std::iter::from_fn(|| -> Option<MicroOp> {
-                    panic!(
-                        "simulation ran past the end of the shared {}-op trace",
-                        trace.len()
-                    )
-                });
-                cpi_on(trace.iter().copied().chain(past_end), l1d, pipeline, opts)
-            })
+    /// The shared trace, generated by the first cell that needs it (or
+    /// the message of its failure); freed with the last cell's task.
+    trace: OnceLock<Result<Vec<MicroOp>, String>>,
+}
+
+impl Benchmark {
+    /// The task of cell (this benchmark, `l1ds[l]`), isolated. A lone
+    /// L1D streams its trace as [`benchmark_cpi`] does; several share one
+    /// trace, and a run that reaches the end of it panics. A panic
+    /// becomes the cell's error message.
+    fn cell(
+        &self,
+        l1ds: &[CacheConfig],
+        l: usize,
+        pipeline: &PipelineConfig,
+        opts: &PerfOptions,
+    ) -> Result<f64, String> {
+        let _timer = yac_obs::phase(yac_obs::Phase::PipelineSim);
+        let l1d = &l1ds[l];
+        if l1ds.len() == 1 {
+            return isolated(|| benchmark_cpi(self.profile.clone(), l1d, pipeline, opts));
+        }
+        let trace = self
+            .trace
+            .get_or_init(|| isolated(|| shared_trace(self.profile.clone(), pipeline, opts)))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        isolated(|| {
+            let past_end = std::iter::from_fn(|| -> Option<MicroOp> {
+                panic!(
+                    "simulation ran past the end of the shared {}-op trace",
+                    trace.len()
+                )
+            });
+            cpi_on(trace.iter().copied().chain(past_end), l1d, pipeline, opts)
         })
-        .collect()
+    }
 }
 
 /// Runs `f`, turning a panic into its message.

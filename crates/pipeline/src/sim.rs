@@ -33,13 +33,19 @@
 //!   speculative and post-replay readiness rules. The scheduler then
 //!   picks oldest-first among the ops whose cycle has come and visits no
 //!   other entry.
+//! * **Event wheels.** Every future event sits in a bucket of a ring
+//!   indexed by its cycle: functional-unit arrivals (64 cycles),
+//!   completions, announces and wakeups (1024 cycles). A waiting op is
+//!   filed once, under its current wake cycle, and leaves its bucket as
+//!   soon as that cycle changes, so no event is ever stale. The rarer
+//!   events further out than 1024 cycles wait in min-queues.
 //! * **Idle-cycle skipping.** A cycle in which nothing can commit,
 //!   complete, arrive at a functional unit, be scheduled, dispatch or
 //!   fetch is one step that provably does nothing; its only effects are
 //!   the cycle count and the dispatch/fetch stall counters, which are
 //!   charged in bulk for the whole gap up to the next event.
 //!
-//! Both are exact: every [`SimStats`] field equals the plain per-cycle
+//! All are exact: every [`SimStats`] field equals the plain per-cycle
 //! scan's (the `sim_golden` test holds the digest of a large matrix).
 
 use crate::config::PipelineConfig;
@@ -53,10 +59,10 @@ use yac_workload::{MicroOp, OpClass};
 
 /// Horizon of the FU-arrival ring (must exceed sched_to_exec + bypass).
 const ARRIVAL_HORIZON: usize = 64;
-/// Horizon of the completion ring. Completions further out than this
-/// wait in an overflow queue instead.
-const COMPLETION_HORIZON: usize = 1024;
-const _: () = assert!(ARRIVAL_HORIZON.is_power_of_two() && COMPLETION_HORIZON.is_power_of_two());
+/// Horizon of the event wheels: completions, announces and wakeups. An
+/// event further out than this waits in its wheel's overflow queue.
+const WHEEL_HORIZON: usize = 1024;
+const _: () = assert!(ARRIVAL_HORIZON.is_power_of_two() && WHEEL_HORIZON.is_power_of_two());
 /// Most ROB slots a pipeline may have: slot indices are `u16`, with
 /// [`NIL`] kept free as the end-of-list mark.
 const MAX_SLOTS: usize = 1 << 15;
@@ -201,22 +207,17 @@ impl SlotSet {
 
     /// Members in ring order starting at slot `start`: `start..` first,
     /// then the slots below `start`.
-    fn ring_order(&self, start: usize) -> RingOrder<'_> {
-        let word = start / 64;
-        let bit = start % 64;
-        RingOrder {
-            words: &self.words,
-            word,
-            bits: self.words[word] & (u64::MAX << bit),
-            left: self.words.len(),
-            wrapped_bits: (1 << bit) - 1,
-        }
+    fn ring_order(&self, start: usize) -> RingOrder<impl Fn(usize) -> u64 + '_> {
+        RingOrder::new(|w| self.words[w], self.words.len(), start)
     }
 }
 
-/// Iterator of [`SlotSet::ring_order`]: one bitset word at a time.
-struct RingOrder<'a> {
-    words: &'a [u64],
+/// Members of a bitset in ring order, one word at a time; the words are
+/// read through `word_at`, so a union of sets needs no copy.
+struct RingOrder<W> {
+    word_at: W,
+    /// Number of words, a power of two.
+    len: usize,
     word: usize,
     /// Members of `word` not yet yielded.
     bits: u64,
@@ -226,7 +227,22 @@ struct RingOrder<'a> {
     wrapped_bits: u64,
 }
 
-impl Iterator for RingOrder<'_> {
+impl<W: Fn(usize) -> u64> RingOrder<W> {
+    fn new(word_at: W, len: usize, start: usize) -> Self {
+        let word = start / 64;
+        let bit = start % 64;
+        RingOrder {
+            bits: word_at(word) & (u64::MAX << bit),
+            word_at,
+            len,
+            word,
+            left: len,
+            wrapped_bits: (1 << bit) - 1,
+        }
+    }
+}
+
+impl<W: Fn(usize) -> u64> Iterator for RingOrder<W> {
     type Item = usize;
 
     fn next(&mut self) -> Option<usize> {
@@ -235,8 +251,8 @@ impl Iterator for RingOrder<'_> {
                 return None;
             }
             self.left -= 1;
-            self.word = (self.word + 1) & (self.words.len() - 1);
-            self.bits = self.words[self.word];
+            self.word = (self.word + 1) & (self.len - 1);
+            self.bits = (self.word_at)(self.word);
             if self.left == 0 {
                 self.bits &= self.wrapped_bits;
             }
@@ -282,13 +298,17 @@ impl CycleRing {
         self.busy.insert(b);
     }
 
-    /// Empties `now`'s bucket into `out`.
+    /// Empties `now`'s bucket into `out`. Every stepped cycle drains
+    /// each ring, mostly finding nothing, so the drains are forced
+    /// inline: out of line they cost about 2.5% of a simulation.
+    #[inline(always)]
     fn drain_into(&mut self, now: u64, out: &mut Vec<u16>) {
         let b = self.bucket(now);
-        let mut slot = std::mem::replace(&mut self.heads[b], NIL);
+        let mut slot = self.heads[b];
         if slot == NIL {
             return;
         }
+        self.heads[b] = NIL;
         self.busy.remove(b);
         while slot != NIL {
             out.push(slot);
@@ -298,26 +318,151 @@ impl CycleRing {
 
     /// The first cycle at or after `now` with a booked event.
     fn next_busy(&self, now: u64) -> u64 {
-        let start = self.bucket(now);
-        self.busy.ring_order(start).next().map_or(NEVER, |b| {
-            now + ((b as u64).wrapping_sub(start as u64) & self.mask)
-        })
+        CycleRing::next_busy_of(&[self], now)
+    }
+
+    /// The first cycle at or after `now` with an event booked on any of
+    /// `rings`, which share one horizon: one pass over the union of
+    /// their busy sets.
+    fn next_busy_of(rings: &[&CycleRing], now: u64) -> u64 {
+        let first = rings[0];
+        debug_assert!(rings.iter().all(|r| r.mask == first.mask));
+        let start = first.bucket(now);
+        let union = |w: usize| rings.iter().fold(0, |bits, r| bits | r.busy.words[w]);
+        RingOrder::new(union, first.busy.words.len(), start)
+            .next()
+            .map_or(NEVER, |b| {
+                now + ((b as u64).wrapping_sub(start as u64) & first.mask)
+            })
+    }
+}
+
+/// A [`CycleRing`] of [`WHEEL_HORIZON`] cycles whose events further out
+/// than that wait in a min-queue of `(cycle, slot)` until they are due.
+#[derive(Debug)]
+struct EventRing {
+    near: CycleRing,
+    far: BinaryHeap<Reverse<(u64, u16)>>,
+}
+
+impl EventRing {
+    fn new(slots: usize) -> Self {
+        EventRing {
+            near: CycleRing::new(WHEEL_HORIZON, slots),
+            far: BinaryHeap::new(),
+        }
+    }
+
+    /// Books `slot` for `cycle`, which lies after `now`.
+    fn push(&mut self, now: u64, cycle: u64, slot: u16) {
+        debug_assert!(cycle > now);
+        if cycle - now < WHEEL_HORIZON as u64 {
+            self.near.push(cycle, slot);
+        } else {
+            self.far.push(Reverse((cycle, slot)));
+        }
+    }
+
+    /// Empties the events due at `now` into `out`.
+    #[inline(always)]
+    fn drain_into(&mut self, now: u64, out: &mut Vec<u16>) {
+        self.near.drain_into(now, out);
+        while let Some(&Reverse((at, slot))) = self.far.peek() {
+            if at > now {
+                break;
+            }
+            self.far.pop();
+            out.push(slot);
+        }
+    }
+
+    /// The cycle of the earliest event past the ring's horizon.
+    fn next_far(&self) -> u64 {
+        next_event(&self.far)
+    }
+}
+
+/// Waiting ops by wake cycle, up to [`WHEEL_HORIZON`] cycles ahead: a
+/// [`CycleRing`] whose bucket lists are linked both ways, so an op whose
+/// wake cycle changes leaves its old bucket at once and every filed op
+/// is due at its bucket's cycle.
+#[derive(Debug)]
+struct WakeWheel {
+    ring: CycleRing,
+    /// Per slot, the previous op of its bucket, or [`NIL`] at the head.
+    prev: Box<[u16]>,
+    /// Per slot, the bucket it is filed in, or [`NIL`].
+    filed: Box<[u16]>,
+}
+
+impl WakeWheel {
+    fn new(slots: usize) -> Self {
+        WakeWheel {
+            ring: CycleRing::new(WHEEL_HORIZON, slots),
+            prev: vec![NIL; slots].into_boxed_slice(),
+            filed: vec![NIL; slots].into_boxed_slice(),
+        }
+    }
+
+    /// Files the unfiled `slot` under `cycle`, less than a horizon ahead.
+    fn file(&mut self, cycle: u64, slot: u16) {
+        let s = usize::from(slot);
+        debug_assert_eq!(self.filed[s], NIL, "slot {slot} filed twice");
+        let b = self.ring.bucket(cycle);
+        let head = self.ring.heads[b];
+        if head != NIL {
+            self.prev[usize::from(head)] = slot;
+        }
+        self.prev[s] = NIL;
+        self.filed[s] = b as u16;
+        self.ring.push(cycle, slot);
+    }
+
+    /// Takes `slot` out of its bucket, if it is filed.
+    fn unfile(&mut self, slot: u16) {
+        let s = usize::from(slot);
+        let b = std::mem::replace(&mut self.filed[s], NIL);
+        if b == NIL {
+            return;
+        }
+        let (prev, next) = (self.prev[s], self.ring.next[s]);
+        if next != NIL {
+            self.prev[usize::from(next)] = prev;
+        }
+        if prev != NIL {
+            self.ring.next[usize::from(prev)] = next;
+        } else {
+            let b = usize::from(b);
+            self.ring.heads[b] = next;
+            if next == NIL {
+                self.ring.busy.remove(b);
+            }
+        }
+    }
+
+    /// Moves the ops filed under `now` into `ready`.
+    #[inline(always)]
+    fn drain_into(&mut self, now: u64, ready: &mut SlotSet) {
+        let b = self.ring.bucket(now);
+        let mut slot = self.ring.heads[b];
+        if slot == NIL {
+            return;
+        }
+        self.ring.heads[b] = NIL;
+        self.ring.busy.remove(b);
+        while slot != NIL {
+            let s = usize::from(slot);
+            self.filed[s] = NIL;
+            ready.insert(s);
+            slot = self.ring.next[s];
+        }
     }
 }
 
 /// A min-queue of `(cycle, seq)` events.
 type EventQueue = BinaryHeap<Reverse<(u64, u64)>>;
 
-/// Pops an event due by `now`, if any.
-fn pop_due(queue: &mut EventQueue, now: u64) -> Option<u64> {
-    let &Reverse((at, seq)) = queue.peek()?;
-    (at <= now).then(|| {
-        queue.pop();
-        seq
-    })
-}
-
-fn next_event(queue: &EventQueue) -> u64 {
+fn next_event<T: Ord + Copy>(queue: &BinaryHeap<Reverse<(u64, T)>>) -> u64 {
     queue.peek().map_or(NEVER, |&Reverse((at, _))| at)
 }
 
@@ -361,18 +506,21 @@ pub struct Pipeline {
     trace_done: bool,
     /// Functional-unit arrivals by `exec_at`.
     arrivals: CycleRing,
-    /// Result completions by `done_at`, up to a horizon ahead.
-    completions: CycleRing,
-    /// Completions further out than the completion ring's horizon.
-    far_completions: EventQueue,
+    /// Result completions by `done_at`.
+    completions: EventRing,
     /// Executing loads whose result is later than the scheduler assumed,
-    /// by `(announce_at, seq)`: the cycle their dependants' predicted
-    /// operand time moves from the assumed to the actual one.
-    announces: EventQueue,
-    /// Waiting ops by `(wake_at, seq)` whose wake cycle lies in the
-    /// future. Lazily pruned: an event whose op is no longer waiting, or
-    /// whose `wake_at` has since changed, is dropped when it surfaces.
-    wakeups: EventQueue,
+    /// by `announce_at`: the cycle their dependants' predicted operand
+    /// time moves from the assumed to the actual one. It always lies
+    /// `assumed_load_latency` cycles after the booking.
+    announces: EventRing,
+    /// Waiting ops whose `wake_at` lies in the future, within the wheel's
+    /// horizon. Each is filed once, under its current `wake_at`.
+    wakeups: WakeWheel,
+    /// Waiting ops by `(wake_at, seq)` whose wake cycle lies past the
+    /// wheel's horizon. Lazily pruned: an event whose op is no longer
+    /// waiting, or whose `wake_at` has since changed, is dropped when it
+    /// surfaces.
+    far_wakeups: EventQueue,
     /// Waiting ops the scheduler may pick this cycle, by ROB slot.
     ready: SlotSet,
     /// Scratch list of the ROB slots one phase handles (arrivals,
@@ -430,10 +578,10 @@ impl Pipeline {
             last_fetch_block: u64::MAX,
             trace_done: false,
             arrivals: CycleRing::new(ARRIVAL_HORIZON, slots),
-            completions: CycleRing::new(COMPLETION_HORIZON, slots),
-            far_completions: EventQueue::new(),
-            announces: EventQueue::new(),
-            wakeups: EventQueue::new(),
+            completions: EventRing::new(slots),
+            announces: EventRing::new(slots),
+            wakeups: WakeWheel::new(slots),
+            far_wakeups: EventQueue::new(),
             ready: SlotSet::new(slots),
             batch: Vec::new(),
             fu_limits,
@@ -573,12 +721,17 @@ impl Pipeline {
         if !self.ready.is_empty() {
             return;
         }
+        let wheels = [
+            &self.completions.near,
+            &self.announces.near,
+            &self.wakeups.ring,
+        ];
         let mut next = (self.last_commit_cycle + DEADLOCK_LIMIT - 1)
-            .min(self.completions.next_busy(now))
-            .min(next_event(&self.far_completions))
+            .min(CycleRing::next_busy_of(&wheels, now))
             .min(self.arrivals.next_busy(now))
-            .min(next_event(&self.announces))
-            .min(next_event(&self.wakeups));
+            .min(self.completions.next_far())
+            .min(self.announces.next_far())
+            .min(next_event(&self.far_wakeups));
         if !self.trace_done && !self.fetch_blocked && now < self.fetch_resume_at {
             next = next.min(self.fetch_resume_at);
         }
@@ -705,18 +858,21 @@ impl Pipeline {
         }
         let wake_at = self.wake_cycle(e);
         if wake_at == e.wake_at && wake_at > self.now {
-            // Unchanged and still ahead: its wakeup event is queued and
-            // live, and the op is not in the ready set.
+            // Unchanged and still ahead: it is filed under that cycle,
+            // and not in the ready set.
             return;
         }
         self.rob[slot].wake_at = wake_at;
+        self.wakeups.unfile(slot as u16);
         if wake_at <= self.now {
             self.ready.insert(slot);
         } else {
             self.ready.remove(slot);
-            if wake_at != NEVER {
+            if wake_at - self.now < WHEEL_HORIZON as u64 {
+                self.wakeups.file(wake_at, slot as u16);
+            } else if wake_at != NEVER {
                 let seq = self.seq_at(slot as u16);
-                self.wakeups.push(Reverse((wake_at, seq)));
+                self.far_wakeups.push(Reverse((wake_at, seq)));
             }
         }
     }
@@ -735,17 +891,18 @@ impl Pipeline {
         }
     }
 
-    /// Moves the wakeups due by now into the ready set and drops stale
-    /// ones, leaving the earliest live future wakeup on top.
+    /// Moves the wakeups due now into the ready set, and drops stale far
+    /// ones, leaving the earliest live far wakeup on top.
     fn promote_wakeups(&mut self) {
-        while let Some(&Reverse((at, seq))) = self.wakeups.peek() {
+        self.wakeups.drain_into(self.now, &mut self.ready);
+        while let Some(&Reverse((at, seq))) = self.far_wakeups.peek() {
             let live = self
                 .entry(seq)
                 .is_some_and(|e| e.phase == Phase::Waiting && e.wake_at == at);
             if live && at > self.now {
                 break;
             }
-            self.wakeups.pop();
+            self.far_wakeups.pop();
             if live {
                 self.ready.insert(self.slot(seq));
             }
@@ -805,12 +962,9 @@ impl Pipeline {
 
     fn complete(&mut self) {
         let now = self.now;
-        let mut slots = std::mem::take(&mut self.batch);
-        self.completions.drain_into(now, &mut slots);
-        while let Some(seq) = pop_due(&mut self.far_completions, now) {
-            slots.push(self.slot(seq) as u16);
-        }
-        for &slot in &slots {
+        self.completions.drain_into(now, &mut self.batch);
+        for i in 0..self.batch.len() {
+            let slot = self.batch[i];
             let e = &mut self.rob[usize::from(slot)];
             debug_assert!(e.phase == Phase::Executing && e.at == now);
             e.phase = Phase::Done;
@@ -830,23 +984,21 @@ impl Pipeline {
                 self.wake_consumers(self.seq_at(slot), false);
             }
         }
-        slots.clear();
-        self.batch = slots;
+        self.batch.clear();
     }
 
     fn fu_arrive(&mut self) {
-        let mut slots = std::mem::take(&mut self.batch);
-        self.arrivals.drain_into(self.now, &mut slots);
+        self.arrivals.drain_into(self.now, &mut self.batch);
         // Oldest first, so producers precede consumers.
         let (base, mask) = (self.base_seq, self.slot_mask);
-        if slots.len() > 1 {
-            slots.sort_unstable_by_key(|&slot| u64::from(slot).wrapping_sub(base) & mask);
+        if self.batch.len() > 1 {
+            self.batch
+                .sort_unstable_by_key(|&slot| u64::from(slot).wrapping_sub(base) & mask);
         }
-        for &slot in &slots {
-            self.process_arrival(self.seq_at(slot));
+        for i in 0..self.batch.len() {
+            self.process_arrival(self.seq_at(self.batch[i]));
         }
-        slots.clear();
-        self.batch = slots;
+        self.batch.clear();
     }
 
     fn process_arrival(&mut self, seq: u64) {
@@ -964,16 +1116,12 @@ impl Pipeline {
         e.phase = Phase::Executing;
         e.at = done_at;
         e.announce_at = announce_at;
-        if done_at - now < COMPLETION_HORIZON as u64 {
-            self.completions.push(done_at, slot as u16);
-        } else {
-            self.far_completions.push(Reverse((done_at, seq)));
-        }
+        self.completions.push(now, done_at, slot as u16);
         // A load later than assumed changes its dependants' predicted
         // operand time at the announce cycle; an on-time (or early) one
         // never does before it completes.
         if announce_at != 0 && done_at > announce_at {
-            self.announces.push(Reverse((announce_at, seq)));
+            self.announces.push(now, announce_at, slot as u16);
         }
         self.iq_count -= 1;
         self.wake_consumers(seq, on_time);
@@ -993,18 +1141,20 @@ impl Pipeline {
     }
 
     fn schedule(&mut self) {
-        while let Some(seq) = pop_due(&mut self.announces, self.now) {
-            self.wake_consumers(seq, false);
+        self.announces.drain_into(self.now, &mut self.batch);
+        for i in 0..self.batch.len() {
+            self.wake_consumers(self.seq_at(self.batch[i]), false);
         }
+        self.batch.clear();
         self.promote_wakeups();
 
         let exec_at = self.now + u64::from(self.cfg.sched_to_exec);
         // Reservations only ever concern this cycle's picks: each cycle
         // books the distinct execute cycle `now + sched_to_exec`.
         let mut reserved = [0u16; FuClass::COUNT];
-        let mut picks = std::mem::take(&mut self.batch);
-        for slot in self.ready.ring_order(self.slot(self.base_seq)) {
-            if picks.len() == self.cfg.width {
+        let start = self.slot(self.base_seq);
+        for slot in self.ready.ring_order(start) {
+            if self.batch.len() == self.cfg.width {
                 break;
             }
             let fu = FuClass::of(self.rob[slot].class) as usize;
@@ -1012,10 +1162,10 @@ impl Pipeline {
                 continue;
             }
             reserved[fu] += 1;
-            picks.push(slot as u16);
+            self.batch.push(slot as u16);
         }
 
-        for &slot in &picks {
+        for &slot in &self.batch {
             self.ready.remove(usize::from(slot));
             let e = &mut self.rob[usize::from(slot)];
             e.phase = Phase::Scheduled;
@@ -1023,11 +1173,10 @@ impl Pipeline {
             e.bypass_counted = false;
             self.arrivals.push(exec_at, slot);
         }
-        for &slot in &picks {
-            self.wake_consumers(self.seq_at(slot), false);
+        for i in 0..self.batch.len() {
+            self.wake_consumers(self.seq_at(self.batch[i]), false);
         }
-        picks.clear();
-        self.batch = picks;
+        self.batch.clear();
     }
 
     fn dispatch(&mut self) {
@@ -1556,10 +1705,120 @@ mod tests {
         assert_eq!(ring.next_busy(131), NEVER);
 
         // The completion ring's horizon spans sixteen bitset words.
-        let mut ring = CycleRing::new(COMPLETION_HORIZON, 8);
+        let mut ring = CycleRing::new(WHEEL_HORIZON, 8);
         ring.push(2_050, 3); // bucket 2
         assert_eq!(ring.next_busy(2_040), 2_050);
         assert_eq!(ring.next_busy(1_030), 2_050);
+    }
+
+    /// The slots filed in `bucket` of `wheel`, head first, checked
+    /// against the backward links.
+    fn bucket_slots(wheel: &WakeWheel, bucket: usize) -> Vec<u16> {
+        let mut slots = Vec::new();
+        let mut slot = wheel.ring.heads[bucket];
+        let mut prev = NIL;
+        while slot != NIL {
+            let s = usize::from(slot);
+            assert_eq!(wheel.prev[s], prev, "back link of slot {slot}");
+            assert_eq!(usize::from(wheel.filed[s]), bucket);
+            slots.push(slot);
+            prev = slot;
+            slot = wheel.ring.next[s];
+        }
+        slots
+    }
+
+    #[test]
+    fn wake_wheel_unfiles_from_the_head_middle_and_tail_of_a_bucket() {
+        for (gone, left) in [(4, [3, 2, 1]), (3, [4, 2, 1]), (1, [4, 3, 2])] {
+            let mut wheel = WakeWheel::new(8);
+            for slot in 1..=4 {
+                wheel.file(100, slot); // each new slot heads the list
+            }
+            assert_eq!(bucket_slots(&wheel, 100), [4, 3, 2, 1]);
+            wheel.unfile(gone);
+            assert_eq!(bucket_slots(&wheel, 100), left, "without {gone}");
+            assert_eq!(wheel.filed[usize::from(gone)], NIL);
+            wheel.unfile(gone); // unfiling an unfiled slot does nothing
+            assert_eq!(bucket_slots(&wheel, 100), left);
+            assert_eq!(wheel.ring.next_busy(90), 100);
+        }
+
+        // The last slot out leaves its bucket idle.
+        let mut wheel = WakeWheel::new(8);
+        wheel.file(100, 5);
+        wheel.unfile(5);
+        assert_eq!(bucket_slots(&wheel, 100), []);
+        assert_eq!(wheel.ring.next_busy(90), NEVER);
+    }
+
+    #[test]
+    fn a_refiled_slot_wakes_only_at_its_newest_cycle() {
+        let mut wheel = WakeWheel::new(8);
+        let mut ready = SlotSet::new(8);
+        wheel.file(200, 1);
+        wheel.file(200, 2);
+        wheel.file(300, 3);
+        for cycle in [250, 210] {
+            wheel.unfile(1);
+            wheel.file(cycle, 1);
+        }
+        assert_eq!(bucket_slots(&wheel, 200 % WHEEL_HORIZON), [2]);
+        assert_eq!(bucket_slots(&wheel, 250 % WHEEL_HORIZON), []);
+        assert_eq!(bucket_slots(&wheel, 210 % WHEEL_HORIZON), [1]);
+        assert_eq!(wheel.ring.next_busy(201), 210);
+
+        let mut woken = |wheel: &mut WakeWheel, now| {
+            wheel.drain_into(now, &mut ready);
+            let slots: Vec<usize> = ready.ring_order(0).collect();
+            slots.iter().for_each(|&s| ready.remove(s));
+            slots
+        };
+        assert_eq!(woken(&mut wheel, 200), [2]);
+        assert_eq!(woken(&mut wheel, 210), [1]);
+        assert_eq!(woken(&mut wheel, 250), []);
+        assert_eq!(woken(&mut wheel, 300), [3]);
+        assert!(wheel.filed.iter().all(|&b| b == NIL));
+        assert_eq!(wheel.ring.next_busy(0), NEVER);
+    }
+
+    #[test]
+    fn wake_wheel_finds_the_next_busy_cycle_across_the_wrap() {
+        let mut wheel = WakeWheel::new(8);
+        let now = 3 * WHEEL_HORIZON as u64 - 10; // ten buckets before the wrap
+        wheel.file(now + 15, 1); // bucket 5, past the wrap
+        assert_eq!(wheel.ring.next_busy(now), now + 15);
+        wheel.file(now + 9, 2); // the last bucket before the wrap
+        assert_eq!(wheel.ring.next_busy(now), now + 9);
+        wheel.unfile(2);
+        assert_eq!(wheel.ring.next_busy(now), now + 15);
+
+        // With the completion ring: one scan over both busy sets.
+        let mut completions = CycleRing::new(WHEEL_HORIZON, 8);
+        completions.push(now + 12, 3);
+        let both = [&completions, &wheel.ring];
+        assert_eq!(CycleRing::next_busy_of(&both, now), now + 12);
+        assert_eq!(CycleRing::next_busy_of(&both, now + 13), now + 15);
+        assert_eq!(
+            CycleRing::next_busy_of(&both, now + 16),
+            now + 12 + WHEEL_HORIZON as u64
+        );
+    }
+
+    #[test]
+    fn events_past_the_wheel_horizon_wait_in_the_overflow() {
+        let mut ring = EventRing::new(8);
+        let mut out = Vec::new();
+        ring.push(0, WHEEL_HORIZON as u64 - 1, 1); // the ring's last bucket
+        ring.push(0, WHEEL_HORIZON as u64, 2); // the current bucket, a turn on
+        assert_eq!(ring.near.next_busy(0), WHEEL_HORIZON as u64 - 1);
+        assert_eq!(ring.next_far(), WHEEL_HORIZON as u64);
+        ring.drain_into(0, &mut out);
+        assert_eq!(out, [], "nothing is due a horizon early");
+        ring.drain_into(WHEEL_HORIZON as u64 - 1, &mut out);
+        ring.drain_into(WHEEL_HORIZON as u64, &mut out);
+        assert_eq!(out, [1, 2]);
+        assert_eq!(ring.next_far(), NEVER);
     }
 
     #[test]
