@@ -4,16 +4,6 @@ use crate::config::{CacheConfig, ReplacementPolicy};
 use crate::error::CacheConfigError;
 use crate::stats::CacheStats;
 
-/// One cache line's bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic timestamp of the last touch (for true LRU).
-    last_use: u64,
-}
-
 /// Whether an access reads or writes the block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
@@ -55,10 +45,20 @@ pub struct AccessOutcome {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    /// Per line, set-major (`ways` lines per set): the block's tag, read
+    /// only while the line is valid.
+    tags: Vec<u64>,
+    /// Per line: the clock of its last touch (true LRU), 0 for a line
+    /// never filled or since invalidated.
+    last_use: Vec<u64>,
     /// Per set, the ways that may hold its blocks (bit `w` for way `w`):
     /// the way enables and the H-YAPD remap, folded once at construction.
     available: Vec<u64>,
+    /// Per set, the ways holding a block. Fills only take available
+    /// ways, so these are always available too.
+    valid: Vec<u64>,
+    /// Per set, the valid ways whose block has been written.
+    dirty: Vec<u64>,
     /// Tree-PLRU state: one bit per internal node, per set (unused for the
     /// other policies).
     plru: Vec<u64>,
@@ -77,16 +77,18 @@ impl SetAssocCache {
     /// Returns the configuration's validation message if it is inconsistent.
     pub fn new(config: CacheConfig) -> Result<Self, CacheConfigError> {
         config.validate()?;
-        let lines = vec![Line::default(); config.sets * config.ways];
+        let lines = config.sets * config.ways;
         let available = (0..config.sets)
             .map(|set| config.region_mask(config.region_of_set(set)))
             .collect();
-        let plru = vec![0u64; config.sets];
         Ok(SetAssocCache {
-            config,
-            lines,
+            tags: vec![0; lines],
+            last_use: vec![0; lines],
             available,
-            plru,
+            valid: vec![0; config.sets],
+            dirty: vec![0; config.sets],
+            plru: vec![0; config.sets],
+            config,
             rng_state: 0x243f_6a88_85a3_08d3,
             clock: 0,
             fills: 0,
@@ -113,7 +115,9 @@ impl SetAssocCache {
 
     /// Empties the cache contents and statistics.
     pub fn flush(&mut self) {
-        self.lines.fill(Line::default());
+        self.last_use.fill(0);
+        self.valid.fill(0);
+        self.dirty.fill(0);
         self.plru.fill(0);
         self.stats = CacheStats::default();
         self.clock = 0;
@@ -167,42 +171,30 @@ impl SetAssocCache {
         lo
     }
 
-    /// The lines of `set`, indexed by way.
-    fn set_lines(&self, set: usize) -> &[Line] {
-        let ways = self.config.ways;
-        &self.lines[set * ways..(set + 1) * ways]
-    }
-
-    /// The available way of `set` holding `tag`, if any.
+    /// The valid way of `set` holding `tag`, if any.
     fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let lines = self.set_lines(set);
-        ways_of(self.available[set]).find(|&w| lines[w].valid && lines[w].tag == tag)
+        let base = self.line_index(set, 0);
+        ways_of(self.valid[set]).find(|&w| self.tags[base + w] == tag)
     }
 
     /// Victim choice among the available ways of a set: invalid ways first
-    /// (rotating), then the policy's coldest valid way. Runs on every
-    /// miss, so one pass over the available ways gathers both the invalid
-    /// ways and the least-recently-used valid one.
+    /// (rotating), then the policy's coldest valid way.
     fn choose_victim(&mut self, set: usize) -> usize {
         let available = self.available[set];
-        let lines = self.set_lines(set);
-        let mut invalid = 0u64;
-        let mut lru = (u64::MAX, 0);
-        for w in ways_of(available) {
-            if !lines[w].valid {
-                invalid |= 1 << w;
-            } else if lines[w].last_use < lru.0 {
-                lru = (lines[w].last_use, w);
-            }
-        }
         self.fills += 1;
         // Invalid-first, rotating so cold fills spread over the ways.
+        let invalid = available & !self.valid[set];
         if invalid != 0 {
             let k = self.fills % u64::from(invalid.count_ones());
             return nth_way(invalid, k);
         }
         match self.config.replacement {
-            ReplacementPolicy::TrueLru => lru.1,
+            ReplacementPolicy::TrueLru => {
+                let last_use = &self.last_use[self.line_index(set, 0)..];
+                ways_of(available)
+                    .min_by_key(|&w| last_use[w])
+                    .expect("non-empty")
+            }
             ReplacementPolicy::TreePlru => {
                 let v = self.plru_victim(set);
                 if available & (1 << v) != 0 {
@@ -224,6 +216,31 @@ impl SetAssocCache {
         }
     }
 
+    /// Puts block `tag` into `way` of `set`, touched at `last_use`, and
+    /// returns the address of the dirty block it evicts, if any.
+    fn fill(
+        &mut self,
+        set: usize,
+        way: usize,
+        tag: u64,
+        last_use: u64,
+        dirty: bool,
+    ) -> Option<u64> {
+        let idx = self.line_index(set, way);
+        let bit = 1 << way;
+        let writeback = (self.valid[set] & self.dirty[set] & bit != 0)
+            .then(|| self.rebuild_address(self.tags[idx], set));
+        self.tags[idx] = tag;
+        self.last_use[idx] = last_use;
+        self.valid[set] |= bit;
+        if dirty {
+            self.dirty[set] |= bit;
+        } else {
+            self.dirty[set] &= !bit;
+        }
+        writeback
+    }
+
     /// Performs one access, updating LRU state and statistics.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
         self.clock += 1;
@@ -233,9 +250,9 @@ impl SetAssocCache {
 
         if let Some(way) = self.find(set, tag) {
             let idx = self.line_index(set, way);
-            self.lines[idx].last_use = self.clock;
+            self.last_use[idx] = self.clock;
             if kind == AccessKind::Write {
-                self.lines[idx].dirty = true;
+                self.dirty[set] |= 1 << way;
             }
             if self.config.replacement == ReplacementPolicy::TreePlru {
                 self.plru_touch(set, way);
@@ -258,20 +275,10 @@ impl SetAssocCache {
             self.plru_touch(set, victim_way);
         }
 
-        let idx = self.line_index(set, victim_way);
-        let evicted = self.lines[idx];
-        let writeback = (evicted.valid && evicted.dirty).then(|| {
+        let writeback = self.fill(set, victim_way, tag, self.clock, kind == AccessKind::Write);
+        if writeback.is_some() {
             self.stats.writebacks += 1;
-            self.rebuild_address(evicted.tag, set)
-        });
-
-        self.lines[idx] = Line {
-            tag,
-            valid: true,
-            dirty: kind == AccessKind::Write,
-            last_use: self.clock,
-        };
-
+        }
         AccessOutcome {
             hit: false,
             way: victim_way,
@@ -292,24 +299,14 @@ impl SetAssocCache {
         let set = self.config.set_of(addr);
         let tag = self.config.tag_of(addr);
         let victim_way = self.choose_victim(set);
-        let idx = self.line_index(set, victim_way);
-        let evicted = self.lines[idx];
-        let writeback =
-            (evicted.valid && evicted.dirty).then(|| self.rebuild_address(evicted.tag, set));
         // A prefetched block enters cold: least-recently-used among valid
         // lines so a useless prefetch is the first thing evicted.
-        let lines = self.set_lines(set);
+        let last_use = &self.last_use[self.line_index(set, 0)..];
         let lru_floor = ways_of(self.available[set])
-            .map(|w| lines[w].last_use)
+            .map(|w| last_use[w])
             .min()
             .unwrap_or(0);
-        self.lines[idx] = Line {
-            tag,
-            valid: true,
-            dirty: false,
-            last_use: lru_floor,
-        };
-        writeback
+        self.fill(set, victim_way, tag, lru_floor, false)
     }
 
     /// Checks for presence without disturbing LRU or statistics.
@@ -323,16 +320,19 @@ impl SetAssocCache {
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
         let set = self.config.set_of(addr);
         let way = self.find(set, self.config.tag_of(addr))?;
+        let bit = 1 << way;
+        let dirty = self.dirty[set] & bit != 0;
+        self.valid[set] &= !bit;
+        self.dirty[set] &= !bit;
         let idx = self.line_index(set, way);
-        let dirty = self.lines[idx].dirty;
-        self.lines[idx] = Line::default();
+        self.last_use[idx] = 0;
         Some(dirty)
     }
 
     /// Number of valid lines currently held.
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.valid.iter().map(|v| v.count_ones() as usize).sum()
     }
 
     fn rebuild_address(&self, tag: u64, set: usize) -> u64 {
@@ -673,7 +673,7 @@ mod tests {
         let invalid: Vec<usize> = available
             .iter()
             .copied()
-            .filter(|&w| !cache.lines[cache.line_index(set, w)].valid)
+            .filter(|&w| cache.valid[set] & (1 << w) == 0)
             .collect();
         if !invalid.is_empty() {
             return invalid[(cache.fills % invalid.len() as u64) as usize];
@@ -681,7 +681,7 @@ mod tests {
         match cache.config.replacement {
             ReplacementPolicy::TrueLru => available
                 .into_iter()
-                .min_by_key(|&w| cache.lines[cache.line_index(set, w)].last_use)
+                .min_by_key(|&w| cache.last_use[cache.line_index(set, w)])
                 .unwrap(),
             ReplacementPolicy::TreePlru => {
                 let v = cache.plru_victim(set);

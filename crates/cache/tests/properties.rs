@@ -100,11 +100,12 @@ proptest! {
     }
 }
 
-/// A reference model of [`SetAssocCache`]: the straightforward cache that
-/// asks [`CacheConfig::way_available`] about every way of a set on every
-/// lookup and scans the set once per question when choosing a victim.
-/// The model under test folds availability into a per-set mask and
-/// chooses in one pass; the two must agree on every outcome.
+/// A reference model of [`SetAssocCache`]: the straightforward cache of
+/// per-line records that asks [`CacheConfig::way_available`] about every
+/// way of a set on every lookup and scans the set once per question when
+/// choosing a victim. The model under test keeps availability, validity
+/// and dirtiness as per-set way masks over flat tag and clock arrays; the
+/// two must agree on every outcome.
 struct RefCache {
     config: CacheConfig,
     lines: Vec<RefLine>,
