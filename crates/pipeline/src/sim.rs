@@ -524,7 +524,7 @@ pub struct Pipeline {
     /// Waiting ops the scheduler may pick this cycle, by ROB slot.
     ready: SlotSet,
     /// Scratch list of the ROB slots one phase handles (arrivals,
-    /// completions or picks).
+    /// completions, announces or picks), filled and emptied in place.
     batch: Vec<u16>,
     fu_limits: [u16; FuClass::COUNT],
     stats: SimStats,
